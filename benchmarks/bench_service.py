@@ -27,17 +27,6 @@ Three workload families:
 * ``serving`` — planner throughput on a mixed pair/top-k workload: cold
   coalesced batch vs per-query loop vs warm (second pass served from the
   LRU cache).
-* ``update_repair`` (PR 9) — the online-update plane: for every
-  persisted-index method, incremental ``repair(delta)`` latency (verification
-  oracle included — it is part of the repair contract) vs a from-scratch
-  rebuild on the new graph, across touched-edge fractions.  The measured
-  result on GQ is an across-the-board anti-target, recorded as such:
-  every repair loses to a rebuild (0.4–0.97×) at every fraction, because
-  on a graph this small a rebuild costs milliseconds and the repair's
-  mandatory verification oracle alone costs more.  The repair path's
-  value is correctness under serving (no index ever drops mid-stream)
-  and graphs where rebuilds cost minutes; the win claim must be
-  re-measured there, not asserted from this record.
 * ``shared_segment`` (PR 10) — the explicit shared-memory graph segment:
   per-worker private RSS with the CSR arrays and transition matrices placed
   in one ``multiprocessing.shared_memory`` block vs plain fork COW,
@@ -510,88 +499,6 @@ def bench_shared_segment(graph, quick):
 
 
 # --------------------------------------------------------------------------- #
-# workload: online updates — incremental repair vs from-scratch rebuild
-# --------------------------------------------------------------------------- #
-UPDATE_REPAIR_CONFIGS = {
-    "mc": {"walks_per_node": 100, "walk_length": 8, "seed": SEED},
-    "linearization": {"samples_per_node": 60, "epsilon": 1e-4, "seed": SEED},
-    "sling": {"epsilon": 1e-2, "seed": SEED},
-    "prsim": {"epsilon": 1e-3, "seed": SEED},
-}
-
-
-def _update_batch(graph, fraction, rng):
-    """An edge batch touching ~``fraction`` of the edges, half deletes /
-    half inserts, mirrored on undirected graphs so both orientations move
-    together."""
-    changes = max(1, int(graph.num_edges * fraction) // 2)
-    existing = graph.edge_array()
-    rows = existing[rng.choice(existing.shape[0], size=changes,
-                               replace=False)]
-    deletes = [row.tolist() for row in rows]
-    inserts = []
-    while len(inserts) < changes:
-        a, b = (int(x) for x in rng.integers(0, graph.num_nodes, size=2))
-        if a != b:
-            inserts.append([a, b])
-    if not graph.directed:
-        deletes = deletes + [row[::-1] for row in deletes]
-        inserts = inserts + [[b, a] for a, b in inserts]
-    return {"type": "update", "insert": inserts, "delete": deletes}
-
-
-def bench_update_repair(graph, quick):
-    """The PR 9 record: ``repair(delta)`` vs rebuild per touched fraction.
-
-    Each cell is single-shot — a repair consumes the index it patches, so
-    best-of-N would need N full index builds per cell for no extra signal.
-    ``repair_s`` includes the sampled verify-or-rebuild oracle: shipping an
-    unverified repair is not a mode this system has, so benchmarking one
-    would be dishonest.
-    """
-    from repro.graph.context import GraphContext
-
-    fractions = (0.01,) if quick else (0.001, 0.01, 0.05)
-    rng = np.random.default_rng(SEED)
-    results = {}
-    for method, config in UPDATE_REPAIR_CONFIGS.items():
-        per_fraction = {}
-        for fraction in fractions:
-            context = GraphContext(graph)
-            algorithm = registry.create(method, graph, config,
-                                        context=context)
-            algorithm.preprocess()
-            delta = context.apply_updates(
-                _update_batch(graph, fraction, rng))
-            start = time.perf_counter()
-            report = algorithm.repair(delta)
-            repair_s = time.perf_counter() - start
-            rebuilt = registry.create(method, context.graph, config,
-                                      context=context)
-            rebuilt.preprocess()
-            rebuild_s = rebuilt.preprocessing_seconds
-            per_fraction[str(fraction)] = {
-                "edges_changed": int(delta.inserted.shape[0]
-                                     + delta.deleted.shape[0]),
-                "touched_nodes": int(delta.touched_nodes().size),
-                "strategy": report["strategy"],
-                "verified": bool(report.get("verified", False)),
-                "repair_s": repair_s,
-                "rebuild_s": rebuild_s,
-                "repair_speedup_vs_rebuild": (rebuild_s / repair_s
-                                              if repair_s > 0
-                                              else float("inf")),
-            }
-        results[method] = per_fraction
-    return {
-        "note": "repair_s includes the verification oracle; single-shot "
-                "(a repair consumes the index it patches)",
-        "fractions": [str(fraction) for fraction in fractions],
-        "methods": results,
-    }
-
-
-# --------------------------------------------------------------------------- #
 # workload: deadline-checkpoint overhead — no deadline vs an unexpirable one
 # --------------------------------------------------------------------------- #
 def bench_deadline_overhead(graph, method, config, repeats):
@@ -718,10 +625,6 @@ def main() -> int:
             # PR 10: explicit shared-memory graph segments — per-worker
             # private RSS A/B, bit-identity, unlink-on-drain.
             entry["workloads"]["shared_segment"] = bench_shared_segment(
-                graph, args.quick)
-            # PR 9: online updates — incremental repair vs rebuild across
-            # touched-edge fractions.
-            entry["workloads"]["update_repair"] = bench_update_repair(
                 graph, args.quick)
         top_k_section = {}
         for (dataset, method), config in top_k_jobs.items():

@@ -77,24 +77,6 @@ class IndexPersistenceError(RuntimeError):
     """Raised when an index cannot be saved or loaded."""
 
 
-class RepairUnsupported(RuntimeError):
-    """Raised by the default :meth:`SimRankAlgorithm._repair_index` hook.
-
-    The public :meth:`SimRankAlgorithm.repair` catches it and falls back to
-    a logged full rebuild, so a method without an incremental path is still
-    *correct* under updates — it just pays the rebuild price.
-    """
-
-
-class RepairVerificationError(RuntimeError):
-    """Raised when a repaired index disagrees with its rebuild oracle.
-
-    Caught by :meth:`SimRankAlgorithm.repair`: the repaired state is
-    discarded and the index fully rebuilt (verify-or-rebuild — a repair is
-    never trusted on faith).
-    """
-
-
 #: Chunk size of the streamed checksum walk (bytes).  Large enough that the
 #: per-chunk Python overhead vanishes, small enough that verifying a
 #: memory-mapped multi-GB array never holds more than one chunk resident.
@@ -229,8 +211,8 @@ class SimRankAlgorithm(abc.ABC):
                 and not context.knows_graph(graph):
             # A context that has moved on through apply_updates() still
             # retains its historical versions; binding an algorithm to one
-            # of those is legitimate (crash recovery loads an index against
-            # the version it was built at, then repairs forward).
+            # of those is legitimate (an instance serving the previous
+            # version until the planner swaps it onto the newest one).
             raise ValueError("context was built for a different graph")
         self.graph = graph
         self.decay = decay
@@ -271,80 +253,39 @@ class SimRankAlgorithm(abc.ABC):
             self.preprocess()
 
     # ------------------------------------------------------------------ #
-    # online updates: verify-or-rebuild repair
+    # online updates: rebind, then rebuild
     # ------------------------------------------------------------------ #
-    def repair(self, delta, *, verify: bool = True) -> Dict[str, Any]:
+    def repair(self, delta) -> Dict[str, Any]:
         """Carry this instance from ``delta.old_graph`` to ``delta.new_graph``.
 
-        The contract is *verify-or-rebuild, never verify-and-pray*: the
-        subclass's incremental :meth:`_repair_index` runs first, then (with
-        ``verify=True``, the default) :meth:`_verify_repair` checks the
-        repaired state against a sampled rebuild oracle at the method's
-        pinned tolerance.  Any failure — the method not implementing a
-        repair (:class:`RepairUnsupported`) or the oracle disagreeing
-        (:class:`RepairVerificationError`) — falls back to a logged full
-        rebuild on the new graph, so the instance is correct afterwards no
-        matter which path ran.
+        The one update path of every method: rebind to the new graph and,
+        when an index is already built, rebuild it there.  Rebinding
+        re-seeds the method's walk engine, so the rebuilt index — and every
+        answer read from it — is bit-identical to a fresh instance built on
+        ``delta.new_graph`` with the same config.  An incremental patch
+        would have to beat this on cost, and on the measured graphs the
+        nodes an edit reaches are nearly all of them.
 
-        Returns a report dict: ``strategy`` is one of ``noop`` (empty
-        delta), ``rebind`` (no index to carry), ``repair`` (incremental
-        path kept), ``rebuild`` (no incremental path) or
-        ``rebuild_after_mismatch`` (oracle rejected the repair).
+        Returns a report dict: ``strategy`` is ``noop`` (empty delta),
+        ``rebind`` (no index to carry: index-free, or not built yet and
+        built lazily on the new graph) or ``rebuild``.
         """
-        report: Dict[str, Any] = {"method": self.name, "strategy": "repair",
-                                  "verified": False,
-                                  "version_to": int(delta.version_to)}
         if delta.old_graph is not self.graph and delta.old_graph != self.graph:
             raise ValueError(
                 f"delta starts at a different graph than this {self.name} "
                 "instance is bound to")
+        self._rebind_graph(delta.new_graph)
         if delta.is_empty:
-            self._rebind_graph(delta.new_graph)
-            report["strategy"] = "noop"
-            return report
-        if not self.index_based or not self._prepared:
-            # Nothing built yet: rebinding is the whole repair.  An
-            # index-based instance will lazily build on the new graph.
-            self._rebind_graph(delta.new_graph)
-            report["strategy"] = "rebind"
-            return report
-        try:
-            self._rebind_graph(delta.new_graph)
-            self._repair_index(delta)
-            if verify:
-                self._verify_repair(delta)
-                report["verified"] = True
-        except RepairUnsupported:
-            _LOGGER.info("%s: no incremental repair; rebuilding index on "
-                         "graph version %d", self.name, delta.version_to)
+            strategy = "noop"
+        elif self.index_based and self._prepared:
+            _LOGGER.info("%s: rebuilding index on graph version %d",
+                         self.name, delta.version_to)
             self.preprocess(force=True)
-            report["strategy"] = "rebuild"
-        except RepairVerificationError as error:
-            _LOGGER.warning("%s: repair failed verification (%s); falling "
-                            "back to a full rebuild", self.name, error)
-            self.preprocess(force=True)
-            report["strategy"] = "rebuild_after_mismatch"
-        return report
-
-    def _repair_index(self, delta) -> None:
-        """Subclass hook: incrementally patch the index for ``delta``.
-
-        Runs *after* :meth:`_rebind_graph`, so ``self.graph`` (and any
-        engine/operator refreshed by :meth:`_on_graph_rebound`) already
-        describe the new version while the index arrays still describe the
-        old one.  The default declines, routing :meth:`repair` to a full
-        rebuild.
-        """
-        raise RepairUnsupported(f"{self.name} has no incremental repair path")
-
-    def _verify_repair(self, delta) -> None:
-        """Subclass hook: check the repaired index against a rebuild oracle.
-
-        Must raise :class:`RepairVerificationError` on any disagreement
-        beyond the method's pinned tolerance.  The default accepts, which
-        is only reached by subclasses that override :meth:`_repair_index`
-        without an oracle — every in-tree method provides one.
-        """
+            strategy = "rebuild"
+        else:
+            strategy = "rebind"
+        return {"method": self.name, "strategy": strategy,
+                "version_to": int(delta.version_to)}
 
     def _rebind_graph(self, graph: DiGraph) -> None:
         """Point this instance at another version of its graph.
@@ -362,15 +303,21 @@ class SimRankAlgorithm(abc.ABC):
         self._on_graph_rebound()
 
     def _on_graph_rebound(self) -> None:
-        """Subclass hook: refresh engines/operators snapshotted at init."""
+        """Subclass hook: (re)build the graph-derived snapshots.
+
+        Subclasses build their walk engines (seeded from the config),
+        operators and graph-derived vectors here and call it from
+        ``__init__`` too, so a rebound instance answers exactly like a fresh
+        one on the new graph.
+        """
 
     def _operator_for_graph(self, decay: Optional[float] = None):
         """A :class:`TransitionOperator` for *this instance's* graph.
 
         Uses the context's cache when the context is on the same version;
-        during a serve-stale window (context ahead of a not-yet-repaired
-        instance) it builds a private operator so the instance's matrices
-        keep describing the graph its index describes.
+        during a serve-stale window (context ahead of an instance not yet
+        swapped forward) it builds a private operator so the instance's
+        matrices keep describing the graph its index describes.
         """
         decay = self.decay if decay is None else decay
         if self.context.graph is self.graph or self.context.graph == self.graph:
@@ -649,8 +596,6 @@ class SimRankAlgorithm(abc.ABC):
 __all__ = [
     "SimRankAlgorithm",
     "IndexPersistenceError",
-    "RepairUnsupported",
-    "RepairVerificationError",
     "INDEX_FORMAT_VERSION",
     "QUERY_SINGLE_SOURCE",
     "QUERY_SINGLE_PAIR",

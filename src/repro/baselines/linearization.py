@@ -19,10 +19,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  RepairVerificationError, SimRankAlgorithm)
+                                  SimRankAlgorithm)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
-from repro.diagonal.basic import (diagonal_repair_depth, estimate_diagonal_basic,
-                                  reestimate_diagonal_entries)
+from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.parallel import parallel_spmm
@@ -55,8 +54,7 @@ class LinearizationSimRank(SimRankAlgorithm):
             samples_per_node = min(samples_per_node, 20_000)
         self.samples_per_node = check_positive_int(samples_per_node, "samples_per_node")
         self._seed = seed
-        self._engine = SqrtCWalkEngine(graph, decay, seed=seed)
-        self._operator = self.context.operator(decay)
+        self._on_graph_rebound()
         self._diagonal: Optional[np.ndarray] = None
 
     def num_iterations(self) -> int:
@@ -70,76 +68,9 @@ class LinearizationSimRank(SimRankAlgorithm):
         self._diagonal = estimate_diagonal_basic(
             self.graph, allocation, decay=self.decay, engine=self._engine)
 
-    # ------------------------------------------------------------------ #
-    # online repair
-    # ------------------------------------------------------------------ #
-    #: Verification oracle budget: sampled entries are re-estimated with a
-    #: fresh engine at this many pairs and compared at the pinned sigma.
-    _REPAIR_ORACLE_NODES = 16
-    _REPAIR_ORACLE_SAMPLES = 2_000
-    _REPAIR_ORACLE_SIGMA = 6.0
-
     def _on_graph_rebound(self) -> None:
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
         self._operator = self._operator_for_graph()
-
-    def _repair_index(self, delta) -> None:
-        assert self._diagonal is not None
-        depth = diagonal_repair_depth(self.decay, self.samples_per_node)
-        affected = delta.affected_nodes(depth, direction="walk")
-        if affected.size == 0:
-            return
-        if not self._diagonal.flags.writeable:
-            self._diagonal = self._diagonal.copy()
-        reestimate_diagonal_entries(self.graph, self._diagonal, affected,
-                                    self.samples_per_node, decay=self.decay,
-                                    engine=self._engine)
-
-    def _verify_repair(self, delta) -> None:
-        """Sampled rebuild oracle for the repaired diagonal.
-
-        Trivial entries are exact by construction, so they are checked at
-        bit precision over the whole affected set; sampled entries are
-        Monte-Carlo estimates, so a deterministic subset is re-estimated
-        with an independent engine and compared at the pinned
-        ``_REPAIR_ORACLE_SIGMA`` deviation bound of the combined noise.
-        """
-        assert self._diagonal is not None
-        diagonal = self._diagonal
-        if np.any((diagonal < 0.0) | (diagonal > 1.0)):
-            raise RepairVerificationError("linearization: diagonal out of [0, 1]")
-        depth = diagonal_repair_depth(self.decay, self.samples_per_node)
-        affected = delta.affected_nodes(depth, direction="walk")
-        if affected.size == 0:
-            return
-        in_degrees = self.graph.in_degrees[affected]
-        dangling = affected[in_degrees == 0]
-        single = affected[in_degrees == 1]
-        if not np.all(diagonal[dangling] == 1.0):
-            raise RepairVerificationError(
-                "linearization: dangling-node diagonal entries must be exactly 1")
-        if not np.all(diagonal[single] == 1.0 - self.decay):
-            raise RepairVerificationError(
-                "linearization: single-parent diagonal entries must be exactly 1 - c")
-        sampled = affected[in_degrees > 1]
-        if sampled.size == 0:
-            return
-        step = max(1, sampled.size // self._REPAIR_ORACLE_NODES)
-        probe = sampled[::step][:self._REPAIR_ORACLE_NODES]
-        oracle_samples = min(self._REPAIR_ORACLE_SAMPLES,
-                             max(self.samples_per_node, 16))
-        oracle = np.empty_like(diagonal)
-        reestimate_diagonal_entries(self.graph, oracle, probe, oracle_samples,
-                                    decay=self.decay,
-                                    engine=SqrtCWalkEngine(self.graph, self.decay,
-                                                           seed=self._seed))
-        noise = np.sqrt(0.25 / self.samples_per_node + 0.25 / oracle_samples)
-        tolerance = self._REPAIR_ORACLE_SIGMA * noise
-        gap = np.abs(diagonal[probe] - oracle[probe])
-        if np.any(gap > tolerance):
-            raise RepairVerificationError(
-                f"linearization: repaired diagonal deviates from the rebuild "
-                f"oracle by {float(gap.max()):.6f} (> {tolerance:.6f})")
 
     # ------------------------------------------------------------------ #
     # persistence: the index is the estimated diagonal

@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.baselines.base import (QUERY_SINGLE_PAIR, IndexPersistenceError,
-                                  RepairVerificationError, SimRankAlgorithm)
+                                  SimRankAlgorithm)
 from repro.core.result import SinglePairResult, SingleSourceResult
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
@@ -45,7 +45,7 @@ class MonteCarloSimRank(SimRankAlgorithm):
         self.walks_per_node = check_positive_int(walks_per_node, "walks_per_node")
         self.walk_length = check_positive_int(walk_length, "walk_length")
         self._seed = seed
-        self._engine = SqrtCWalkEngine(graph, decay, seed=seed)
+        self._on_graph_rebound()
         # Index layout: positions[t, r, v] = node visited at step t by the r-th
         # walk started from v (−1 once the walk has stopped).
         self._index: Optional[np.ndarray] = None
@@ -78,66 +78,10 @@ class MonteCarloSimRank(SimRankAlgorithm):
                 self.walk_length + 1, replicas, num_nodes).astype(np.int32)
         self._index = index
 
-    # ------------------------------------------------------------------ #
-    # online repair
-    # ------------------------------------------------------------------ #
     def _on_graph_rebound(self) -> None:
-        # Walk engines snapshot the CSR arrays at construction; after an
-        # update the stored snapshot describes the old graph.
+        # Walk engines snapshot the CSR arrays at construction; a fresh
+        # seeded engine makes the rebuild match a new instance bit for bit.
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
-
-    def _repair_index(self, delta) -> None:
-        assert self._index is not None
-        touched = delta.touched_nodes()
-        if touched.size == 0:
-            return
-        index = self._index
-        if not index.flags.writeable:  # loaded stores may be read-only mmaps
-            index = index.copy()
-        # A stored walk is stale iff its trajectory visits a node whose
-        # in-edge set changed: the transition taken out of that visit no
-        # longer follows the current distribution.  Every other walk is
-        # already an exact sample of the new graph's walk law, so only the
-        # visiting (replica, column) pairs are resampled.
-        stale = np.isin(index, touched.astype(np.int32)).any(axis=0)
-        replicas, columns = np.nonzero(stale)
-        if replicas.size:
-            batch = self._engine.walks_from_nodes(columns.astype(np.int64),
-                                                  max_steps=self.walk_length)
-            index[:, replicas, columns] = batch.positions.astype(np.int32)
-        self._index = index
-
-    def _verify_repair(self, delta) -> None:
-        """Exact structural oracle over the whole repaired store.
-
-        The walk store is discrete, so the pinned tolerance is exactness:
-        every stored transition must be an edge of the current graph, no
-        walk may resume after stopping, and step 0 must be the start node.
-        This catches wrong-graph binding, missed stale columns whose stored
-        transitions used deleted edges, and torn splices.
-        """
-        assert self._index is not None
-        index = self._index
-        num_nodes = self.graph.num_nodes
-        starts = np.arange(num_nodes, dtype=np.int32)
-        if not np.array_equal(index[0], np.broadcast_to(starts, index[0].shape)):
-            raise RepairVerificationError(
-                "mc: step-0 positions no longer match the start nodes")
-        spots = index[:-1]
-        nexts = index[1:]
-        if np.any((spots < 0) & (nexts >= 0)):
-            raise RepairVerificationError("mc: a stored walk resumes after stopping")
-        moved = nexts >= 0
-        if np.any(moved):
-            span = np.int64(num_nodes)
-            edges = self.graph.edge_array()
-            valid = edges[:, 0].astype(np.int64) * span + edges[:, 1].astype(np.int64)
-            # Walk step a -> b requires b ∈ I(a), i.e. the out-edge b -> a.
-            keys = (nexts[moved].astype(np.int64) * span
-                    + spots[moved].astype(np.int64))
-            if not np.isin(keys, valid).all():
-                raise RepairVerificationError(
-                    "mc: a stored transition is not an edge of the current graph")
 
     # ------------------------------------------------------------------ #
     # persistence: the walk store is one dense int32 array

@@ -40,8 +40,11 @@ class ParSim(SimRankAlgorithm):
                  context: Optional[GraphContext] = None):
         super().__init__(graph, decay=decay, context=context)
         self.iterations = check_positive_int(iterations, "iterations")
-        self._operator = self.context.operator(decay)
-        self._diagonal = parsim_diagonal(graph, decay=decay)
+        self._on_graph_rebound()
+
+    def _on_graph_rebound(self) -> None:
+        self._operator = self._operator_for_graph()
+        self._diagonal = parsim_diagonal(self.graph, decay=self.decay)
 
     def single_source(self, source: int) -> SingleSourceResult:
         source = check_node_index(source, self.graph.num_nodes, "source")

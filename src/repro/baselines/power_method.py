@@ -76,7 +76,7 @@ class PowerMethod(SimRankAlgorithm):
         self._matrix = simrank_matrix(self.graph, decay=self.decay,
                                       tolerance=self.tolerance,
                                       max_iterations=self.max_iterations,
-                                      operator=self.context.operator(self.decay))
+                                      operator=self._operator_for_graph())
 
     # ------------------------------------------------------------------ #
     # persistence: the index is the full SimRank matrix

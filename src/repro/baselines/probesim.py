@@ -60,10 +60,15 @@ class ProbeSim(SimRankAlgorithm):
         self.num_walks = check_positive_int(num_walks, "num_walks")
         self.max_steps = check_positive_int(max_steps, "max_steps")
         self.probe_threshold = float(probe_threshold)
-        self._operator = self.context.operator(decay)
-        self._engine = SqrtCWalkEngine(graph, decay, seed=seed)
+        self._seed = seed
+        self._on_graph_rebound()
+
+    def _on_graph_rebound(self) -> None:
+        self._operator = self._operator_for_graph()
+        self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
         # ProbeSim uses the cheap diagonal approximation with exact trivial nodes.
-        self._diagonal = parsim_diagonal(graph, decay=decay, exact_trivial_nodes=True)
+        self._diagonal = parsim_diagonal(self.graph, decay=self.decay,
+                                         exact_trivial_nodes=True)
 
     def single_source(self, source: int) -> SingleSourceResult:
         source = check_node_index(source, self.graph.num_nodes, "source")

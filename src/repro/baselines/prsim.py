@@ -45,9 +45,8 @@ import numpy as np
 from scipy import sparse
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  RepairVerificationError, SimRankAlgorithm)
+                                  SimRankAlgorithm)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
-from repro.diagonal.basic import diagonal_repair_depth
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.frontier import propagate_batch_transpose, propagate_transpose
@@ -89,8 +88,7 @@ class PRSim(SimRankAlgorithm):
         self.hub_fraction = check_probability(hub_fraction, "hub_fraction",
                                               inclusive_low=False)
         self._seed = seed
-        self._operator = self.context.operator(decay)
-        self._engine = SqrtCWalkEngine(graph, decay, seed=seed)
+        self._on_graph_rebound()
         self._hubs: Optional[np.ndarray] = None
         self._hub_flat: HubIndex = _EMPTY_INDEX
         self._diagonal: Optional[np.ndarray] = None
@@ -235,155 +233,9 @@ class PRSim(SimRankAlgorithm):
         self._hubmax = None
         self._hub_by_level = None
 
-    # ------------------------------------------------------------------ #
-    # online repair
-    # ------------------------------------------------------------------ #
-    #: The hub set is a property of the stored index: repairs keep it
-    #: pinned, so the rebuild oracle is "rebuild with the same hubs" (a
-    #: full rebuild may re-rank hubs; re-hubbing is a rebuild, not a
-    #: repair).  Hub vectors are deterministic propagation, diagonal
-    #: entries are Monte-Carlo — pinned at the sequential spec tolerance
-    #: and at 6σ of the sampling noise respectively.
-    _REPAIR_VECTOR_TOL = 1e-9
-    _REPAIR_ORACLE_HUBS = 4
-    _REPAIR_ORACLE_SIGMA = 6.0
-
-    def _diagonal_samples(self) -> int:
-        return max(16, min(int(np.ceil(1.0 / self.epsilon)), 5_000))
-
     def _on_graph_rebound(self) -> None:
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
         self._operator = self._operator_for_graph()
-
-    def _repair_index(self, delta) -> None:
-        assert self._hubs is not None and self._diagonal is not None
-        num_nodes = self.graph.num_nodes
-        iterations = self.num_iterations()
-        threshold = (1.0 - self._operator.sqrt_c) ** 2 * self.epsilon
-        samples = self._diagonal_samples()
-        if not self._diagonal.flags.writeable:
-            self._diagonal = self._diagonal.copy()
-        # Diagonal: defaults track the new in-degrees, sampled hubs inside
-        # the walk-affected set are re-estimated on the new graph.
-        in_degrees = self.graph.in_degrees
-        walk_affected = delta.affected_nodes(
-            diagonal_repair_depth(self.decay, samples), direction="walk")
-        if walk_affected.size:
-            self._diagonal[walk_affected] = 1.0 - self.decay
-            self._diagonal[walk_affected[in_degrees[walk_affected] == 0]] = 1.0
-            is_hub = np.zeros(num_nodes, dtype=bool)
-            is_hub[self._hubs] = True
-            sampled = walk_affected[is_hub[walk_affected]
-                                    & (in_degrees[walk_affected] > 1)]
-            if sampled.size:
-                met = self._engine.pair_meet_counts(
-                    sampled, np.full(sampled.shape[0], samples, dtype=np.int64))
-                self._diagonal[sampled] = 1.0 - met / float(samples)
-        # Hub vectors are landing quantities: hub k's vectors change iff an
-        # out-edge path of length ≤ iterations from k reaches a touched
-        # node.  The affected hubs rebuild through the same batched engine
-        # as preprocessing and splice into the flat COO index.
-        landing = delta.affected_nodes(iterations, direction="landing")
-        affected_positions = np.flatnonzero(np.isin(self._hubs, landing))
-        if affected_positions.size:
-            fresh = self._build_hub_vectors(self._hubs[affected_positions],
-                                            iterations, threshold)
-            fresh_positions = affected_positions[fresh[0]]
-            positions, levels, cols, vals = self._hub_flat
-            keep = ~np.isin(positions, affected_positions)
-            positions = np.concatenate([positions[keep], fresh_positions])
-            levels = np.concatenate([levels[keep], fresh[1]])
-            cols = np.concatenate([cols[keep], fresh[2]])
-            vals = np.concatenate([vals[keep], fresh[3]])
-            order = np.lexsort((cols, levels, positions))
-            self._hub_flat = (positions[order], levels[order],
-                              cols[order], vals[order])
-        self._hubmax = None
-        self._hub_by_level = None
-
-    def _verify_repair(self, delta) -> None:
-        """Sampled rebuild oracle with the hub set pinned.
-
-        Probed hub vectors — repaired ones and a deterministic sample of
-        untouched ones — are recomputed through the *sequential* spec walk
-        (an independent implementation of the propagation) and must match
-        the stored flat entries support-exactly and value-wise within the
-        pinned tolerance; diagonal defaults are exact, sampled hub entries
-        sit within the pinned sigma of their Monte-Carlo noise.
-        """
-        assert self._hubs is not None and self._diagonal is not None
-        diagonal = self._diagonal
-        if np.any((diagonal < 0.0) | (diagonal > 1.0)):
-            raise RepairVerificationError("prsim: diagonal out of [0, 1]")
-        iterations = self.num_iterations()
-        threshold = (1.0 - self._operator.sqrt_c) ** 2 * self.epsilon
-        landing = delta.affected_nodes(iterations, direction="landing")
-        affected_positions = np.flatnonzero(np.isin(self._hubs, landing))
-        untouched_positions = np.setdiff1d(
-            np.arange(self._hubs.shape[0], dtype=np.int64), affected_positions)
-        probe_parts = []
-        for pool in (affected_positions, untouched_positions):
-            if pool.size:
-                step = max(1, pool.size // self._REPAIR_ORACLE_HUBS)
-                probe_parts.append(pool[::step][:self._REPAIR_ORACLE_HUBS])
-        probe = np.unique(np.concatenate(probe_parts)) if probe_parts else \
-            np.empty(0, dtype=np.int64)
-        positions, levels, cols, vals = self._hub_flat
-        for position in probe.tolist():
-            hub = int(self._hubs[position])
-            expected = self._reverse_hop_vectors(hub, iterations, threshold)
-            mask = positions == position
-            stored_levels = levels[mask]
-            stored_cols = cols[mask]
-            stored_vals = vals[mask]
-            for level, vector in enumerate(expected):
-                level_mask = stored_levels == level
-                have_cols = stored_cols[level_mask]
-                want_cols = vector.indices.astype(np.int64)
-                if not np.array_equal(np.sort(have_cols), np.sort(want_cols)):
-                    raise RepairVerificationError(
-                        f"prsim: hub {hub} level {level} support diverges "
-                        f"from the rebuild oracle")
-                order = np.argsort(have_cols)
-                want_order = np.argsort(want_cols)
-                gap = np.abs(stored_vals[level_mask][order]
-                             - vector.data[want_order])
-                worst = float(gap.max()) if gap.size else 0.0
-                if worst > self._REPAIR_VECTOR_TOL:
-                    raise RepairVerificationError(
-                        f"prsim: hub {hub} level {level} values deviate from "
-                        f"the rebuild oracle by {worst:.3e} "
-                        f"(> {self._REPAIR_VECTOR_TOL:.0e})")
-        samples = self._diagonal_samples()
-        walk_affected = delta.affected_nodes(
-            diagonal_repair_depth(self.decay, samples), direction="walk")
-        if walk_affected.size == 0:
-            return
-        in_degrees = self.graph.in_degrees
-        is_hub = np.zeros(self.graph.num_nodes, dtype=bool)
-        is_hub[self._hubs] = True
-        sampled_mask = is_hub[walk_affected] & (in_degrees[walk_affected] > 1)
-        defaults = walk_affected[~sampled_mask]
-        expected_default = np.where(in_degrees[defaults] == 0, 1.0,
-                                    1.0 - self.decay)
-        if not np.array_equal(diagonal[defaults], expected_default):
-            raise RepairVerificationError(
-                "prsim: default diagonal entries diverge from the rebuild oracle")
-        sampled = walk_affected[sampled_mask]
-        if sampled.size:
-            step = max(1, sampled.size // self._REPAIR_ORACLE_HUBS)
-            nodes = sampled[::step][:self._REPAIR_ORACLE_HUBS]
-            oracle_engine = SqrtCWalkEngine(self.graph, self.decay,
-                                            seed=self._seed)
-            met = oracle_engine.pair_meet_counts(
-                nodes, np.full(nodes.shape[0], samples, dtype=np.int64))
-            oracle = 1.0 - met / float(samples)
-            tolerance = self._REPAIR_ORACLE_SIGMA * np.sqrt(0.5 / samples)
-            gap = np.abs(diagonal[nodes] - oracle)
-            if np.any(gap > tolerance):
-                raise RepairVerificationError(
-                    f"prsim: repaired diagonal deviates from the rebuild "
-                    f"oracle by {float(gap.max()):.6f} (> {tolerance:.6f})")
 
     # ------------------------------------------------------------------ #
     # persistence: hubs + diagonal + the hub index as flat COO triplets

@@ -34,7 +34,6 @@ from repro.baselines.base import (
     QUERY_SINGLE_PAIR,
     QUERY_TOP_K,
     IndexPersistenceError,
-    RepairVerificationError,
     SimRankAlgorithm,
 )
 from repro.core.result import (
@@ -43,11 +42,7 @@ from repro.core.result import (
     TopKResult,
     top_k_set_certified,
 )
-from repro.diagonal.basic import (
-    diagonal_repair_depth,
-    estimate_diagonal_basic,
-    reestimate_diagonal_entries,
-)
+from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.parallel import parallel_spmm
@@ -77,8 +72,6 @@ class SLING(SimRankAlgorithm):
             samples_per_node = min(int(np.ceil(1.0 / max(self.epsilon, 1e-6))), 10_000)
         self.samples_per_node = int(samples_per_node)
         self._seed = seed
-        self._operator = self.context.operator(decay)
-        self._engine = SqrtCWalkEngine(graph, decay, seed=seed)
         self._diagonal: Optional[np.ndarray] = None
         # _hop_matrices[ℓ] is a CSR matrix H_ℓ with H_ℓ[k, j] ≈ (√c Pᵀ)^ℓ[k, j],
         # i.e. row k holds the level-ℓ reverse hop probabilities of node k.
@@ -86,6 +79,7 @@ class SLING(SimRankAlgorithm):
         # Per-level column maxima (query-time tail bounds); rebuilt lazily
         # whenever the hop matrices change.
         self._colmax: Optional[List[np.ndarray]] = None
+        self._on_graph_rebound()
 
     def num_iterations(self) -> int:
         return int(np.ceil(np.log(2.0 / self.epsilon) / np.log(1.0 / self.decay)))
@@ -117,152 +111,10 @@ class SLING(SimRankAlgorithm):
         self._hop_matrices = matrices
         self._colmax = None
 
-    # ------------------------------------------------------------------ #
-    # online repair
-    # ------------------------------------------------------------------ #
-    #: Hop rows are deterministic sparse algebra, so repaired rows must
-    #: match a fresh recomputation to numerical noise; the diagonal oracle
-    #: follows the linearization pinning (sampled entries at 6σ).
-    _REPAIR_ROW_TOL = 1e-9
-    _REPAIR_ORACLE_ROWS = 8
-    _REPAIR_ORACLE_NODES = 16
-    _REPAIR_ORACLE_SAMPLES = 2_000
-    _REPAIR_ORACLE_SIGMA = 6.0
-
     def _on_graph_rebound(self) -> None:
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
         self._operator = self._operator_for_graph()
         self._colmax = None
-
-    def _recompute_hop_rows(self, rows: np.ndarray) -> List[sparse.csr_matrix]:
-        """The stored hop rows of ``rows``, rebuilt on the current graph.
-
-        Runs the build's recurrence on the row block alone: row k of
-        (√c Pᵀ)^ℓ equals row k of (√c Pᵀ)^{ℓ-1} times √c Pᵀ, and scipy's
-        CSR matmul computes each output row from the corresponding input
-        row only, so the block reproduces the full build's rows exactly.
-        """
-        num_nodes = self.graph.num_nodes
-        iterations = len(self._hop_matrices) - 1
-        threshold = (1.0 - self._operator.sqrt_c) * self.epsilon
-        sqrt_c = self._operator.sqrt_c
-        current = sparse.csr_matrix(
-            (np.ones(rows.shape[0], dtype=np.float64),
-             (np.arange(rows.shape[0], dtype=np.int64), rows)),
-            shape=(rows.shape[0], num_nodes))
-        blocks: List[sparse.csr_matrix] = []
-        for level in range(iterations + 1):
-            pruned = current.copy()
-            pruned.data[pruned.data < threshold] = 0.0
-            pruned.eliminate_zeros()
-            blocks.append(pruned)
-            if level < iterations:
-                current = (sqrt_c * (current @ self._operator.matrix_t)).tocsr()
-        return blocks
-
-    @staticmethod
-    def _splice_rows(matrix: sparse.csr_matrix, rows: np.ndarray,
-                     replacement: sparse.csr_matrix) -> sparse.csr_matrix:
-        """``matrix`` with ``rows`` replaced by the rows of ``replacement``."""
-        num_rows = matrix.shape[0]
-        entry_rows = np.repeat(np.arange(num_rows, dtype=np.int64),
-                               np.diff(matrix.indptr))
-        drop = np.zeros(num_rows, dtype=bool)
-        drop[rows] = True
-        keep = ~drop[entry_rows]
-        fresh = replacement.tocoo()
-        spliced = sparse.csr_matrix(
-            (np.concatenate([matrix.data[keep], fresh.data]),
-             (np.concatenate([entry_rows[keep], rows[fresh.row]]),
-              np.concatenate([matrix.indices[keep].astype(np.int64), fresh.col]))),
-            shape=matrix.shape)
-        return spliced
-
-    def _repair_index(self, delta) -> None:
-        assert self._diagonal is not None
-        # Diagonal entries are walk-from-k quantities: restrict to the
-        # out-BFS depth where residual bias drops below sampling noise.
-        walk_depth = diagonal_repair_depth(self.decay, self.samples_per_node)
-        walk_affected = delta.affected_nodes(walk_depth, direction="walk")
-        if walk_affected.size:
-            if not self._diagonal.flags.writeable:
-                self._diagonal = self._diagonal.copy()
-            reestimate_diagonal_entries(self.graph, self._diagonal, walk_affected,
-                                        self.samples_per_node, decay=self.decay,
-                                        engine=self._engine)
-        # Hop rows are landing quantities: row k changes iff an out-edge
-        # path of length ≤ ℓ from k reaches a touched node.
-        landing = delta.affected_nodes(len(self._hop_matrices) - 1,
-                                       direction="landing")
-        if landing.size:
-            blocks = self._recompute_hop_rows(landing)
-            self._hop_matrices = [self._splice_rows(matrix, landing, block)
-                                  for matrix, block in zip(self._hop_matrices, blocks)]
-        self._colmax = None
-
-    def _verify_repair(self, delta) -> None:
-        """Sampled rebuild oracle: hop rows at numerical precision, diagonal
-        at the pinned sigma of its Monte-Carlo noise.
-
-        Probes both repaired rows and a deterministic sample of untouched
-        rows — the latter catches a wrong affected set (a row that should
-        have been recomputed but was not will disagree with the fresh
-        recurrence on the new graph).
-        """
-        assert self._diagonal is not None
-        diagonal = self._diagonal
-        if np.any((diagonal < 0.0) | (diagonal > 1.0)):
-            raise RepairVerificationError("sling: diagonal out of [0, 1]")
-        num_nodes = self.graph.num_nodes
-        landing = delta.affected_nodes(len(self._hop_matrices) - 1,
-                                       direction="landing")
-        probe_parts = []
-        if landing.size:
-            step = max(1, landing.size // self._REPAIR_ORACLE_ROWS)
-            probe_parts.append(landing[::step][:self._REPAIR_ORACLE_ROWS])
-        untouched = np.setdiff1d(np.arange(num_nodes, dtype=np.int64), landing)
-        if untouched.size:
-            step = max(1, untouched.size // self._REPAIR_ORACLE_ROWS)
-            probe_parts.append(untouched[::step][:self._REPAIR_ORACLE_ROWS])
-        probe = np.unique(np.concatenate(probe_parts)) if probe_parts else \
-            np.empty(0, dtype=np.int64)
-        if probe.size:
-            fresh_blocks = self._recompute_hop_rows(probe)
-            for level, fresh in enumerate(fresh_blocks):
-                stored = self._hop_matrices[level][probe]
-                gap = stored - fresh
-                worst = float(np.abs(gap.data).max()) if gap.nnz else 0.0
-                if worst > self._REPAIR_ROW_TOL:
-                    raise RepairVerificationError(
-                        f"sling: level-{level} hop rows deviate from the "
-                        f"rebuild oracle by {worst:.3e} "
-                        f"(> {self._REPAIR_ROW_TOL:.0e})")
-        walk_depth = diagonal_repair_depth(self.decay, self.samples_per_node)
-        walk_affected = delta.affected_nodes(walk_depth, direction="walk")
-        in_degrees = self.graph.in_degrees[walk_affected]
-        if not np.all(diagonal[walk_affected[in_degrees == 0]] == 1.0):
-            raise RepairVerificationError(
-                "sling: dangling-node diagonal entries must be exactly 1")
-        if not np.all(diagonal[walk_affected[in_degrees == 1]] == 1.0 - self.decay):
-            raise RepairVerificationError(
-                "sling: single-parent diagonal entries must be exactly 1 - c")
-        sampled = walk_affected[in_degrees > 1]
-        if sampled.size:
-            step = max(1, sampled.size // self._REPAIR_ORACLE_NODES)
-            nodes = sampled[::step][:self._REPAIR_ORACLE_NODES]
-            oracle_samples = min(self._REPAIR_ORACLE_SAMPLES,
-                                 max(self.samples_per_node, 16))
-            oracle = np.empty(num_nodes, dtype=np.float64)
-            reestimate_diagonal_entries(
-                self.graph, oracle, nodes, oracle_samples, decay=self.decay,
-                engine=SqrtCWalkEngine(self.graph, self.decay, seed=self._seed))
-            noise = np.sqrt(0.25 / self.samples_per_node + 0.25 / oracle_samples)
-            tolerance = self._REPAIR_ORACLE_SIGMA * noise
-            gap = np.abs(diagonal[nodes] - oracle[nodes])
-            if np.any(gap > tolerance):
-                raise RepairVerificationError(
-                    f"sling: repaired diagonal deviates from the rebuild "
-                    f"oracle by {float(gap.max()):.6f} (> {tolerance:.6f})")
 
     # ------------------------------------------------------------------ #
     # persistence: diagonal + one CSR triple per hop level

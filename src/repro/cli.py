@@ -444,7 +444,7 @@ def _serve_in_process(args: argparse.Namespace, graph: DiGraph,
             if parsed[0] == "update":
                 # An update line is a batch boundary: queries ahead of it
                 # are answered on the old version, then the batch is
-                # acknowledged (WAL-first), repaired and swapped so every
+                # acknowledged (WAL-first), rebuilt and swapped so every
                 # later line sees the new graph version.
                 failures += _answer_batch(planner, batch)
                 batch = []
@@ -613,9 +613,9 @@ def _apply_update_line(planner: QueryPlanner, batch) -> int:
     """Apply one parsed update line in-process; emit its acknowledgement.
 
     Returns 1 on failure (counted against ``--max-errors``), 0 on success.
-    The ack carries the new ``graph_version`` and the per-index repair
-    strategies, so a client can see whether an index was repaired in place
-    or rebuilt.
+    The ack carries the new ``graph_version`` and the per-index strategy
+    (``noop`` / ``rebind`` / ``rebuild``).  It is flushed at once: a client
+    on a pipe waits for it before sending the next line.
     """
     try:
         ack = planner.apply_updates(batch)
@@ -623,21 +623,24 @@ def _apply_update_line(planner: QueryPlanner, batch) -> int:
     except Exception as error:
         print(json.dumps({"error": f"{type(error).__name__}: {error}",
                           "code": "update_failed",
-                          "graph_version": planner.graph_version}))
+                          "graph_version": planner.graph_version}),
+              flush=True)
         return 1
     ack["stale_updates"] = planner.stale_updates
     ack["repairs"] = [{"method": row.get("method"),
                        "strategy": row.get("strategy")}
                       for row in report["repairs"]]
-    print(json.dumps(ack))
+    print(json.dumps(ack), flush=True)
     return 0
 
 
 def _answer_batch(planner: QueryPlanner, batch: list) -> int:
     """Answer the batch's queries and emit every item in input order.
 
-    Returns the number of failed lines (pre-parse errors plus queries whose
-    outcome carries a structured error: timeouts, exhausted routes).
+    The answers are flushed once per batch, so a client on a pipe sees
+    them without waiting for the process to exit.  Returns the number of
+    failed lines (pre-parse errors plus queries whose outcome carries a
+    structured error: timeouts, exhausted routes).
     """
     failures = 0
     queries = [item for kind, item in batch if kind == "query"]
@@ -652,6 +655,7 @@ def _answer_batch(planner: QueryPlanner, batch: list) -> int:
         if "error" in payload:
             failures += 1
         print(json.dumps(payload))
+    sys.stdout.flush()
     return failures
 
 

@@ -79,8 +79,14 @@ class ExactSim(SimRankAlgorithm):
         self.config = config if config is not None else ExactSimConfig()
         super().__init__(graph, decay=self.config.decay, context=context)
         self.name = "exactsim" if self.config.optimized else "exactsim-basic"
-        self._operator = self.context.operator(self.config.decay)
-        self._walk_engine = SqrtCWalkEngine(graph, self.config.decay, seed=self.config.seed)
+        self._on_graph_rebound()
+
+    def _on_graph_rebound(self) -> None:
+        # Graph-derived snapshots, rebuilt whenever the instance moves to
+        # another graph version so it answers exactly like a fresh one.
+        self._operator = self._operator_for_graph()
+        self._walk_engine = SqrtCWalkEngine(self.graph, self.config.decay,
+                                            seed=self.config.seed)
         # Heavy-node visit-distribution cache for Algorithm 3, shared across
         # the sources of a batch and across successive queries of this engine
         # (the distributions are deterministic per graph, so reuse is exact).
@@ -88,7 +94,7 @@ class ExactSim(SimRankAlgorithm):
         # between explorations, which cannot change any result because the
         # edge budget charges cached levels either way.
         self._distribution_cache = DistributionCache(
-            graph, max_bytes=self._DISTRIBUTION_CACHE_MAX_BYTES)
+            self.graph, max_bytes=self._DISTRIBUTION_CACHE_MAX_BYTES)
 
     # ------------------------------------------------------------------ #
     # public queries

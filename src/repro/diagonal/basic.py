@@ -117,54 +117,4 @@ def estimate_diagonal_basic_batch(graph: DiGraph,
     return diagonals
 
 
-def diagonal_repair_depth(decay: float, samples_per_node: int) -> int:
-    """Walk depth beyond which a graph edit cannot move a diagonal estimate
-    by more than half its own sampling noise.
-
-    A touched node at out-edge distance ``d`` from ``k`` perturbs the
-    pair-meeting probability of walks from ``k`` by at most ``decay**d``
-    (both walks must survive ``d`` decayed steps to reach it).  The Monte
-    Carlo estimate of that probability over ``R`` pairs carries standard
-    deviation up to ``sqrt(0.25 / R)``, so entries further than
-
-        d* = ceil( log(0.5 * sqrt(0.25 / R)) / log(decay) )
-
-    from any touched node keep estimates whose residual bias is below half
-    a standard deviation — statistically indistinguishable from a rebuild.
-    Restricting diagonal repair to this BFS depth is what keeps repair
-    sublinear for local edits without weakening the estimator's guarantee.
-    """
-    samples = max(int(samples_per_node), 1)
-    noise = 0.5 * np.sqrt(0.25 / samples)
-    if noise >= 1.0:
-        return 0
-    return int(np.ceil(np.log(noise) / np.log(min(max(decay, 1e-9), 1.0 - 1e-9))))
-
-
-def reestimate_diagonal_entries(graph: DiGraph, diagonal: np.ndarray,
-                                nodes: np.ndarray, samples_per_node: int, *,
-                                decay: float = 0.6, max_steps: int = 64,
-                                seed: SeedLike = None,
-                                engine: Optional[SqrtCWalkEngine] = None) -> None:
-    """Recompute ``diagonal[nodes]`` in place on (the current) ``graph``.
-
-    Reproduces exactly what :func:`estimate_diagonal_basic` computes for
-    those entries — defaults for trivial nodes, fresh pair-meeting samples
-    for the rest — without touching any other entry.  ``diagonal`` must be
-    writable.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 0:
-        return
-    walker = engine if engine is not None else SqrtCWalkEngine(graph, decay, seed=seed)
-    in_degrees = graph.in_degrees
-    diagonal[nodes] = 1.0 - decay
-    diagonal[nodes[in_degrees[nodes] == 0]] = 1.0
-    sampled = nodes[in_degrees[nodes] > 1]
-    if sampled.size:
-        counts = np.full(sampled.shape[0], int(samples_per_node), dtype=np.int64)
-        _apply_pair_meetings(walker, [diagonal], [sampled], [counts], max_steps)
-
-
-__all__ = ["estimate_diagonal_basic", "estimate_diagonal_basic_batch",
-           "diagonal_repair_depth", "reestimate_diagonal_entries"]
+__all__ = ["estimate_diagonal_basic", "estimate_diagonal_basic_batch"]

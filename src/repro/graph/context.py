@@ -34,9 +34,9 @@ from repro.graph.digraph import DiGraph
 from repro.graph.transition import TransitionOperator
 
 #: How many (version, graph) pairs a context retains.  Old versions back
-#: crash recovery (a persisted index built at version v loads against the
-#: historical graph and repairs forward) and serve-stale answering during
-#: a repair window; beyond the window they are dead weight.
+#: serve-stale answering (an instance keeps answering on the version it was
+#: built at until the planner swaps it forward) and the delta the swap
+#: rebinds or rebuilds against; beyond the window they are dead weight.
 _VERSION_HISTORY_LIMIT = 16
 
 

@@ -12,22 +12,13 @@ loop and the worker-pool supervisor share one implementation:
   mirrors the batch);
 * :class:`GraphDelta` — the *normalized* difference between two graph
   versions: the edges actually inserted/deleted (a delete of a missing edge
-  or an insert of an existing one vanishes here), the touched nodes whose
-  in-adjacency changed, and the √c-walk-affected frontier around them;
+  or an insert of an existing one vanishes here);
 * :class:`UpdateLog` — a CRC-framed write-ahead log.  Each record is
   framed ``MAGIC | length | crc32 | json`` and fsynced before the caller is
   allowed to mutate anything, so a batch is either durably logged or never
   acknowledged.  Replay tolerates a torn tail (the frame a crash
   interrupted) by stopping at the first bad frame; compaction rewrites the
   log through the tmp + fsync + ``os.replace`` idiom used by index saves.
-
-The affected-set computation encodes one non-obvious fact about √c-walks:
-a walk *from* ``u`` steps to uniformly random **in**-neighbours, so ``u``'s
-walk distribution changes exactly when some touched node ``v`` (a node
-whose in-row changed — the **target** of a changed edge) is reachable from
-``v`` to ``u`` along **out**-edges.  The affected set is therefore a
-forward out-edge BFS from the touched nodes, taken over the union of the
-old and the new graph (a deleted path still influenced the old walks).
 """
 
 from __future__ import annotations
@@ -133,8 +124,7 @@ class EdgeBatch:
     # ------------------------------------------------------------------ #
     def validate(self, num_nodes: int) -> "EdgeBatch":
         """Check every endpoint against ``num_nodes`` (growth is disallowed:
-        the CSR delta keeps the node count fixed, matching the persisted
-        index shapes it must repair)."""
+        the CSR delta keeps the node count fixed)."""
         for label, edges in (("insert", self.inserts), ("delete", self.deletes)):
             if edges.size and int(edges.max()) >= num_nodes:
                 raise ValueError(
@@ -181,8 +171,8 @@ class GraphDelta:
 
     ``inserted`` / ``deleted`` hold the edges that actually changed (a
     requested delete of a missing edge or insert of an existing edge is
-    normalized away), so repairs and their verification oracles see the
-    true structural change, not the caller's phrasing of it.
+    normalized away), so an empty delta means the structure did not move
+    and no index needs rebuilding.
     """
 
     old_graph: DiGraph
@@ -227,99 +217,6 @@ class GraphDelta:
     @property
     def num_changes(self) -> int:
         return int(self.inserted.shape[0] + self.deleted.shape[0])
-
-    # ------------------------------------------------------------------ #
-    # affected-set computation
-    # ------------------------------------------------------------------ #
-    def touched_nodes(self) -> np.ndarray:
-        """Nodes whose in-adjacency changed: the *targets* of changed edges.
-
-        The reverse-transition row of ``v`` (and hence every walk step out
-        of ``v``) depends only on ``v``'s in-neighbour list, which changes
-        exactly when some edge into ``v`` was inserted or deleted.
-        """
-        changed = np.vstack([self.inserted, self.deleted]) \
-            if self.num_changes else np.empty((0, 2), dtype=np.int64)
-        return np.unique(changed[:, 1]) if changed.size else \
-            np.empty(0, dtype=np.int64)
-
-    def affected_nodes(self, max_depth: int,
-                       direction: str = "walk") -> np.ndarray:
-        """Nodes whose version-dependent quantities can differ, by direction.
-
-        ``direction="walk"`` — nodes ``u`` whose √c-walk *distribution*
-        (walks started at ``u``) can change: a walk from ``u`` visits
-        touched node ``v`` iff an out-edge path ``v → … → u`` exists, so
-        this is a forward BFS from the touched nodes along out-edges.
-        This is the affected set for MC walk columns and diagonal entries.
-
-        ``direction="landing"`` — nodes ``k`` whose *landing* row
-        ``(√c Pᵀ)^ℓ[k, ·]`` (the probability that a walk from anywhere is
-        at ``k`` after ℓ ≤ max_depth steps) can change: that row changes
-        iff an out-edge path ``k → … → v`` of length ≤ ℓ reaches a touched
-        ``v``, so this is a BFS from the touched nodes along *in*-edges.
-        This is the affected set for SLING hop rows and PRSim hub vectors.
-
-        Both BFS run over the union of old and new graphs (deleted edges
-        carried the old quantities, inserted edges carry the new ones),
-        depth-limited to ``max_depth`` steps.
-        """
-        if direction not in ("walk", "landing"):
-            raise ValueError(f"direction must be 'walk' or 'landing', "
-                             f"got {direction!r}")
-        gather = (_gather_out_neighbors if direction == "walk"
-                  else _gather_in_neighbors)
-        touched = self.touched_nodes()
-        num_nodes = self.new_graph.num_nodes
-        visited = np.zeros(num_nodes, dtype=bool)
-        if touched.size == 0 or max_depth < 0:
-            return touched
-        visited[touched] = True
-        frontier = touched
-        for _ in range(int(max_depth)):
-            successors = np.concatenate([
-                gather(self.old_graph, frontier),
-                gather(self.new_graph, frontier),
-            ])
-            if successors.size == 0:
-                break
-            successors = np.unique(successors)
-            fresh = successors[~visited[successors]]
-            if fresh.size == 0:
-                break
-            visited[fresh] = True
-            frontier = fresh
-        return np.flatnonzero(visited)
-
-
-def _gather_out_neighbors(graph: DiGraph, nodes: np.ndarray) -> np.ndarray:
-    """Out-neighbours of every node in ``nodes``, gathered in one CSR pass."""
-    if nodes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    counts = graph.out_degrees[nodes]
-    starts = graph.out_indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    row_offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    positions = np.repeat(starts, counts) + (np.arange(total, dtype=np.int64)
-                                             - row_offsets)
-    return graph.out_indices[positions]
-
-
-def _gather_in_neighbors(graph: DiGraph, nodes: np.ndarray) -> np.ndarray:
-    """In-neighbours of every node in ``nodes``, gathered in one CSR pass."""
-    if nodes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    counts = graph.in_degrees[nodes]
-    starts = graph.in_indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    row_offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    positions = np.repeat(starts, counts) + (np.arange(total, dtype=np.int64)
-                                             - row_offsets)
-    return graph.in_indices[positions]
 
 
 # --------------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ the algorithm layer executes it:
 The online-update plane (:class:`~repro.graph.updates.EdgeBatch`,
 :class:`~repro.graph.updates.UpdateLog`, :class:`~repro.graph.updates.
 GraphDelta`) is re-exported here because the serving layer is its primary
-consumer: the planner acknowledges WAL-first batches and swaps repaired
+consumer: the planner acknowledges WAL-first batches and swaps rebuilt
 indexes at batch boundaries, the pool broadcasts them to workers in order,
 and the front end treats ``{"type": "update"}`` wire lines as barriers.
 """

@@ -58,10 +58,11 @@ context (WAL-first when a log is attached), after which the planner keeps
 serving the *previous* graph version — every answer carries
 ``stats["graph_version"]`` and ``stats["stale_updates"]`` so clients can see
 exactly how stale the snapshot is — until :meth:`QueryPlanner.
-complete_repairs` has repaired (or rebuilt) every live index and atomically
-swapped the served graph, cache scope and version forward at a batch
-boundary.  On construction with a ``wal``, the planner replays the log so a
-crash between acknowledgement and repair loses nothing.
+complete_repairs` has rebuilt every live index on the new graph (index-free
+methods just rebind) and atomically swapped the served graph, cache scope
+and version forward at a batch boundary.  On construction with a ``wal``,
+the planner replays the log so a crash between acknowledgement and rebuild
+loses nothing.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ class QueryPlanner:
         The batch becomes durable and versioned immediately; the planner
         keeps *serving the previous version* — annotated with
         ``stats["stale_updates"]`` — until :meth:`complete_repairs` swaps
-        the repaired indexes in at a batch boundary.  Returns the
+        the rebuilt indexes in at a batch boundary.  Returns the
         acknowledgement record (new version, normalized change counts,
         current staleness).
         """
@@ -403,12 +404,13 @@ class QueryPlanner:
                 "stale_updates": self.stale_updates}
 
     def complete_repairs(self) -> Dict[str, Any]:
-        """Repair every live index and atomically swap to the newest version.
+        """Carry every live instance to the newest version, then swap atomically.
 
-        Each constructed algorithm instance is repaired in place through the
-        verify-or-rebuild contract of :meth:`repro.baselines.base.
-        SimRankAlgorithm.repair`; an instance whose repair *raises* is
-        dropped for lazy reconstruction instead of poisoning the swap.  Only
+        Each constructed algorithm instance goes through :meth:`repro.
+        baselines.base.SimRankAlgorithm.repair` — rebind, plus a rebuild for
+        a prepared index, bit-identical to a fresh build on the new graph;
+        an instance whose repair *raises* is dropped for lazy
+        reconstruction instead of poisoning the swap.  Only
         after every instance is bound to the new graph do the served graph,
         the cache scope (``_graph_key``) and the version advance — one
         atomic batch boundary, with fault hooks ``("update", "repair")`` and
@@ -453,14 +455,12 @@ class QueryPlanner:
                                     "strategy": "dropped",
                                     "error": f"{type(error).__name__}: {error}"})
                     continue
-                if report.get("strategy") in ("rebuild",
-                                              "rebuild_after_mismatch"):
+                if report["strategy"] == "rebuild":
                     self._counters["index_rebuilds"] += 1
                 else:
                     self._counters["index_repairs"] += 1
                 repairs.append({"method": algorithm.name,
-                                "strategy": report.get("strategy"),
-                                "verified": report.get("verified")})
+                                "strategy": report["strategy"]})
         if self.fault_plan is not None:
             self.fault_plan.on_route_call("update", "swap", None)
         self.graph = self.context.graph
@@ -1079,8 +1079,10 @@ def outcome_to_wire(outcome: QueryOutcome, *, preview_k: int = 10,
     The single-process CLI loop, the worker protocol and the socket front
     end all emit exactly this shape: a result payload
     (:func:`repro.service.queries.result_to_dict`) or a structured error
-    (``error`` + stable ``code``), annotated with the route taken and the
-    degradation certificate when present.  ``graph_version`` (the serving
+    (``error`` + stable ``code``), annotated with the route taken, the
+    degradation certificate when present, and ``samples_capped`` when the
+    method's sampling budget hit its cap (so the answer may miss its
+    requested ε).  ``graph_version`` (the serving
     planner's current version) rides on every payload — including errors —
     so a client can always tell which graph snapshot answered; when omitted
     it is recovered from the result's own stats.
@@ -1102,6 +1104,8 @@ def outcome_to_wire(outcome: QueryOutcome, *, preview_k: int = 10,
             if bound is not None:
                 payload["certified_bound"] = float(bound)
     stats = getattr(outcome.result, "stats", None) or {}
+    if stats.get("samples_capped"):
+        payload["samples_capped"] = True
     if graph_version is None and "graph_version" in stats:
         graph_version = int(stats["graph_version"])
     if graph_version is not None:

@@ -38,7 +38,7 @@ the scale-out serving story (ROADMAP item 2):
   write path for online graph updates: the batch is appended (fsync) to the
   supervisor's WAL *before* the ack, then broadcast as an ``update`` frame
   down every worker socket.  Per-socket frame ordering serializes the
-  update against query batches, each worker repairs its indexes and swaps
+  update against query batches, each worker rebuilds its indexes and swaps
   atomically (:meth:`~repro.service.planner.QueryPlanner.complete_repairs`),
   and a respawned worker replays the full update history before its first
   query — so every answer carries the ``graph_version`` it was computed on
@@ -201,7 +201,7 @@ def _apply_update(planner: QueryPlanner,
     """Apply one broadcast update frame in the worker; never raises.
 
     The supervisor already made the batch durable, so the worker applies
-    and repairs unconditionally: apply bumps the version, repair-and-swap
+    and rebuilds unconditionally: apply bumps the version, rebuild-and-swap
     folds it into answers.  A failure leaves the worker serving its previous
     version (stale but correct) and reports the error in the ack.
     """

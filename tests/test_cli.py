@@ -363,6 +363,43 @@ class TestGracefulShutdown:
         assert proc.returncode == 0
         assert "serving stats" in err        # final record still emitted
 
+    def test_update_ack_reaches_a_piped_client_before_stdin_closes(
+            self, tmp_path):
+        import json
+        import os
+        import selectors
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src")
+        # Block-buffered stdout, as on any pipe without the override.
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "answer", "--dataset", "GQ",
+             "--method", "mc", "--param", "walks_per_node=5",
+             "--param", "walk_length=3", "--seed", "1",
+             "--wal", str(tmp_path / "updates.wal"), "--queries", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            proc.stdin.write('{"type": "update", "insert": [[0, 5]]}\n')
+            proc.stdin.flush()
+            # The client keeps stdin open and waits for the ack, as an
+            # interactive client on a pipe does.
+            with selectors.DefaultSelector() as selector:
+                selector.register(proc.stdout, selectors.EVENT_READ)
+                ready = selector.select(timeout=60)
+            assert ready, "no update ack while stdin is still open"
+            ack = json.loads(proc.stdout.readline())
+            proc.communicate(timeout=60)        # closes stdin: clean exit
+        finally:
+            proc.kill()
+        assert ack["type"] == "update" and ack["graph_version"] == 1
+        assert proc.returncode == 0
+
     def test_broken_pipe_exits_zero_with_stats(self, tmp_path):
         import subprocess
         import sys

@@ -30,6 +30,7 @@ from repro.service import (
     SinglePairQuery,
     SingleSourceQuery,
     TopKQuery,
+    outcome_to_wire,
     query_from_dict,
     query_to_dict,
     refine_top_k,
@@ -471,6 +472,23 @@ class TestWireFormat:
         assert vector["type"] == "single_source"
         assert vector["num_nodes"] == service_graph.num_nodes
         assert len(vector["top_nodes"]) == 10
+
+    def test_capped_sampling_budget_is_flagged_on_the_wire(self, service_graph):
+        def wire(config, query):
+            planner = make_planner(service_graph,
+                                   method_configs={"exactsim": config})
+            outcome = planner.execute(query)
+            return outcome.result.stats, outcome_to_wire(outcome)
+
+        capped = {"epsilon": 5e-2, "seed": 7, "max_total_samples": 10}
+        roomy = {"epsilon": 0.5, "seed": 7, "max_total_samples": 10 ** 9}
+        for query in (SingleSourceQuery(5), SinglePairQuery(5, 9)):
+            stats, payload = wire(capped, query)
+            assert stats["samples_capped"] == 1.0
+            assert payload["samples_capped"] is True
+            stats, payload = wire(roomy, query)
+            assert stats["samples_capped"] == 0.0
+            assert "samples_capped" not in payload
 
 
 # --------------------------------------------------------------------------- #

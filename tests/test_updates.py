@@ -1,17 +1,17 @@
-"""Online-update suite: WAL durability, crash-consistent repair, staleness.
+"""Online-update suite: WAL durability, crash-consistent rebuilds, staleness.
 
 Four pillars, mirroring the dynamic-graph design:
 
 * **wire + WAL** — edge batches round-trip their JSONL wire form, reject
   unknown fields and out-of-range endpoints, a torn tail replays as a clean
   prefix while interior corruption refuses to replay at all;
-* **repaired == rebuilt** — for every persisted-index method and every
-  batch shape (insert-only, delete-only, mixed; including self-loops and
-  edges touching previously dangling nodes), the incrementally repaired
-  index matches a from-scratch rebuild at the method's pinned tolerance,
-  and the verify-or-rebuild oracle accepts the repair;
+* **updated == fresh** — for every method and every batch shape
+  (insert-only, delete-only, mixed; including self-loops and edges touching
+  previously dangling nodes), an instance carried across the update (index
+  rebuilt, or index-free engine rebound) is bit-identical to a fresh
+  instance built on the new graph;
 * **crash consistency** — a SIGKILL-equivalent exit injected inside the
-  WAL append, the CSR apply, the index repair, or the version swap never
+  WAL append, the CSR apply, the index rebuild, or the version swap never
   loses an acknowledged update: replaying the WAL on restart always
   reaches at least the last acked version, bit-equal to applying the same
   batches to the base graph;
@@ -34,10 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines.linearization import LinearizationSimRank
-from repro.baselines.monte_carlo import MonteCarloSimRank
-from repro.baselines.prsim import PRSim
-from repro.baselines.sling import SLING
+from repro.algorithms import registry
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import (
@@ -53,10 +50,27 @@ from repro.service import (
     QueryPlanner,
     SinglePairQuery,
     SingleSourceQuery,
+    TopKQuery,
     WorkerPool,
+    outcome_to_wire,
 )
 
 MC_CONFIG = {"walks_per_node": 30, "walk_length": 5, "seed": 4}
+
+#: Seeded configs of the four index-based methods.
+INDEXED_CONFIGS = {
+    "mc": MC_CONFIG,
+    "sling": {"epsilon": 1e-2, "seed": 11},
+    "prsim": {"epsilon": 1e-2, "hub_fraction": 0.2, "seed": 9},
+    "linearization": {"epsilon": 1e-2, "samples_per_node": 400, "seed": 5},
+}
+
+#: Seeded configs of the index-free methods (an update only rebinds them).
+INDEX_FREE_CONFIGS = {
+    "exactsim": {"epsilon": 1e-2, "seed": 3},
+    "parsim": {"iterations": 8},
+    "probesim": {"seed": 3},
+}
 
 
 def _base_graph() -> DiGraph:
@@ -141,98 +155,48 @@ class TestWireAndWal:
 
 
 # --------------------------------------------------------------------------- #
-# affected-set directions are pinned
-# --------------------------------------------------------------------------- #
-class TestAffectedDirections:
-    def make_delta(self):
-        g = DiGraph.from_edges([[0, 1], [1, 2], [2, 3], [5, 0]],
-                               num_nodes=6, directed=True, name="path")
-        context = GraphContext(g)
-        return context.apply_updates({"type": "update", "insert": [[4, 1]]})
-
-    def test_walk_direction_is_out_bfs_from_touched(self):
-        delta = self.make_delta()
-        assert delta.touched_nodes().tolist() == [1]
-        assert delta.affected_nodes(0, direction="walk").tolist() == [1]
-        assert delta.affected_nodes(1, direction="walk").tolist() == [1, 2]
-        assert delta.affected_nodes(2, direction="walk").tolist() == [1, 2, 3]
-
-    def test_landing_direction_is_in_bfs_from_touched(self):
-        delta = self.make_delta()
-        assert delta.affected_nodes(1, direction="landing").tolist() == \
-            [0, 1, 4]
-        assert delta.affected_nodes(2, direction="landing").tolist() == \
-            [0, 1, 4, 5]
-
-    def test_unknown_direction_rejected(self):
-        delta = self.make_delta()
-        with pytest.raises(ValueError, match="direction"):
-            delta.affected_nodes(1, direction="sideways")
-
-
-# --------------------------------------------------------------------------- #
-# repaired index == rebuilt index, per method, per batch shape
+# an updated instance == a fresh instance on the new graph, bit for bit
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("kind", ["insert", "delete", "mixed"])
-class TestRepairMatchesRebuild:
-    def run_repair(self, graph, kind, build):
-        context = GraphContext(graph)
-        algorithm = build(graph, context).preprocess()
-        delta = context.apply_updates(_batches(graph)[kind])
-        report = algorithm.repair(delta)
-        assert report["strategy"] == "repair", report
-        assert report["verified"] is True
-        rebuilt = build(context.graph, context).preprocess()
-        return algorithm, rebuilt, delta
+@pytest.mark.parametrize("method", sorted(INDEXED_CONFIGS))
+def test_update_rebuilds_index_bit_identical_to_fresh_build(graph, method,
+                                                            kind):
+    config = INDEXED_CONFIGS[method]
+    context = GraphContext(graph)
+    algorithm = registry.create(method, graph, config,
+                                context=context).preprocess()
+    algorithm.single_source(3)       # queries before the update leave no trace
+    delta = context.apply_updates(_batches(graph)[kind])
+    report = algorithm.repair(delta)
+    assert report["strategy"] == "rebuild", report
 
-    def test_sling_hop_rows_match_rebuild(self, graph, kind):
-        repaired, rebuilt, _ = self.run_repair(
-            graph, kind,
-            lambda g, c: SLING(g, epsilon=1e-2, seed=11, context=c))
-        for level, (ours, theirs) in enumerate(
-                zip(repaired._hop_matrices, rebuilt._hop_matrices)):
-            diff = ours - theirs
-            worst = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-            assert worst <= 1e-12, (level, worst)
+    fresh = registry.create(method, delta.new_graph, config,
+                            context=GraphContext(delta.new_graph)).preprocess()
+    ours, theirs = algorithm._index_payload(), fresh._index_payload()
+    assert ours.keys() == theirs.keys()
+    for key in ours:
+        assert np.array_equal(ours[key], theirs[key]), key
+    assert np.array_equal(algorithm.single_source(3).scores,
+                          fresh.single_source(3).scores)
 
-    def test_prsim_hub_vectors_match_pinned_hub_rebuild(self, graph, kind):
-        repaired, _, _ = self.run_repair(
-            graph, kind,
-            lambda g, c: PRSim(g, epsilon=1e-2, hub_fraction=0.2, seed=9,
-                               context=c))
-        # The repair keeps the original hub set pinned, so the oracle is a
-        # rebuild of exactly those hubs on the new graph.
-        threshold = ((1.0 - repaired._operator.sqrt_c) ** 2
-                     * repaired.epsilon)
-        full = repaired._build_hub_vectors(
-            repaired._hubs, repaired.num_iterations(), threshold)
-        for name, got, want in zip(("positions", "levels", "columns"),
-                                   repaired._hub_flat[:3], full[:3]):
-            assert np.array_equal(got, want), name
-        gap = float(np.abs(repaired._hub_flat[3] - full[3]).max()) \
-            if full[3].size else 0.0
-        assert gap <= 1e-12
 
-    def test_linearization_diagonal_within_sampling_noise(self, graph, kind):
-        repaired, rebuilt, _ = self.run_repair(
-            graph, kind,
-            lambda g, c: LinearizationSimRank(g, epsilon=1e-2,
-                                              samples_per_node=400, seed=5,
-                                              context=c))
-        gap = float(np.abs(repaired._diagonal - rebuilt._diagonal).max())
-        assert gap < 6.0 * np.sqrt(0.5 / 400), gap
+@pytest.mark.parametrize("method", sorted(INDEX_FREE_CONFIGS))
+def test_update_rebinds_index_free_method_to_new_graph(graph, method):
+    # Node 57 starts dangling; the batch gives it the in-neighbour 5, so its
+    # scores move off zero and a method still reading the old graph shows.
+    config = INDEX_FREE_CONFIGS[method]
+    context = GraphContext(graph)
+    algorithm = registry.create(method, graph, config, context=context)
+    before = algorithm.single_source(57).scores
+    delta = context.apply_updates(_batches(graph)["mixed"])
+    report = algorithm.repair(delta)
+    assert report["strategy"] == "rebind", report
 
-    def test_mc_preserves_untouched_walks(self, graph, kind):
-        context = GraphContext(graph)
-        algorithm = MonteCarloSimRank(graph, walks_per_node=50, walk_length=7,
-                                      seed=3, context=context).preprocess()
-        before = algorithm._index.copy()
-        delta = context.apply_updates(_batches(graph)[kind])
-        report = algorithm.repair(delta)
-        assert report["strategy"] == "repair" and report["verified"] is True
-        touched = delta.touched_nodes().astype(algorithm._index.dtype)
-        stale = np.isin(before, touched).any(axis=0)
-        assert np.array_equal(algorithm._index[:, ~stale], before[:, ~stale])
+    fresh = registry.create(method, delta.new_graph, config,
+                            context=GraphContext(delta.new_graph))
+    after = algorithm.single_source(57).scores
+    assert np.array_equal(after, fresh.single_source(57).scores)
+    assert not np.array_equal(after, before)
 
 
 # --------------------------------------------------------------------------- #
@@ -361,16 +325,42 @@ class TestPlannerUpdates:
         assert counters["stale_answers"] >= 1
 
     def test_apply_then_swap_serves_new_graph(self, graph):
-        planner, context = self.make_planner(graph)
-        before = next(iter(planner.answer([SinglePairQuery(0, 41)])))
+        context = GraphContext(graph)
+        planner = QueryPlanner(context.graph, context=context,
+                               method_configs=INDEXED_CONFIGS,
+                               cache_entries=16)
+        queries = [query
+                   for method in sorted(INDEXED_CONFIGS)
+                   for query in (SinglePairQuery(0, 41, method=method),
+                                 TopKQuery(0, 5, method=method),
+                                 SingleSourceQuery(41, method=method))]
+        assert all(outcome.ok for outcome in planner.answer(queries))
         ack = planner.apply_updates(
             {"type": "update", "insert": [[0, 41], [41, 0]]})
         assert ack == {"type": "update", "graph_version": 1, "inserted": 2,
                        "deleted": 0, "stale_updates": 1}
-        planner.complete_repairs()
+        report = planner.complete_repairs()
         assert planner.graph is context.graph
-        after = next(iter(planner.answer([SinglePairQuery(0, 41)])))
-        assert after.result.score > before.result.score
+        assert sorted((row["method"], row["strategy"])
+                      for row in report["repairs"]) == \
+            [(method, "rebuild") for method in sorted(INDEXED_CONFIGS)]
+
+        fresh = QueryPlanner(context.graph,
+                             context=GraphContext(context.graph),
+                             method_configs=INDEXED_CONFIGS,
+                             cache_entries=16)
+        volatile = ("query_seconds", "route", "batched", "graph_version",
+                    "stale_updates")
+
+        def stable(outcome):
+            return {key: value for key, value in outcome_to_wire(outcome).items()
+                    if key not in volatile}
+
+        for ours, theirs in zip(planner.answer(queries), fresh.answer(queries)):
+            assert ours.ok and theirs.ok
+            assert stable(ours) == stable(theirs)
+            if isinstance(ours.query, SingleSourceQuery):
+                assert np.array_equal(ours.result.scores, theirs.result.scores)
 
 
 # --------------------------------------------------------------------------- #
