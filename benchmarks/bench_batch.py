@@ -2,9 +2,9 @@
 
 Measures, on the registered benchmark graphs, the wall-clock time of
 
-* ``sequential`` — one :meth:`ExactSim.single_source` call per source (the
-  pre-batch protocol: every query pays its own hop-PPR propagation and
-  back-substitution mat-vecs), and
+* ``sequential`` — one :meth:`ExactSim.single_source` call (a batch of one)
+  per source: every query pays its own hop-PPR propagation and
+  back-substitution passes, and
 * ``batched`` — one :meth:`ExactSim.single_source_batch` call for all
   sources (phase 1 through the shared-CSR batched push kernel, phase 3
   through ``Pᵀ @ S`` sparse-times-dense products),
@@ -98,7 +98,7 @@ def _measure_workload(graph, epsilon, cap, batch_size, repeats):
                 graph, source, iterations, decay=DECAY,
                 truncation_threshold=config.truncation_threshold(),
                 operator=engine._operator)
-            engine._back_substitute(hop_ppr, diagonal)
+            engine._back_substitute_batch([hop_ppr], [diagonal])
 
     def propagation_batched():
         pushes = forward_push_hop_ppr_batch(

@@ -18,9 +18,10 @@ way:
   records ``preprocessing_seconds`` and never rebuilds an existing index
   unless asked (``force=True``).
 * **Batched queries** — :meth:`single_source_batch` answers many sources in
-  one call.  The default implementation loops over :meth:`single_source`
-  (bit-identical to sequential queries); methods with a genuinely vectorized
-  batch path (ExactSim) override it.
+  one call.  The default implementation loops over :meth:`single_source`;
+  the methods with a vectorized batch (ExactSim, SLING, Linearization)
+  override it and answer :meth:`single_source` as a batch of one, so each
+  method has one single-source implementation.
 * **Capability-declared query types** — :meth:`single_pair` and :meth:`top_k`
   always work (derived from a single-source pass by default); a method that
   overrides one with a genuinely cheaper native path declares it in
@@ -50,6 +51,7 @@ import numpy as np
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.utils.timing import Timer
+from repro.utils.validation import check_node_index
 
 _LOGGER = logging.getLogger("repro.baselines")
 
@@ -341,13 +343,17 @@ class SimRankAlgorithm(abc.ABC):
     def single_source_batch(self, sources: Sequence[int]) -> List[SingleSourceResult]:
         """Answer one query per entry of ``sources``.
 
-        The default implementation preprocesses once and loops over
-        :meth:`single_source`, which makes it exactly equivalent to issuing
-        the queries sequentially (including the RNG stream of sampling-based
-        methods).  Methods with a vectorized multi-source path override this.
+        Every id is validated before any work starts.  The default
+        implementation preprocesses once and loops over :meth:`single_source`,
+        which makes it exactly equivalent to issuing the queries sequentially
+        (including the RNG stream of sampling-based methods).  Methods with a
+        vectorized multi-source path override this and define
+        :meth:`single_source` as ``single_source_batch([source])[0]``.
         """
+        source_ids = [check_node_index(source, self.graph.num_nodes, "source")
+                      for source in sources]
         self.ensure_prepared()
-        return [self.single_source(int(source)) for source in sources]
+        return [self.single_source(source) for source in source_ids]
 
     def single_pair(self, source: int, target: int) -> SinglePairResult:
         """Answer a single-pair query S(source, target).
@@ -357,12 +363,10 @@ class SimRankAlgorithm(abc.ABC):
         evaluate one entry without materialising the vector override this
         and declare ``single_pair`` in :attr:`native_capabilities`.
         """
-        from repro.core.result import SinglePairResult
+        from repro.core.result import derive_from_single_source
 
-        result = SinglePairResult.from_single_source(
-            self.single_source(source), target)
-        result.stats["derived_from_single_source"] = 1.0
-        return result
+        return derive_from_single_source(self.single_source(source),
+                                         target=target)
 
     def top_k(self, source: int, k: int = 500) -> TopKResult:
         """Answer a top-k query (derived: truncate a full single-source pass).
@@ -372,11 +376,9 @@ class SimRankAlgorithm(abc.ABC):
         score gap exceeds the remaining tail bound, and declare ``top_k`` in
         :attr:`native_capabilities`.
         """
-        result = self.single_source(source)
-        answer = result.top_k(k)
-        answer.query_seconds = result.query_seconds
-        answer.stats["derived_from_single_source"] = 1.0
-        return answer
+        from repro.core.result import derive_from_single_source
+
+        return derive_from_single_source(self.single_source(source), k=k)
 
     def capabilities(self) -> Dict[str, str]:
         """Routing table row: query kind -> ``"native"`` or ``"derived"``."""

@@ -91,51 +91,7 @@ class LinearizationSimRank(SimRankAlgorithm):
     # query: same back-substitution as ExactSim, with the global D
     # ------------------------------------------------------------------ #
     def single_source(self, source: int) -> SingleSourceResult:
-        source = check_node_index(source, self.graph.num_nodes, "source")
-        self.ensure_prepared()
-        assert self._diagonal is not None
-        timer = Timer()
-        iterations = self.num_iterations()
-        depth = iterations
-        bound = 0.0
-        with timer:
-            deadline = active_deadline()
-            sqrt_c = self._operator.sqrt_c
-            residual = 1.0 - sqrt_c
-            scale = 1.0 / residual
-            # Hop building is the truncation point under a deadline: the
-            # back-substitution consumes hops deepest-first, so its prefix is
-            # *not* a valid partial answer, but running the full substitution
-            # at a shallower depth d is — below the true answer by at most
-            # max(D)·‖walk_{d+1}‖₁·(√c)^{d+1}/(1 − c) (the :meth:`top_k`
-            # tail).  Hop 0 always completes, so the overrun past an expired
-            # deadline is one back-substitution at the truncated depth.
-            hops: List[np.ndarray] = []
-            walk = np.zeros(self.graph.num_nodes, dtype=np.float64)
-            walk[source] = 1.0
-            for level in range(iterations + 1):
-                if deadline is not None and level > 0 and deadline.expired():
-                    depth = level - 1
-                    bound = (float(self._diagonal.max()) * float(walk.sum())
-                             * sqrt_c ** (depth + 1) / (1.0 - self.decay))
-                    break
-                hops.append(residual * walk)
-                walk = self._operator.decayed_backward(walk)
-            current = scale * self._diagonal * hops[depth]
-            for level in range(1, depth + 1):
-                current = self._operator.decayed_forward(current)
-                current += scale * self._diagonal * hops[depth - level]
-            np.clip(current, 0.0, 1.0, out=current)
-        stats = {"samples_per_node": float(self.samples_per_node),
-                 "iterations": float(depth),
-                 "index_bytes": float(self.index_bytes())}
-        if depth < iterations:
-            stats["degraded"] = 1.0
-            stats["certified_bound"] = bound
-        return SingleSourceResult(source=source, scores=current, algorithm=self.name,
-                                  query_seconds=timer.elapsed,
-                                  preprocessing_seconds=self.preprocessing_seconds,
-                                  stats=stats)
+        return self.single_source_batch([source])[0]
 
     def top_k(self, source: int, k: int = 500) -> TopKResult:
         """Top-k at an adaptive truncation depth.
@@ -217,11 +173,10 @@ class LinearizationSimRank(SimRankAlgorithm):
         A chunk of B sources shares every ``√c P`` hop and every ``√c Pᵀ``
         back-substitution step as a single sparse-times-dense product over an
         (n, B) matrix; scipy's CSR kernel accumulates each output column in
-        the same order as the sequential mat-vec, so the batch is
-        *bit-identical* to a loop of :meth:`single_source` (the conformance
-        suite pins this at tolerance 0).
+        the same order as a per-source mat-vec, so a source's scores do not
+        depend on which other sources share its batch.
         """
-        source_ids = [check_node_index(int(s), self.graph.num_nodes, "source")
+        source_ids = [check_node_index(s, self.graph.num_nodes, "source")
                       for s in sources]
         if not source_ids:
             return []
@@ -230,8 +185,7 @@ class LinearizationSimRank(SimRankAlgorithm):
         iterations = self.num_iterations()
         sqrt_c = self._operator.sqrt_c
         residual = 1.0 - sqrt_c
-        scale = 1.0 / residual
-        diagonal = self._diagonal[:, np.newaxis]
+        scaled_diagonal = (1.0 / residual) * self._diagonal[:, np.newaxis]
         timer = Timer()
         columns: List[np.ndarray] = []
         bounds = np.zeros(len(source_ids), dtype=np.float64)
@@ -247,9 +201,17 @@ class LinearizationSimRank(SimRankAlgorithm):
                 depth = iterations
                 for level in range(iterations + 1):
                     if deadline is not None and level > 0 and deadline.expired():
-                        # Truncate this chunk's depth (see single_source);
-                        # the per-source bound uses each column's own
-                        # surviving walk mass.
+                        # Hop building is the truncation point under a
+                        # deadline: the back-substitution consumes hops
+                        # deepest-first, so its prefix is *not* a valid
+                        # partial answer, but running the full substitution
+                        # at a shallower depth d is — below the true answer
+                        # by at most max(D)·‖walk_{d+1}‖₁·(√c)^{d+1}/(1 − c)
+                        # (the :meth:`top_k` tail), taken per source from
+                        # each column's own surviving walk mass.  Hop 0
+                        # always completes, so the overrun past an expired
+                        # deadline is one back-substitution at the
+                        # truncated depth.
                         depth = level - 1
                         window = slice(chunk_start, chunk_start + len(chunk))
                         depths[window] = depth
@@ -261,11 +223,11 @@ class LinearizationSimRank(SimRankAlgorithm):
                     hops.append(residual * planes)
                     planes = sqrt_c * parallel_spmm(
                         self._operator.matrix, planes)
-                current = scale * diagonal * hops[depth]
+                current = scaled_diagonal * hops[depth]
                 for level in range(1, depth + 1):
                     current = sqrt_c * parallel_spmm(
                         self._operator.matrix_t, current)
-                    current += scale * diagonal * hops[depth - level]
+                    current += scaled_diagonal * hops[depth - level]
                 np.clip(current, 0.0, 1.0, out=current)
                 columns.extend(current[:, position].copy()
                                for position in range(len(chunk)))

@@ -155,72 +155,7 @@ class SLING(SimRankAlgorithm):
     # query
     # ------------------------------------------------------------------ #
     def single_source(self, source: int) -> SingleSourceResult:
-        source = check_node_index(source, self.graph.num_nodes, "source")
-        self.ensure_prepared()
-        assert self._diagonal is not None
-        timer = Timer()
-        num_levels = len(self._hop_matrices)
-        levels_used = num_levels
-        with timer:
-            deadline = active_deadline()
-            # With H_ℓ = (√c Pᵀ)^ℓ the identity (7) reduces to
-            # S(i, j) = Σ_ℓ Σ_k H_ℓ[i, k] · D(k, k) · H_ℓ[j, k]:
-            # the (1 − √c) factors of the two π^ℓ vectors cancel the 1/(1 − √c)².
-            # Every level term is non-negative, so stopping after level ℓ − 1
-            # under an expired deadline yields a certified *under*-estimate
-            # whose entrywise error is at most the remaining suffix tail —
-            # level 0 always completes, so a degraded answer is never empty.
-            scores = np.zeros(self.graph.num_nodes, dtype=np.float64)
-            for level, hop_matrix in enumerate(self._hop_matrices):
-                if deadline is not None and level > 0 and deadline.expired():
-                    levels_used = level
-                    break
-                start, stop = hop_matrix.indptr[source], hop_matrix.indptr[source + 1]
-                if start == stop:
-                    continue
-                source_cols = hop_matrix.indices[start:stop]
-                weighted = np.zeros(self.graph.num_nodes, dtype=np.float64)
-                weighted[source_cols] = (hop_matrix.data[start:stop] *
-                                         self._diagonal[source_cols])
-                scores += hop_matrix @ weighted
-            bound = 0.0
-            if levels_used < num_levels:
-                bound = self._truncation_tail(source, levels_used)
-            np.clip(scores, 0.0, 1.0, out=scores)
-            scores[source] = 1.0
-        stats = {"epsilon": self.epsilon,
-                 "samples_per_node": float(self.samples_per_node),
-                 "index_bytes": float(self.index_bytes())}
-        if levels_used < num_levels:
-            stats["degraded"] = 1.0
-            stats["certified_bound"] = bound
-            stats["levels_used"] = float(levels_used)
-            stats["levels_total"] = float(num_levels)
-        return SingleSourceResult(source=source, scores=scores, algorithm=self.name,
-                                  query_seconds=timer.elapsed,
-                                  preprocessing_seconds=self.preprocessing_seconds,
-                                  stats=stats)
-
-    def _truncation_tail(self, source: int, from_level: int) -> float:
-        """Certified entrywise bound on Σ_{m ≥ from_level} of the level terms.
-
-        The level-m term of any entry is at most
-        Σ_k H_m[source, k]·D(k)·colmax_m(k) — the same per-level bound the
-        top-k early-stopping uses, evaluated here only for the levels a
-        degraded answer skipped.
-        """
-        assert self._diagonal is not None
-        colmax = self._level_column_maxima()
-        total = 0.0
-        for level in range(from_level, len(self._hop_matrices)):
-            hop_matrix = self._hop_matrices[level]
-            start, stop = hop_matrix.indptr[source], hop_matrix.indptr[source + 1]
-            if start == stop:
-                continue
-            cols = hop_matrix.indices[start:stop]
-            total += float(np.sum(hop_matrix.data[start:stop]
-                                  * self._diagonal[cols] * colmax[level][cols]))
-        return total
+        return self.single_source_batch([source])[0]
 
     def single_pair(self, source: int, target: int) -> SinglePairResult:
         """S(source, target) from the stored index: two row gathers per level.
@@ -355,21 +290,24 @@ class SLING(SimRankAlgorithm):
     def single_source_batch(self, sources: Sequence[int]) -> List[SingleSourceResult]:
         """Answer the whole batch with one sparse-times-dense product per level.
 
-        For a chunk of B sources, level ℓ contributes
-        ``H_ℓ @ (H_ℓ[sources] · D)ᵀ`` — scipy's CSR-times-dense kernel walks
-        the hop matrix once for all B columns instead of once per source.
-        Each output column is the same sequence of additions the sequential
-        mat-vec performs, so the batch is *bit-identical* to a loop of
-        :meth:`single_source` (the conformance suite pins this at
-        tolerance 0).
+        With H_ℓ = (√c Pᵀ)^ℓ the identity (7) reduces to
+        S(i, j) = Σ_ℓ Σ_k H_ℓ[i, k] · D(k, k) · H_ℓ[j, k]: the (1 − √c)
+        factors of the two π^ℓ vectors cancel the 1/(1 − √c)².  For a chunk
+        of B sources, level ℓ contributes ``H_ℓ @ W`` where column b of the
+        (n, B) matrix ``W`` is the stored row H_ℓ[source_b] weighted by D;
+        scipy's CSR-times-dense kernel walks the hop matrix once for all B
+        columns.  Each output column is the same sequence of additions a
+        per-source mat-vec performs, so a source's scores do not depend on
+        which other sources share its batch.
         """
-        source_ids = [check_node_index(int(s), self.graph.num_nodes, "source")
+        source_ids = [check_node_index(s, self.graph.num_nodes, "source")
                       for s in sources]
         if not source_ids:
             return []
         self.ensure_prepared()
         assert self._diagonal is not None
         timer = Timer()
+        num_nodes = self.graph.num_nodes
         num_levels = len(self._hop_matrices)
         columns: List[np.ndarray] = []
         bounds = np.zeros(len(source_ids), dtype=np.float64)
@@ -378,36 +316,44 @@ class SLING(SimRankAlgorithm):
             deadline = active_deadline()
             for chunk_start in range(0, len(source_ids), self._BATCH_CHUNK):
                 chunk = source_ids[chunk_start:chunk_start + self._BATCH_CHUNK]
-                scores = np.zeros((self.graph.num_nodes, len(chunk)),
-                                  dtype=np.float64)
+                scores = np.zeros((num_nodes, len(chunk)), dtype=np.float64)
                 for level, hop_matrix in enumerate(self._hop_matrices):
                     if deadline is not None and level > 0 and deadline.expired():
-                        # Degraded stop for this chunk: record the per-source
-                        # remaining-tail bounds (one sparse row-gather per
-                        # skipped level) and move on — later chunks still get
-                        # their level-0 term, so no source comes back empty.
+                        # Every level term is non-negative, so stopping here
+                        # leaves a certified *under*-estimate whose entrywise
+                        # error is at most the skipped levels' tail.  Level 0
+                        # always completes, and later chunks still get their
+                        # level-0 term, so no source comes back empty.
                         window = slice(chunk_start, chunk_start + len(chunk))
                         truncated_at[window] = level
                         bounds[window] = self._truncation_tail_batch(chunk, level)
                         break
-                    rows = hop_matrix[chunk]
-                    if rows.nnz == 0:
+                    # Gather the chunk's stored rows through indptr slices:
+                    # scipy's fancy row indexing costs as much as the
+                    # product itself for small batches.
+                    weighted = np.zeros((num_nodes, len(chunk)), dtype=np.float64)
+                    for position, source in enumerate(chunk):
+                        row = slice(hop_matrix.indptr[source],
+                                    hop_matrix.indptr[source + 1])
+                        cols = hop_matrix.indices[row]
+                        weighted[cols, position] = (hop_matrix.data[row]
+                                                    * self._diagonal[cols])
+                    if not weighted.any():
                         continue
-                    weighted = rows.toarray() * self._diagonal
                     # Column-blocked threaded product; bit-identical to the
-                    # serial ``hop_matrix @ weighted.T`` (kernels/parallel).
-                    scores += parallel_spmm(
-                        hop_matrix, np.ascontiguousarray(weighted.T))
+                    # serial ``hop_matrix @ weighted`` (kernels/parallel).
+                    scores += parallel_spmm(hop_matrix, weighted)
                 np.clip(scores, 0.0, 1.0, out=scores)
                 columns.extend(scores[:, position].copy()
                                for position in range(len(chunk)))
         share = timer.elapsed / len(source_ids)
+        index_bytes = float(self.index_bytes())
         results: List[SingleSourceResult] = []
         for position, (source, scores) in enumerate(zip(source_ids, columns)):
             scores[source] = 1.0
             stats = {"epsilon": self.epsilon,
                      "samples_per_node": float(self.samples_per_node),
-                     "index_bytes": float(self.index_bytes())}
+                     "index_bytes": index_bytes}
             if truncated_at[position] < num_levels:
                 stats["degraded"] = 1.0
                 stats["certified_bound"] = float(bounds[position])

@@ -19,11 +19,14 @@ true single-source SimRank vector (Theorem 1).
 :class:`ExactSim` is a full member of the
 :class:`~repro.baselines.base.SimRankAlgorithm` hierarchy (index-free), so
 the registry, the harness and the CLI treat it exactly like the baselines.
-Its :meth:`~ExactSim.single_source_batch` is genuinely vectorized: phase 1
-runs all sources through the batched local-push kernel
-(:func:`repro.ppr.push.forward_push_hop_ppr_batch`, one CSR gather per level
-for the whole batch) and phase 3 back-substitutes every source at once with
-sparse-times-dense-matrix products instead of per-source mat-vecs.
+:meth:`~ExactSim.single_source_batch` is the one implementation of the
+three phases, vectorized over the batch: phase 1 runs all sources through
+one dense ``P @ X`` product per level on small graphs or the batched
+local-push kernel (:func:`repro.ppr.push.forward_push_hop_ppr_batch`) on
+large ones, phase 2 samples the whole batch in one aggregated walk-engine
+call, and phase 3 back-substitutes every source at once with
+sparse-times-dense-matrix products.  :meth:`~ExactSim.single_source` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.diagonal.local import DistributionCache, estimate_diagonal_local_batc
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.parallel import parallel_spmm
-from repro.ppr.hop_ppr import HopPPR, hop_ppr_vectors
+from repro.ppr.hop_ppr import HopPPR
 from repro.ppr.push import forward_push_hop_ppr_batch
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.timing import Timer
@@ -53,9 +56,10 @@ class ExactSim(SimRankAlgorithm):
 
     Construction is cheap (the transition matrix is built lazily on the first
     query, and shared through the :class:`GraphContext`); every
-    :meth:`single_source` call runs the full Algorithm 1 for one source node.
-    The engine is what the experiment harness instantiates once per
-    (dataset, ε) grid point.
+    :meth:`single_source_batch` call runs the full Algorithm 1 for its
+    sources, and :meth:`single_source` is the batch of one.  The engine is
+    what the experiment harness instantiates once per (dataset, ε) grid
+    point.
 
     Example
     -------
@@ -100,57 +104,26 @@ class ExactSim(SimRankAlgorithm):
     # public queries
     # ------------------------------------------------------------------ #
     def single_source(self, source: int) -> SingleSourceResult:
-        """Answer the single-source SimRank query for ``source`` (Algorithm 1)."""
-        source = check_node_index(source, self.graph.num_nodes, "source")
-        config = self.config
-        timer = Timer()
-        stats: Dict[str, float] = {}
-
-        with timer:
-            # Phase 1 — ℓ-hop Personalized PageRank vectors.
-            num_iterations = config.num_iterations()
-            hop_ppr = hop_ppr_vectors(
-                self.graph, source, num_iterations,
-                decay=config.decay,
-                truncation_threshold=config.truncation_threshold(),
-                operator=self._operator)
-
-            # Phase 2 — diagonal correction matrix.
-            diagonal, sampling_stats = self._estimate_diagonal(hop_ppr)
-            stats.update(sampling_stats)
-
-            # Phase 3 — linearized back-substitution.
-            scores = self._back_substitute(hop_ppr, diagonal)
-
-        stats["iterations"] = float(num_iterations)
-        stats["ppr_squared_norm"] = hop_ppr.squared_norm
-        stats["ppr_memory_bytes"] = float(hop_ppr.memory_bytes())
-        stats["ppr_nonzero_entries"] = float(hop_ppr.nonzero_entries())
-        stats["result_memory_bytes"] = float(scores.nbytes)
-        stats["extra_memory_bytes"] = (stats["ppr_memory_bytes"]
-                                       + float(diagonal.nbytes) + float(scores.nbytes))
-        return SingleSourceResult(source=source, scores=scores, algorithm=self.name,
-                                  query_seconds=timer.elapsed, stats=stats)
+        return self.single_source_batch([source])[0]
 
     def single_source_batch(self, sources: Sequence[int]) -> List[SingleSourceResult]:
         """Answer one query per source with shared vectorized phases.
 
-        Phase 1 computes the hop-PPR vectors of *all* sources in one batched
-        local push over shared CSR slices (one gather/scatter per level for
-        the whole batch).  Phase 2 batches the diagonal sampling of the whole
-        batch through the count-aggregated walk engine: the per-node
-        allocations of every source join one pair-meeting simulation (light
-        nodes and Algorithm 3 tails each form a single engine call), and the
-        heavy nodes' deterministic explorations share one visit-distribution
-        cache across sources.  Phase 3 back-substitutes every source
-        simultaneously: the per-source mat-vecs collapse into L
+        Phase 1 computes the hop-PPR vectors of *all* sources at once
+        (:meth:`_hop_ppr_batch`: a dense product per level on small graphs,
+        a batched local push over shared CSR slices on large ones).  Phase 2
+        samples the diagonal of the whole batch through the count-aggregated
+        walk engine: the per-node allocations of every source join one
+        pair-meeting simulation (light nodes and Algorithm 3 tails each form
+        a single engine call), and the heavy nodes' deterministic
+        explorations share one visit-distribution cache across sources.
+        Phase 3 back-substitutes every source simultaneously: L
         sparse-times-dense ``Pᵀ @ S`` products over an (n, B) score matrix.
 
         The per-result ``query_seconds`` splits the shared phase cost evenly
-        across the batch, so harness aggregates stay comparable with the
-        sequential path.
+        across the batch, so a batch of one reports its whole cost.
         """
-        source_ids = [check_node_index(int(s), self.graph.num_nodes, "source")
+        source_ids = [check_node_index(s, self.graph.num_nodes, "source")
                       for s in sources]
         if not source_ids:
             return []
@@ -191,10 +164,6 @@ class ExactSim(SimRankAlgorithm):
                 stats=stats))
         return results
 
-    def top_k(self, source: int, k: int = 500) -> TopKResult:
-        """Answer a top-k query by extracting the k best scores of a single-source run."""
-        return super().top_k(source, k)
-
     def single_pair(self, source: int, target: int) -> SinglePairResult:
         """Answer S(source, target) with pair-local work only.
 
@@ -229,14 +198,9 @@ class ExactSim(SimRankAlgorithm):
                     hop_i = self._hop_ppr_from_push(pushes[0], num_iterations)
                     hop_j = self._hop_ppr_from_push(pushes[1], num_iterations)
                 else:
-                    # Basic variant: no truncation, dense recursion (as in
-                    # the sequential phase 1).
-                    hop_i = hop_ppr_vectors(self.graph, source, num_iterations,
-                                            decay=config.decay,
-                                            operator=self._operator)
-                    hop_j = hop_ppr_vectors(self.graph, target, num_iterations,
-                                            decay=config.decay,
-                                            operator=self._operator)
+                    # Basic variant: no truncation, the dense phase 1.
+                    hop_i, hop_j = self._hop_ppr_batch_dense(
+                        [source, target], num_iterations)
                 # Allocate exactly as the single-source pass would (same
                 # per-node R(k), hence the same D̂(k) accuracy and the same
                 # Algorithm 3 exploration depths), then drop the nodes the
@@ -292,8 +256,8 @@ class ExactSim(SimRankAlgorithm):
     _DISTRIBUTION_CACHE_MAX_BYTES = 64 * 1024 * 1024
 
     #: Below this node count the batched phase 1 runs as one dense
-    #: ``P @ X`` matrix product per level (bit-identical per column to the
-    #: sequential dense recursion); above it, the frontier-proportional
+    #: ``P @ X`` matrix product per level (bit-identical per column to
+    #: :func:`hop_ppr_vectors`); above it, the frontier-proportional
     #: batched push kernel wins (measured 3-4× on the 12k-node graphs).
     _DENSE_BATCH_MAX_NODES = 4096
 
@@ -304,7 +268,7 @@ class ExactSim(SimRankAlgorithm):
         The push kernel needs a positive truncation threshold, so it only
         serves configurations with sparse linearization on; the basic
         (untruncated) variant always takes the dense path, whose columns are
-        bit-identical to the sequential recursion — batching must never
+        bit-identical to :func:`hop_ppr_vectors` — batching must never
         smuggle the Lemma 2 truncation into the basic algorithm.
         """
         threshold = self.config.truncation_threshold()
@@ -400,11 +364,6 @@ class ExactSim(SimRankAlgorithm):
         }
         return allocation, stats
 
-    def _estimate_diagonal(self, hop_ppr: HopPPR) -> tuple[np.ndarray, Dict[str, float]]:
-        """Phase 2: sample allocation + D estimation; returns (D̂, stats)."""
-        diagonals, stats = self._estimate_diagonal_batch([hop_ppr])
-        return diagonals[0], stats[0]
-
     def _estimate_diagonal_batch(self, hop_pprs: List[HopPPR]
                                  ) -> tuple[List[np.ndarray], List[Dict[str, float]]]:
         """Phase 2 for the whole batch in one count-aggregated engine call.
@@ -444,28 +403,15 @@ class ExactSim(SimRankAlgorithm):
             self.graph, allocations, decay=config.decay,
             max_steps=config.max_walk_steps, engine=self._walk_engine)
 
-    def _back_substitute(self, hop_ppr: HopPPR, diagonal: np.ndarray) -> np.ndarray:
-        """Phase 3: s^L = Σ_ℓ (√c Pᵀ)^ℓ D̂ π_i^ℓ / (1 − √c)."""
-        config = self.config
-        scale = 1.0 / (1.0 - config.sqrt_c)
-        num_iterations = hop_ppr.num_hops
-
-        current = scale * diagonal * hop_ppr.hop_dense(num_iterations)
-        for level in range(1, num_iterations + 1):
-            current = self._operator.decayed_forward(current)
-            current += scale * diagonal * hop_ppr.hop_dense(num_iterations - level)
-        # SimRank values are probabilities; clip numerical overshoot.
-        np.clip(current, 0.0, 1.0, out=current)
-        return current
-
     def _back_substitute_batch(self, hop_pprs: List[HopPPR],
                                diagonals: List[np.ndarray]) -> List[np.ndarray]:
         """Phase 3 for the whole batch: L sparse ``Pᵀ @ S`` matrix products.
 
-        ``S`` stacks one column per source; scipy's CSR-times-dense product
-        computes every column with the same accumulation order as the
-        per-source mat-vec, so each column matches :meth:`_back_substitute`
-        applied to the same hop vectors.
+        ``S`` stacks one column per source, seeded with D̂·π^L/(1 − √c);
+        each level applies √c·Pᵀ and adds D̂·π^{L−ℓ}/(1 − √c).  scipy's
+        CSR-times-dense product computes every column with the same
+        accumulation order as a per-source mat-vec, so a column does not
+        depend on which other sources share the batch.
         """
         config = self.config
         scale = 1.0 / (1.0 - config.sqrt_c)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
+
+from repro.utils.validation import check_node_index
 
 
 @dataclass
@@ -86,16 +88,6 @@ class SinglePairResult:
     preprocessing_seconds: float = 0.0
     stats: Dict[str, float] = field(default_factory=dict)
 
-    @classmethod
-    def from_single_source(cls, result: "SingleSourceResult", target: int
-                           ) -> "SinglePairResult":
-        """Read one entry of a full single-source answer (the derived path)."""
-        return cls(source=result.source, target=int(target),
-                   score=result.similarity(target), algorithm=result.algorithm,
-                   query_seconds=result.query_seconds,
-                   preprocessing_seconds=result.preprocessing_seconds,
-                   stats=dict(result.stats))
-
 
 @dataclass
 class TopKResult:
@@ -123,6 +115,34 @@ class TopKResult:
         if reference.k == 0:
             return 0.0
         return len(self.node_set() & reference.node_set()) / float(reference.k)
+
+
+def derive_from_single_source(vector: SingleSourceResult, *,
+                              target: Optional[int] = None,
+                              k: Optional[int] = None
+                              ) -> Union[SinglePairResult, TopKResult]:
+    """The pair answer at ``target``, else the top-``k`` answer, of a vector.
+
+    The one derived path, shared by the algorithms' default
+    ``single_pair``/``top_k`` and the service planner.  The answer reports
+    the vector's query time and carries a copy of its stats plus
+    ``derived_from_single_source``: the sampling-cap flag and a degraded
+    vector's certificate travel with everything derived from it, since the
+    answer is only as good as the vector.
+    """
+    answer: Union[SinglePairResult, TopKResult]
+    if target is not None:
+        target = check_node_index(target, vector.num_nodes, "target")
+        answer = SinglePairResult(
+            source=vector.source, target=target,
+            score=vector.similarity(target), algorithm=vector.algorithm,
+            query_seconds=vector.query_seconds,
+            preprocessing_seconds=vector.preprocessing_seconds)
+    else:
+        answer = vector.top_k(k)
+        answer.query_seconds = vector.query_seconds
+    answer.stats = dict(vector.stats, derived_from_single_source=1.0)
+    return answer
 
 
 def top_k_set_certified(scores: np.ndarray, k: int, tail_bound: float, *,
@@ -160,4 +180,4 @@ def top_k_set_certified(scores: np.ndarray, k: int, tail_bound: float, *,
 
 
 __all__ = ["SingleSourceResult", "SinglePairResult", "TopKResult",
-           "top_k_set_certified"]
+           "derive_from_single_source", "top_k_set_certified"]

@@ -195,13 +195,13 @@ def parallel_spmm(matrix, dense: np.ndarray, *,
     heuristic (``nnz × L`` against :data:`MIN_PARALLEL_WORK`, at least two
     columns, more than one configured thread) rules parallelism out.
     """
-    if dense.ndim != 2:
+    if dense.ndim != 2 or dense.shape[1] < 2:
         return matrix @ dense
     num_columns = dense.shape[1]
     if threads is None:
         threads = get_num_threads()
     work = int(getattr(matrix, "nnz", 0)) * num_columns
-    if threads <= 1 or num_columns < 2 or work < MIN_PARALLEL_WORK:
+    if threads <= 1 or work < MIN_PARALLEL_WORK:
         return matrix @ dense
     blocks = column_blocks(num_columns, threads=threads)
     if len(blocks) <= 1:

@@ -71,7 +71,8 @@ import logging
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.algorithms import registry
 from repro.baselines.base import (
@@ -80,7 +81,7 @@ from repro.baselines.base import (
     IndexPersistenceError,
     SimRankAlgorithm,
 )
-from repro.core.result import SinglePairResult, SingleSourceResult
+from repro.core.result import SingleSourceResult, derive_from_single_source
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import EdgeBatch, GraphCheckpoint, UpdateLog
@@ -160,8 +161,25 @@ class QueryOutcome:
     @property
     def degraded(self) -> bool:
         """True when the answer is a deadline-degraded certified partial."""
-        stats = getattr(self.result, "stats", None)
-        return bool(stats) and stats.get("degraded") == 1.0
+        return _is_degraded(self.result)
+
+
+def _is_degraded(result: Optional[QueryResult]) -> bool:
+    stats = getattr(result, "stats", None)
+    return bool(stats) and stats.get("degraded") == 1.0
+
+
+@dataclass
+class _RouteRun:
+    """One guarded route execution: its value, or the timeout instead.
+
+    Both ``value`` and ``timeout`` are ``None`` when the route failed
+    (``error``) or its breaker rejected it.
+    """
+
+    value: Any = None
+    timeout: Optional[DeadlineExceeded] = None
+    error: Optional[Exception] = None
 
 
 class ResultCache:
@@ -722,8 +740,7 @@ class QueryPlanner:
             # failure — fallback routing must not mask it).
             algorithm = self.instance(method, self._query_config(method, query))
             if self._route_native(query, algorithm, queries):
-                outcome = self._answer_native(query, method, algorithm,
-                                              effective_ms)
+                outcome = self._answer_native(query, method, effective_ms)
                 if outcome is not None:
                     outcomes[position] = outcome
                     continue
@@ -753,12 +770,51 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     # guarded route executions
     # ------------------------------------------------------------------ #
-    def _new_deadline(self, effective_ms: Optional[float]) -> Optional[Deadline]:
-        return Deadline.after_ms(effective_ms) if effective_ms is not None else None
+    def _run_route(self, method: str, route: str, kind: str,
+                   config: Optional[Dict[str, Any]],
+                   call: Callable[[SimRankAlgorithm], Any],
+                   effective_ms: Optional[float]) -> "_RouteRun":
+        """Run ``call`` on ``method``'s instance under every route guard.
+
+        The one guarded execution of every route: the per-(method, route)
+        breaker must admit it, the fault plan's hook fires, the instance is
+        fetched and prepared, and ``call`` runs under a fresh deadline.
+        Index construction is amortized across queries, so a per-query
+        budget covers query execution only: preparation runs outside the
+        deadline scope.  A timeout spends the budget — no fallback, and no
+        breaker penalty, since a slow route is the cost model's problem, not
+        a fault.  Any other exception is a route failure the caller retries
+        down the route list.
+        """
+        breaker_key = (method, route)
+        if not self.breaker.allow(breaker_key):
+            self._counters["breaker_rejections"] += 1
+            return _RouteRun()
+        try:
+            if self.fault_plan is not None:
+                self.fault_plan.on_route_call(method, route, kind)
+            algorithm = self.instance(method, config)
+            algorithm.ensure_prepared()
+            deadline = (Deadline.after_ms(effective_ms)
+                        if effective_ms is not None else None)
+            with deadline_scope(deadline):
+                value = call(algorithm)
+        except DeadlineExceeded as exc:
+            self.breaker.record_success(breaker_key)
+            return _RouteRun(timeout=exc)
+        except Exception as exc:
+            self.breaker.record_failure(breaker_key)
+            self._counters["route_failures"] += 1
+            _LOGGER.warning("route-failed method=%s route=%s kind=%s error=%r; "
+                            "retrying down the route list", method, route,
+                            kind, exc)
+            return _RouteRun(error=exc)
+        self.breaker.record_success(breaker_key)
+        self._flush_pending_save(method, algorithm)
+        return _RouteRun(value=value)
 
     def _note_degraded(self, result: QueryResult) -> bool:
-        stats = getattr(result, "stats", None)
-        if stats and stats.get("degraded") == 1.0:
+        if _is_degraded(result):
             self._counters["degraded_answers"] += 1
             return True
         return False
@@ -779,36 +835,18 @@ class QueryPlanner:
             error=error)
 
     def _answer_native(self, query: Query, method: str,
-                       algorithm: SimRankAlgorithm,
                        effective_ms: Optional[float]) -> Optional[QueryOutcome]:
         """One guarded native execution; ``None`` means "retry derived"."""
-        breaker_key = (method, ROUTE_NATIVE)
-        if not self.breaker.allow(breaker_key):
-            self._counters["breaker_rejections"] += 1
+        run = self._run_route(
+            method, ROUTE_NATIVE, query.kind, self._query_config(method, query),
+            lambda algorithm: self._execute_native(query, algorithm),
+            effective_ms)
+        if run.timeout is not None:
+            return self._timeout_outcome(query, method, ROUTE_NATIVE,
+                                         run.timeout)
+        if run.value is None:
             return None
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.on_route_call(method, ROUTE_NATIVE, query.kind)
-            # Index construction is amortized across queries; a per-query
-            # budget covers query execution only, so prepare outside the
-            # deadline scope.
-            algorithm.ensure_prepared()
-            with deadline_scope(self._new_deadline(effective_ms)):
-                result = self._execute_native(query, algorithm)
-        except DeadlineExceeded as exc:
-            # The budget is spent: no fallback, and no breaker penalty —
-            # a slow route is the cost model's problem, not a fault.
-            self.breaker.record_success(breaker_key)
-            return self._timeout_outcome(query, method, ROUTE_NATIVE, exc)
-        except Exception as exc:
-            self.breaker.record_failure(breaker_key)
-            self._counters["route_failures"] += 1
-            _LOGGER.warning("route-failed method=%s route=%s kind=%s error=%r; "
-                            "retrying derived", method, ROUTE_NATIVE,
-                            query.kind, exc)
-            return None
-        self.breaker.record_success(breaker_key)
-        self._flush_pending_save(method, algorithm)
+        result = run.value
         if not self._note_degraded(result):
             self.cache.put(self._cache_key(method, query), result)
         self._counters["native_routes"] += 1
@@ -825,85 +863,71 @@ class QueryPlanner:
                      outcomes: List[Optional[QueryOutcome]],
                      effective_ms: Optional[float]) -> None:
         """Answer one (method, ε) pool: coalesced batch, then fallback."""
-        config = {"epsilon": epsilon} if epsilon is not None else None
-        algorithm = self.instance(method, config)
         sources = sorted(by_source)
-        breaker_key = (method, ROUTE_DERIVED)
-        vectors: Optional[Sequence[SingleSourceResult]] = None
-        if self.breaker.allow(breaker_key):
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.on_route_call(method, ROUTE_DERIVED,
-                                                  KIND_SINGLE_SOURCE)
-                algorithm.ensure_prepared()
-                with deadline_scope(self._new_deadline(effective_ms)):
-                    vectors = algorithm.single_source_batch(sources)
-            except DeadlineExceeded as exc:
-                # The shared budget is spent for every query in the pool.
-                self.breaker.record_success(breaker_key)
-                for source in sources:
-                    for position in by_source[source]:
-                        outcomes[position] = self._timeout_outcome(
-                            queries[position], method, ROUTE_DERIVED, exc,
-                            batched=len(sources) > 1)
-                return
-            except Exception as exc:
-                self.breaker.record_failure(breaker_key)
-                self._counters["route_failures"] += 1
-                _LOGGER.warning("route-failed method=%s route=%s error=%r; "
-                                "retrying per-source fallback", method,
-                                ROUTE_DERIVED, exc)
-                vectors = None
-            else:
-                self.breaker.record_success(breaker_key)
-        else:
-            self._counters["breaker_rejections"] += 1
-
-        if vectors is not None:
-            self._flush_pending_save(method, algorithm)
-            group_queries = sum(len(positions)
-                                for positions in by_source.values())
-            if len(sources) > 1 or group_queries > len(sources):
-                # Multiple sources shared one vectorized batch, or multiple
-                # queries shared one source's vector — either way the batch
-                # did less compute than its queries issued sequentially.
-                self._counters["coalesced_batches"] += 1
-                self._counters["coalesced_queries"] += group_queries
-            for source, vector in zip(sources, vectors):
-                degraded = self._is_degraded(vector)
-                if not degraded:
-                    self.cache.put(self._source_key(method, source, epsilon),
-                                   vector)
-                self._observe(method, KIND_SINGLE_SOURCE, ROUTE_DERIVED,
-                              vector.query_seconds)
+        run = self._run_route(
+            method, ROUTE_DERIVED, KIND_SINGLE_SOURCE,
+            {"epsilon": epsilon} if epsilon is not None else None,
+            lambda algorithm: algorithm.single_source_batch(sources),
+            effective_ms)
+        if run.timeout is not None:
+            # The shared budget is spent for every query in the pool.
+            for source in sources:
                 for position in by_source[source]:
-                    query = queries[position]
-                    self._counters["derived_routes"] += 1
-                    result = (vector if query.kind == KIND_SINGLE_SOURCE
-                              else self._derive(query, vector))
-                    if not self._note_degraded(result):
-                        self.cache.put(self._cache_key(method, query), result)
-                    outcomes[position] = QueryOutcome(
-                        query=query,
-                        plan=QueryPlan(method=method, kind=query.kind,
-                                       route=ROUTE_DERIVED,
-                                       cost_hint=self._expected_cost(
-                                           method, KIND_SINGLE_SOURCE,
-                                           ROUTE_DERIVED),
-                                       batched=len(sources) > 1),
-                        result=result)
+                    outcomes[position] = self._timeout_outcome(
+                        queries[position], method, ROUTE_DERIVED, run.timeout,
+                        batched=len(sources) > 1)
+            return
+        if run.value is None:
+            # Last rung of the route list: per-source fallback through the
+            # cheapest other capable method.
+            for source in sources:
+                self._answer_fallback(method, source, by_source[source],
+                                      queries, outcomes, effective_ms)
             return
 
-        # Last rung of the route list: per-source fallback through the
-        # cheapest other capable method.
-        for source in sources:
-            self._answer_fallback(method, source, by_source[source], queries,
-                                  outcomes, effective_ms)
+        group_queries = sum(len(positions) for positions in by_source.values())
+        if len(sources) > 1 or group_queries > len(sources):
+            # Multiple sources shared one vectorized batch, or multiple
+            # queries shared one source's vector — either way the batch
+            # did less compute than its queries issued sequentially.
+            self._counters["coalesced_batches"] += 1
+            self._counters["coalesced_queries"] += group_queries
+        for source, vector in zip(sources, run.value):
+            self._answer_from_vector(method, ROUTE_DERIVED, source, epsilon,
+                                     vector, by_source[source], queries,
+                                     outcomes, batched=len(sources) > 1)
 
-    @staticmethod
-    def _is_degraded(result: QueryResult) -> bool:
-        stats = getattr(result, "stats", None)
-        return bool(stats) and stats.get("degraded") == 1.0
+    def _answer_from_vector(self, method: str, route: str, source: int,
+                            epsilon: Optional[float],
+                            vector: SingleSourceResult, positions: List[int],
+                            queries: Sequence[Query],
+                            outcomes: List[Optional[QueryOutcome]], *,
+                            batched: bool = False) -> None:
+        """Cache a computed vector and answer the queries at ``positions``.
+
+        A fallback vector comes from another method than the queries name,
+        so only the coalesced route caches the derived answers under the
+        queries' own keys.
+        """
+        if not _is_degraded(vector):
+            self.cache.put(self._source_key(method, source, epsilon), vector)
+        self._observe(method, KIND_SINGLE_SOURCE, ROUTE_DERIVED,
+                      vector.query_seconds)
+        cost_hint = self._expected_cost(method, KIND_SINGLE_SOURCE,
+                                        ROUTE_DERIVED)
+        for position in positions:
+            query = queries[position]
+            self._counters["derived_routes" if route == ROUTE_DERIVED
+                           else "fallback_routes"] += 1
+            result = (vector if query.kind == KIND_SINGLE_SOURCE
+                      else self._derive(query, vector))
+            if not self._note_degraded(result) and route == ROUTE_DERIVED:
+                self.cache.put(self._cache_key(method, query), result)
+            outcomes[position] = QueryOutcome(
+                query=query,
+                plan=QueryPlan(method=method, kind=query.kind, route=route,
+                               cost_hint=cost_hint, batched=batched),
+                result=result)
 
     def _fallback_candidates(self, failed_method: str) -> List[str]:
         """Other registry methods, cheapest expected single-source first."""
@@ -917,49 +941,21 @@ class QueryPlanner:
                          effective_ms: Optional[float]) -> None:
         last_error: Optional[BaseException] = None
         for candidate in self._fallback_candidates(failed_method):
-            breaker_key = (candidate, ROUTE_FALLBACK)
-            if not self.breaker.allow(breaker_key):
-                self._counters["breaker_rejections"] += 1
-                continue
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.on_route_call(candidate, ROUTE_FALLBACK,
-                                                  KIND_SINGLE_SOURCE)
-                fallback = self.instance(candidate)
-                fallback.ensure_prepared()
-                with deadline_scope(self._new_deadline(effective_ms)):
-                    vector = fallback.single_source(source)
-            except DeadlineExceeded as exc:
-                self.breaker.record_success(breaker_key)
+            run = self._run_route(
+                candidate, ROUTE_FALLBACK, KIND_SINGLE_SOURCE, None,
+                lambda algorithm: algorithm.single_source(source),
+                effective_ms)
+            if run.timeout is not None:
                 for position in positions:
                     outcomes[position] = self._timeout_outcome(
-                        queries[position], candidate, ROUTE_FALLBACK, exc)
+                        queries[position], candidate, ROUTE_FALLBACK,
+                        run.timeout)
                 return
-            except Exception as exc:
-                self.breaker.record_failure(breaker_key)
-                self._counters["route_failures"] += 1
-                last_error = exc
+            if run.value is None:
+                last_error = run.error if run.error is not None else last_error
                 continue
-            self.breaker.record_success(breaker_key)
-            degraded = self._is_degraded(vector)
-            if not degraded:
-                self.cache.put(self._source_key(candidate, source), vector)
-            self._observe(candidate, KIND_SINGLE_SOURCE, ROUTE_DERIVED,
-                          vector.query_seconds)
-            for position in positions:
-                query = queries[position]
-                self._counters["fallback_routes"] += 1
-                result = (vector if query.kind == KIND_SINGLE_SOURCE
-                          else self._derive(query, vector))
-                self._note_degraded(result)
-                outcomes[position] = QueryOutcome(
-                    query=query,
-                    plan=QueryPlan(method=candidate, kind=query.kind,
-                                   route=ROUTE_FALLBACK,
-                                   cost_hint=self._expected_cost(
-                                       candidate, KIND_SINGLE_SOURCE,
-                                       ROUTE_DERIVED)),
-                    result=result)
+            self._answer_from_vector(candidate, ROUTE_FALLBACK, source, None,
+                                     run.value, positions, queries, outcomes)
             return
         # Every rung failed (or was quarantined).
         message = (f"all routes failed for {queries[positions[0]].kind} query "
@@ -1009,21 +1005,9 @@ class QueryPlanner:
     @staticmethod
     def _derive(query: Query, vector: SingleSourceResult) -> QueryResult:
         if isinstance(query, SinglePairQuery):
-            answer: QueryResult = SinglePairResult.from_single_source(
-                vector, query.target)
-        else:
-            assert isinstance(query, TopKQuery)
-            answer = vector.top_k(query.k)
-            answer.query_seconds = vector.query_seconds
-        # A degraded vector's certification travels with everything derived
-        # from it (the pair/top-k answer is only as good as the vector).
-        source_stats = getattr(vector, "stats", None) or {}
-        if source_stats.get("degraded") == 1.0:
-            for stat in ("degraded", "certified_bound", "levels_used",
-                         "levels_total"):
-                if stat in source_stats:
-                    answer.stats[stat] = source_stats[stat]
-        return answer
+            return derive_from_single_source(vector, target=query.target)
+        assert isinstance(query, TopKQuery)
+        return derive_from_single_source(vector, k=query.k)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -286,8 +286,13 @@ class TestAnswerPoolMode:
         lines = ['{"type": "top_k", "source": %d, "k": 5}' % (i % 11)
                  for i in range(60)]
         path = self._write_queries(tmp_path, lines)
+        # A 4-query in-flight window keeps most of the stream unread when
+        # the first kill lands, so the pool is still answering — and its
+        # supervisor observes and counts the death — before the drain,
+        # which stops counting deaths.
         code = main(["answer", "--dataset", "GQ", "--method", "parsim",
                      "--queries", path, "--workers", "3", "--batch-size", "4",
+                     "--max-inflight", "4",
                      "--chaos-kill-every", "15", "--stats"])
         captured = capsys.readouterr()
         out = [json.loads(line) for line in captured.out.splitlines() if line]

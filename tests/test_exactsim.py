@@ -256,21 +256,23 @@ class TestBatchedPushPath:
         from repro.graph.generators import power_law_graph
         return power_law_graph(5_000, 4.0, directed=False, seed=33)
 
-    def test_push_path_selected_and_close_to_sequential(self, large_graph):
+    def test_push_path_selected_and_close_to_dense_phase_1(self, large_graph):
         assert large_graph.num_nodes > ExactSim._DENSE_BATCH_MAX_NODES
         epsilon = 5e-2
         config = ExactSimConfig(epsilon=epsilon, decay=DECAY, seed=5,
                                 max_total_samples=20_000)
         sources = [3, 11]
-        sequential = [ExactSim(large_graph, config).single_source(s)
-                      for s in sources]
-        batched = ExactSim(large_graph, config).single_source_batch(sources)
-        for loop_result, batch_result in zip(sequential, batched):
+        pushed = ExactSim(large_graph, config).single_source_batch(sources)
+        # The reference runs phase 1 as the dense recursion on the same graph.
+        reference = ExactSim(large_graph, config)
+        reference._DENSE_BATCH_MAX_NODES = large_graph.num_nodes
+        dense = reference.single_source_batch(sources)
+        for push_result, dense_result in zip(pushed, dense):
             # Both are within ε of the truth, so they agree within 2ε.
-            difference = np.max(np.abs(loop_result.scores - batch_result.scores))
+            difference = np.max(np.abs(push_result.scores - dense_result.scores))
             assert difference <= 2 * epsilon
             # The push path stores truncated sparse hops, not dense columns.
-            assert batch_result.stats["ppr_nonzero_entries"] > 0
+            assert push_result.stats["ppr_nonzero_entries"] > 0
 
     def test_basic_batch_never_truncates(self, large_graph):
         """Batched exactsim-basic must stay the untruncated basic algorithm."""

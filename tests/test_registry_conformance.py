@@ -7,10 +7,12 @@ the same interface contract:
   :class:`GraphContext`;
 * ``preprocess`` is idempotent (a second call neither rebuilds the index nor
   perturbs the RNG stream);
-* ``single_source_batch`` matches a sequential loop of ``single_source``
-  instances constructed with the same seed (bit-identical for methods using
-  the default loop; within the method's error bound for ExactSim's
-  vectorized batch path);
+* ``single_source`` is bit-identical to a batch of one, and
+  ``single_source_batch`` matches a sequential loop of ``single_source``
+  instances constructed with the same seed (bit-identical except for
+  ExactSim, whose batch shares one phase-2 sampling call, so it agrees
+  within the method's error bound);
+* ``single_source_batch`` rejects a non-integer source id;
 * ``index_bytes`` is non-negative, positive after preprocessing iff the
   method is index-based;
 * for persistable methods, a save/load round trip reproduces bit-identical
@@ -42,15 +44,15 @@ CONFIGS = {
     "sling": {"epsilon": 1e-1, "seed": 7},
 }
 
-#: Max |batch − looped| per entry.  0.0 ⇒ bit-identical.  On graphs up to
-#: ``ExactSim._DENSE_BATCH_MAX_NODES`` (the conformance graph qualifies) the
-#: vectorized ExactSim batch runs the dense matmul phase 1 whose columns are
-#: bit-identical to the sequential recursion, but phase 2 samples the whole
-#: batch through one count-aggregated engine call whose RNG schedule differs
-#: from the per-source loop, so the batch agrees with the loop only within
-#: the ε accuracy guarantee (2ε: both sides are ε-accurate).  The push-kernel
-#: path above the dense-batch size is tolerance-tested in
-#: tests/test_exactsim.py.
+#: Max |batch − looped| per entry.  0.0 ⇒ bit-identical.  ExactSim's
+#: ``single_source`` is a batch of one, so the loop and the batch run the
+#: same phases 1 and 3 column for column, but phase 2 samples a batch
+#: through one count-aggregated engine call: four one-source calls and one
+#: four-source call draw different RNG schedules, so the batch agrees with
+#: the loop only within the ε accuracy guarantee (2ε: both sides are
+#: ε-accurate).  The push-kernel phase 1 above
+#: ``ExactSim._DENSE_BATCH_MAX_NODES`` is tolerance-tested against the
+#: dense one in tests/test_exactsim.py.
 BATCH_TOLERANCE = {"exactsim": 1e-1, "exactsim-basic": 1e-1}
 
 ALL_METHODS = sorted(CONFIGS)
@@ -125,6 +127,16 @@ class TestConformance:
             else:
                 assert difference <= tolerance, \
                     f"{name}: batch differs from loop by {difference} > {tolerance}"
+
+    def test_single_source_is_a_batch_of_one(self, name, collab_graph):
+        for source in QUERY_NODES[:2]:
+            single = _make(name, collab_graph).single_source(source)
+            batch = _make(name, collab_graph).single_source_batch([source])
+            assert np.array_equal(single.scores, batch[0].scores)
+
+    def test_batch_rejects_non_integer_source(self, name, collab_graph):
+        with pytest.raises(TypeError):
+            _make(name, collab_graph).single_source_batch([2.7])
 
     def test_empty_batch(self, name, collab_graph):
         assert _make(name, collab_graph).single_source_batch([]) == []

@@ -482,7 +482,8 @@ class TestWireFormat:
 
         capped = {"epsilon": 5e-2, "seed": 7, "max_total_samples": 10}
         roomy = {"epsilon": 0.5, "seed": 7, "max_total_samples": 10 ** 9}
-        for query in (SingleSourceQuery(5), SinglePairQuery(5, 9)):
+        for query in (SingleSourceQuery(5), SinglePairQuery(5, 9),
+                      TopKQuery(5, 3)):
             stats, payload = wire(capped, query)
             assert stats["samples_capped"] == 1.0
             assert payload["samples_capped"] is True

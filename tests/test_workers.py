@@ -192,14 +192,22 @@ class TestWorkerPool:
             pool = WorkerPool(make_factory(graph), num_workers=3, batch_size=4)
             await pool.start()
             try:
-                futures = [pool.submit(query) for query in queries]
-                await asyncio.gather(*futures[:5])
+                futures = [pool.submit(query) for query in queries[:5]]
+                await asyncio.gather(*futures)
+                # Submit the rest and kill before yielding to the event loop:
+                # nothing of it can have been answered yet, so the kill lands
+                # while accepted queries are outstanding.
+                futures += [pool.submit(query) for query in queries[5:]]
                 victim = pool.pids()[0]
                 os.kill(victim, signal.SIGKILL)
                 payloads = await asyncio.wait_for(asyncio.gather(*futures), 60)
-                # The pool returns to full strength without operator action.
+                # The death is counted once the supervisor observes it, and
+                # the pool returns to full strength without operator action.
+                # Drain stops counting deaths, so wait for both before the
+                # stats snapshot.
                 assert await wait_for(
-                    lambda: pool.alive_count() == pool.num_workers)
+                    lambda: pool.stats()["deaths"] >= 1
+                    and pool.alive_count() == pool.num_workers)
                 stats = pool.stats()
                 return payloads, stats
             finally:
