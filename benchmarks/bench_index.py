@@ -1,8 +1,8 @@
 """Benchmark: batched index construction vs the sequential reference paths.
 
-PR 4 turned index *construction* into a batched operation: PRSim's hub
-index builds all hubs' reverse hop vectors level-synchronously on the dense
-lane engine (:class:`repro.kernels.DenseLanePropagation`), the Algorithm 3
+Index *construction* is a batched operation: PRSim's hub index builds all
+hubs' reverse hop vectors level-synchronously as the columns of one dense
+state (one ``parallel_spmm`` product per level), the Algorithm 3
 heavy-node explorations interleave over shared levels with one
 multi-propagation prefetch and one fused Lemma 4 scatter per level
 (:func:`repro.diagonal.local._exploit_deterministic_batch`), and the
@@ -19,7 +19,7 @@ Three workloads per dataset:
 
 * ``prsim_hub_vectors`` — the hub half of ``PRSim._build_index``: the
   per-hub sequential frontier walk (``_reverse_hop_vectors`` loop) vs the
-  dense-lane batched build.  Identical supports, values ≤ 1e-12.
+  dense batched build.  Identical supports, values ≤ 1e-12.
 * ``heavy_node_exploit`` — the deterministic heavy-node phase of
   ``estimate_diagonal_local_batch``: a shared-cache loop of the sequential
   recursion (:func:`repro.diagonal.reference.exploit_deterministic_reference`)

@@ -143,7 +143,7 @@ def _time(callable_, *args, repeats=5, **kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# thread scaling: dense-lane propagation and sharded walk advancement
+# thread scaling: column-blocked spmm and sharded pair walks
 # --------------------------------------------------------------------------- #
 THREAD_GRID = (1, 2, 4)
 LANES = 128
@@ -160,7 +160,7 @@ def _dense_lane_inputs(graph, num_lanes=LANES):
 
 
 def record_thread_scaling(quick=False):
-    """The multicore record: thread-blocked spmm and sharded walk advance.
+    """The multicore record: column-blocked spmm and sharded pair walks.
 
     Every dense-lane measurement first *asserts* bitwise equality against
     the serial product — the determinism contract of
@@ -174,7 +174,7 @@ def record_thread_scaling(quick=False):
     import os
 
     from repro.kernels import parallel
-    from repro.randomwalk.aggregate import advance_frontier
+    from repro.randomwalk.engine import SqrtCWalkEngine
 
     datasets = ("GQ", "DB") if quick else ("GQ", "DB", "IT")
     repeats = 2 if quick else 5
@@ -207,27 +207,28 @@ def record_thread_scaling(quick=False):
                 "speedup_vs_serial": (serial_s / spmm_s if spmm_s > 0
                                       else float("inf")),
             }
-        # Sharded walk advancement: deterministic per (seed, shard count)
-        # but a *different* (exchangeable) sample than the serial stream,
-        # so the record carries mass/frontier stats, not bit equality.
-        in_degrees = graph.in_degrees
-        nodes = np.flatnonzero(in_degrees > 0).astype(np.int64)
-        counts = np.full(nodes.size, 50, dtype=np.int64)
+        # Sharded pair walks: deterministic per (seed, thread count) but a
+        # *different* (exchangeable) sample than the serial stream, so the
+        # record carries meeting counts, not bit equality.
+        nodes = np.flatnonzero(graph.in_degrees > 1).astype(np.int64)
+        pairs = np.full(nodes.size, 50, dtype=np.int64)
+
+        def _pair_walks():
+            return SqrtCWalkEngine(graph, DECAY, seed=SCALING_SEED) \
+                .pair_meet_counts(nodes, pairs)
+
         walk = {}
-        for shards in (1, 4):
-            def _run():
-                rng = np.random.default_rng(SCALING_SEED)
-                advance_frontier(rng, graph.in_indptr, graph.in_indices,
-                                 in_degrees, nodes, counts, 0.8,
-                                 shards=shards)
-            walk_s = _time(_run, repeats=repeats)
-            rng = np.random.default_rng(SCALING_SEED)
-            dests, split = advance_frontier(
-                rng, graph.in_indptr, graph.in_indices, in_degrees,
-                nodes, counts, 0.8, shards=shards)
-            walk[str(shards)] = {"seconds": walk_s,
-                                 "surviving_walks": int(split.sum()),
-                                 "frontier_nnz": int(dests.size)}
+        saved = parallel.get_num_threads()
+        for threads in (1, 4):
+            parallel.set_num_threads(threads)
+            try:
+                walk_s = _time(_pair_walks, repeats=repeats)
+                met = _pair_walks()
+            finally:
+                parallel.set_num_threads(saved)
+            walk[str(threads)] = {"seconds": walk_s,
+                                  "met_pairs": int(met.sum()),
+                                  "total_pairs": int(pairs.sum())}
         section["datasets"][key] = {
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
@@ -237,7 +238,7 @@ def record_thread_scaling(quick=False):
             # a missed speedup.
             "parallel_engaged": bool(work >= parallel.MIN_PARALLEL_WORK),
             "dense_lane": {"serial_s": serial_s, "threads": per_threads},
-            "walk_advance": walk,
+            "pair_walks": walk,
         }
     cores = os.cpu_count() or 1
     if "IT" in section["datasets"] and cores >= 4:
@@ -248,54 +249,44 @@ def record_thread_scaling(quick=False):
 
 
 def parallel_smoke():
-    """CI smoke: answers under the configured thread count must match serial.
+    """CI smoke: column-blocked ``parallel_spmm`` must match serial bit for bit.
 
-    Runs a dense-lane propagation and a stacked MultiPropagation advance at
-    the *environment-configured* thread count (``REPRO_NUM_THREADS``) and a
-    forced 4-thread run, asserts both are bit-identical to serial, and
-    prints one stable checksum line.  The CI job runs this twice —
-    ``REPRO_NUM_THREADS=1`` and ``=4`` — and diffs the checksum lines: any
-    thread-count-dependent bit anywhere in the answers breaks the diff.
+    Propagates a 64-column dense state four levels through
+    ``parallel_spmm`` with parallelism forced on (``MIN_PARALLEL_WORK`` = 1,
+    so the column blocks engage at any thread count above one), once at the
+    *environment-configured* thread count (``REPRO_NUM_THREADS``) and once
+    at a forced 4 threads, asserts both are bit-identical to the serial
+    product chain, and prints a crc32 of the configured-thread output.  The
+    CI job runs this twice — ``REPRO_NUM_THREADS=1`` and ``=4`` — and diffs
+    the checksum lines: a column block that changes any bit breaks the diff.
     """
     import zlib
 
     from repro.kernels import parallel
-    from repro.kernels.multiprop import MultiPropagation
 
     graph = load_dataset("DB")
     matrix, state = _dense_lane_inputs(graph, num_lanes=64)
-    serial = matrix @ state
-    for label, result in (
-            ("configured", parallel.parallel_spmm(matrix, state)),
-            ("forced-4", parallel.parallel_spmm(matrix, state, threads=4))):
+
+    def _propagate(**kwargs):
+        current = state
+        for _ in range(4):
+            current = SQRT_C * parallel.parallel_spmm(matrix, current, **kwargs)
+        return current
+
+    serial = _propagate(threads=1)
+    saved = parallel.MIN_PARALLEL_WORK
+    parallel.MIN_PARALLEL_WORK = 1
+    try:
+        configured = _propagate()
+        forced = _propagate(threads=4)
+    finally:
+        parallel.MIN_PARALLEL_WORK = saved
+    for label, result in (("configured", configured), ("forced-4", forced)):
         if not np.array_equal(serial, result):
             raise SystemExit(
-                f"parallel-smoke FAILED: dense-lane output diverged "
+                f"parallel-smoke FAILED: column-blocked spmm diverged "
                 f"({label} threads)")
-
-    sources = np.argsort(-graph.in_degrees)[:32].astype(np.int64)
-    def _advance(min_work):
-        saved = parallel.MIN_PARALLEL_WORK
-        prop = MultiPropagation.forward(graph, num_lanes=sources.size)
-        prop.seed_units(sources)
-        try:
-            parallel.MIN_PARALLEL_WORK = min_work
-            for _ in range(3):
-                prop.step(scale=SQRT_C)
-        finally:
-            parallel.MIN_PARALLEL_WORK = saved
-        return prop.rows.copy(), prop.cols.copy(), prop.values.copy()
-
-    serial_state = _advance(1 << 62)       # heuristic never engages
-    forced_state = _advance(1)             # lane blocking always engages
-    for a, b in zip(serial_state, forced_state):
-        if not np.array_equal(a, b):
-            raise SystemExit("parallel-smoke FAILED: stacked advance "
-                             "diverged under lane blocking")
-
-    crc = zlib.crc32(np.ascontiguousarray(serial).tobytes())
-    for part in serial_state:
-        crc = zlib.crc32(np.ascontiguousarray(part).tobytes(), crc)
+    crc = zlib.crc32(np.ascontiguousarray(configured).tobytes())
     print(f"parallel-smoke ok threads={parallel.get_num_threads()} "
           f"crc32=0x{crc:08x}")
 
@@ -355,8 +346,9 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="CI parallel-smoke: assert thread-count "
-                             "invariance and print a stable checksum line "
-                             "instead of regenerating the baseline")
+                             "invariance of the column-blocked spmm and print "
+                             "a stable checksum line instead of regenerating "
+                             "the baseline")
     args = parser.parse_args()
     if args.quick:
         parallel_smoke()

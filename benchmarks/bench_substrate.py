@@ -29,14 +29,14 @@ def large_graph():
 
 def test_walk_engine_throughput_small(benchmark, small_graph):
     engine = SqrtCWalkEngine(small_graph, 0.6, seed=1)
-    source = int(np.argmax(small_graph.in_degrees))
-    benchmark(engine.pair_walks_meet, source, 5_000, max_steps=32)
+    source = np.array([np.argmax(small_graph.in_degrees)], dtype=np.int64)
+    benchmark(engine.pair_meet_counts, source, np.array([5_000]), max_steps=32)
 
 
 def test_walk_engine_throughput_large(benchmark, large_graph):
     engine = SqrtCWalkEngine(large_graph, 0.6, seed=1)
-    source = int(np.argmax(large_graph.in_degrees))
-    benchmark(engine.pair_walks_meet, source, 5_000, max_steps=32)
+    source = np.array([np.argmax(large_graph.in_degrees)], dtype=np.int64)
+    benchmark(engine.pair_meet_counts, source, np.array([5_000]), max_steps=32)
 
 
 def test_hop_ppr_small(benchmark, small_graph):

@@ -100,8 +100,9 @@ def _pair_meetings_workload(graph, num_pairs, repeats):
     node = int(np.argmax(graph.in_degrees))
 
     def reference():
-        ReferenceWalkEngine(graph, DECAY, seed=SEED).pair_walks_meet(
-            node, num_pairs, max_steps=MAX_STEPS)
+        ReferenceWalkEngine(graph, DECAY, seed=SEED).pair_meet_counts(
+            np.array([node], dtype=np.int64),
+            np.array([num_pairs], dtype=np.int64), max_steps=MAX_STEPS)
 
     def aggregated():
         SqrtCWalkEngine(graph, DECAY, seed=SEED).pair_meet_counts(
@@ -136,11 +137,10 @@ def _allocation_workload(graph, epsilon, cap, repeats):
     if nodes is None:
         nodes = np.empty(0, dtype=np.int64)
         counts = np.empty(0, dtype=np.int64)
-    pair_starts = np.repeat(nodes, counts)
 
     def reference():
-        ReferenceWalkEngine(graph, DECAY, seed=SEED).pair_walks_meet_batch(
-            pair_starts, max_steps=MAX_STEPS)
+        ReferenceWalkEngine(graph, DECAY, seed=SEED).pair_meet_counts(
+            nodes, counts, max_steps=MAX_STEPS)
 
     def aggregated():
         SqrtCWalkEngine(graph, DECAY, seed=SEED).pair_meet_counts(

@@ -19,9 +19,9 @@ threshold and the per-hub D samples, reproducing the preprocessing-time /
 index-size / accuracy trade-off of Figures 3, 4, 7 and 8.
 
 Index construction is batched: *all* hubs' reverse hop vectors advance
-level-synchronously through the dense lane engine
-(:class:`repro.kernels.DenseLanePropagation`) — one ``Pᵀ``-times-dense
-product per level for the whole hub set (exact hub frontiers saturate
+level-synchronously as the columns of one dense (num_nodes × hubs) state —
+one ``Pᵀ``-times-dense product per level for the whole hub set
+(:func:`repro.kernels.parallel.parallel_spmm`; exact hub frontiers saturate
 toward the reachable set within a few levels, exactly the regime where the
 dense product beats any frontier-proportional scatter), with the per-level
 snapshot pruning applied as a single mask over the stacked state.  The
@@ -50,7 +50,7 @@ from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certifie
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.frontier import propagate_batch_transpose, propagate_transpose
-from repro.kernels.multiprop import DenseLanePropagation
+from repro.kernels.parallel import parallel_spmm
 from repro.kernels.sparsevec import SparseVector
 from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.ppr.pagerank import pagerank
@@ -143,37 +143,41 @@ class PRSim(SimRankAlgorithm):
         """All hubs' truncated reverse hop vectors, level-synchronously.
 
         The exact (unpruned) hub walks saturate toward the reachable set
-        within a few levels, which is precisely the regime where the dense
-        lane engine wins: one :class:`DenseLanePropagation` carries a chunk
-        of hubs and advances all of them with a single ``Pᵀ``-times-dense
+        within a few levels, which is precisely the regime where a dense
+        state wins: a chunk of hubs is carried as the unit columns of one
+        (num_nodes × hubs) matrix, advanced by a single ``Pᵀ``-times-dense
         product per level, with the per-level snapshot pruning applied as
         one mask over the whole chunk.  Supports match the sequential
         :meth:`_reverse_hop_vectors` exactly and values to ≤1e-12 (the
-        matrix product orders the float additions differently); the
-        equivalence suite pins both.
+        matrix product multiplies by the edge weight before adding, where
+        the frontier kernel sums first and divides once); the equivalence
+        suite pins both.
         """
         sqrt_c = self._operator.sqrt_c
-        chunk_lanes = max(1, self._DENSE_LANE_BYTES // (8 * max(self.graph.num_nodes, 1)))
+        matrix_t = self._operator.matrix_t
+        num_nodes = self.graph.num_nodes
+        chunk_lanes = max(1, self._DENSE_LANE_BYTES // (8 * max(num_nodes, 1)))
         position_parts: List[np.ndarray] = []
         level_parts: List[np.ndarray] = []
         col_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
         for chunk_start in range(0, hubs.shape[0], chunk_lanes):
             chunk = hubs[chunk_start:chunk_start + chunk_lanes]
-            engine = DenseLanePropagation.adjoint(self.graph, chunk.shape[0],
-                                                  self._operator)
-            engine.seed_units(chunk.astype(np.int64, copy=False))
-            thresholds = np.full(chunk.shape[0], threshold, dtype=np.float64)
+            state = np.zeros((num_nodes, chunk.shape[0]), dtype=np.float64)
+            state[chunk, np.arange(chunk.shape[0])] = 1.0
             for level in range(iterations + 1):
-                rows, cols, vals = engine.snapshot(scale=1.0 - sqrt_c,
-                                                   thresholds=thresholds)
-                position_parts.append(rows + chunk_start)
+                # Pruned snapshot in (hub, node) order; the state itself
+                # propagates exactly.
+                scaled = (1.0 - sqrt_c) * state.T
+                rows, cols = np.nonzero(scaled >= threshold)
+                position_parts.append(rows.astype(np.int64) + chunk_start)
                 level_parts.append(np.full(rows.shape[0], level, dtype=np.int64))
-                col_parts.append(cols)
-                val_parts.append(vals)
+                col_parts.append(cols.astype(np.int64))
+                val_parts.append(scaled[rows, cols])
                 if level == iterations:
                     break
-                engine.step(scale=sqrt_c)
+                state = parallel_spmm(matrix_t, state)
+                state *= sqrt_c
         positions = np.concatenate(position_parts)
         levels = np.concatenate(level_parts)
         cols = np.concatenate(col_parts)

@@ -270,8 +270,9 @@ def _method_config(args: argparse.Namespace, method: str, *,
         config["seed"] = args.seed
     if "epsilon" in spec.config_keys:
         config["epsilon"] = args.epsilon
-    if "max_total_samples" in spec.config_keys:
-        config["max_total_samples"] = getattr(args, "max_samples", None)
+    # Only ``query`` has --max-samples; elsewhere ExactSimConfig's cap applies.
+    if "max_total_samples" in spec.config_keys and hasattr(args, "max_samples"):
+        config["max_total_samples"] = args.max_samples
     for item in args.param:
         key, value = _parse_param(item)
         if not accepted_params_only or key in spec.config_keys:

@@ -6,9 +6,13 @@ This package provides every estimator the paper discusses:
 
 * :func:`repro.diagonal.basic.estimate_diagonal_basic` — Algorithm 2 applied
   to every node with a per-node sample allocation (basic ExactSim);
-* :func:`repro.diagonal.local.estimate_diagonal_entry_local` /
-  :func:`repro.diagonal.local.estimate_diagonal_local` — Algorithm 3 with
-  the Lemma 4 recursion (optimized ExactSim);
+* :func:`repro.diagonal.local.estimate_diagonal_local_batch` — Algorithm 3
+  (optimized ExactSim) for the allocations of a whole batch of sources: the
+  Lemma 4 recursion under a 2·R(k)/√c edge budget per heavy node, with the
+  tail past ℓ(k) estimated by √c-walk pairs;
+  :func:`repro.diagonal.local.estimate_diagonal_entry_local` runs it for one
+  node and :func:`repro.diagonal.local.first_meeting_probabilities` runs the
+  recursion unbudgeted;
 * :func:`repro.diagonal.exact.exact_diagonal` — the exact D derived from an
   exact SimRank matrix (small-graph oracle used by the tests);
 * :func:`repro.diagonal.parsim_approx.parsim_diagonal` — the D = (1 − c)·I
@@ -19,7 +23,6 @@ from repro.diagonal.basic import estimate_diagonal_basic, estimate_diagonal_basi
 from repro.diagonal.local import (
     LocalExploitResult,
     estimate_diagonal_entry_local,
-    estimate_diagonal_local,
     estimate_diagonal_local_batch,
     first_meeting_probabilities,
 )
@@ -37,7 +40,6 @@ __all__ = [
     "estimate_diagonal_basic_batch",
     "LocalExploitResult",
     "estimate_diagonal_entry_local",
-    "estimate_diagonal_local",
     "estimate_diagonal_local_batch",
     "first_meeting_probabilities",
     "exact_diagonal",

@@ -19,7 +19,7 @@ of simulating the R(k) walk pairs it replaces.
 Batching design
 ---------------
 The recursions of *all* heavy nodes of a batch advance level-synchronously:
-:func:`_exploit_deterministic_batch` walks one global level ℓ at a time, and
+:func:`_explore_levels` walks one global level ℓ at a time, and
 the distributions any node's level-ℓ step will consult are materialised
 up-front by one :class:`repro.kernels.MultiPropagation` prefetch — all
 missing ``(start, step)`` distributions extend together, one stacked-COO
@@ -53,6 +53,8 @@ the sources of a ``single_source_batch``: distributions another node already
 materialised cost a lookup instead of a propagation (the walk-pooling reuse
 the compacted sampling substrate exploits elsewhere), while the per-window
 accounting keeps every node's ℓ(k) independent of cache warmth.
+:func:`first_meeting_probabilities` runs the same level loop for one node
+under an unbudgeted window.
 
 The sampling side rides the count-aggregated walk engine: lightly sampled
 nodes form one batched pair-meeting call, and the Algorithm 3 tail estimates
@@ -80,17 +82,6 @@ Distribution = Dict[int, float]
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
-
-
-def _propagate(graph: DiGraph, distribution: SparseVector) -> Tuple[SparseVector, int]:
-    """One non-stopping reverse-walk step of ``distribution``.
-
-    Returns the new distribution and the number of edges traversed (the cost
-    counter E_k of Algorithm 3).  Mass at dangling nodes disappears, matching
-    a √c-walk that stops because it cannot move.
-    """
-    return propagate_distribution(
-        graph.in_indptr, graph.in_indices, distribution, num_nodes=graph.num_nodes)
 
 
 class BudgetExhausted(Exception):
@@ -172,8 +163,8 @@ class BudgetWindow:
     record of which cached levels it has already paid for, so many windows
     can charge one shared :class:`DistributionCache` concurrently — the
     level-synchronous batch keeps one window per heavy node while all nodes
-    share the cache.  Obtain instances from
-    :meth:`DistributionCache.new_window`.  The depth record is a
+    share the cache.  An ``edge_budget`` of ``None`` never exhausts.  The
+    depth record is a
     :class:`SparseDepthRecord` over the touched nodes only, so a window's
     footprint scales with the nodes it actually charged — not with the
     graph (the ROADMAP memory condition for million-node graphs).
@@ -181,7 +172,7 @@ class BudgetWindow:
 
     __slots__ = ("edge_budget", "traversed_edges", "_depths")
 
-    def __init__(self, edge_budget: Optional[float], num_nodes: int):
+    def __init__(self, edge_budget: Optional[float]):
         self.edge_budget = edge_budget
         self.traversed_edges = 0
         self._depths = SparseDepthRecord()
@@ -217,13 +208,7 @@ class DistributionCache:
     from a per-step stack.
     """
 
-    #: Entry cap on the exploration memo (each entry is a small tuple, so
-    #: this bounds it to a few MB); a full memo is dropped wholesale — it is
-    #: a pure wall-clock optimisation, never a correctness dependency.
-    MAX_MEMO_ENTRIES = 1 << 16
-
-    def __init__(self, graph: DiGraph, edge_budget: Optional[float] = None,
-                 max_bytes: Optional[int] = None):
+    def __init__(self, graph: DiGraph, max_bytes: Optional[int] = None):
         self._graph = graph
         self._in_degrees = graph.in_degrees
         self._cache: Dict[int, List[SparseVector]] = {}
@@ -242,69 +227,24 @@ class DistributionCache:
         self._by_depth: Dict[int, List[Tuple[int, SparseVector, int]]] = {}
         self._stacks: Dict[int, Tuple[int, Tuple[np.ndarray, np.ndarray,
                                                  np.ndarray, np.ndarray]]] = {}
-        # Memo of completed deterministic explorations: because every budget
-        # window charges cached levels, the outcome of the exploration is a
-        # pure function of (node, num_pairs, max_level, decay) — repeat
-        # invocations (the same allocation across batched sources, or across
-        # successive queries of a long-lived engine) skip the whole Lemma 4
-        # recursion, not just the propagations.
-        self._exploit_memo: Dict[Tuple[int, int, int, float],
-                                 Tuple[int, float, int]] = {}
         self._cached_bytes = 0
         self.max_bytes = max_bytes
         # Scratch for prefetch's mask-based dedup (avoids an O(m log m)
-        # np.unique per level) and the hybrid narrow-lane cap: frontiers
-        # wider than this advance per-lane inside MultiPropagation.step,
-        # keeping the scatter accumulator lane-local and cache-resident.
+        # np.unique per level).
         self._target_scratch = np.full(graph.num_nodes, -1, dtype=np.int64)
-        self._narrow_cap = max(128, graph.num_nodes >> 4)
-        self._window = self.new_window(edge_budget)
 
     # ------------------------------------------------------------------ #
-    # windows
+    # eviction
     # ------------------------------------------------------------------ #
-    def new_window(self, edge_budget: Optional[float]) -> BudgetWindow:
-        """A fresh budget window over this cache's graph."""
-        return BudgetWindow(edge_budget, self._graph.num_nodes)
-
-    @property
-    def traversed_edges(self) -> int:
-        """Edges charged to the cache's default window."""
-        return self._window.traversed_edges
-
-    @traversed_edges.setter
-    def traversed_edges(self, value: int) -> None:
-        self._window.traversed_edges = int(value)
-
-    @property
-    def edge_budget(self) -> Optional[float]:
-        return self._window.edge_budget
-
-    @edge_budget.setter
-    def edge_budget(self, value: Optional[float]) -> None:
-        self._window.edge_budget = value
-
-    def open_budget_window(self, edge_budget: Optional[float]) -> None:
-        """Start a fresh default window; cached distributions stay materialised.
-
-        With ``max_bytes`` set, an over-budget cache drops its distributions
-        *here* — between explorations, never mid-recursion — so peak memory
-        stays bounded even inside a large batch (eviction changes no result:
-        the edge budget charges cached levels regardless).  The exploration
-        memo survives eviction: its entries are warmth-independent.
-        """
-        self._maybe_evict()
-        self._window = self.new_window(edge_budget)
-
     def _maybe_evict(self) -> None:
+        """Drop every distribution once the cache outgrows ``max_bytes``.
+
+        Called between exploration levels, never mid-recursion, so peak
+        memory stays bounded even inside a large batch; eviction changes no
+        result, because the edge budget charges cached levels regardless.
+        """
         if self.max_bytes is not None and self._cached_bytes > self.max_bytes:
-            self._cache = {}
-            self._avail[:] = -1
-            self._prefix[:] = 0
-            np.copyto(self._next_cost, self._in_degrees)
-            self._by_depth = {}
-            self._stacks = {}
-            self._cached_bytes = 0
+            self.clear()
 
     # ------------------------------------------------------------------ #
     # storage
@@ -349,16 +289,15 @@ class DistributionCache:
     # scalar path: charge + materialise on demand
     # ------------------------------------------------------------------ #
     def distribution(self, start: int, steps: int,
-                     window: Optional[BudgetWindow] = None) -> SparseVector:
+                     window: BudgetWindow) -> SparseVector:
         """Level-``steps`` distribution of ``start``, charged to ``window``.
 
         Charges already-materialised levels the window has not paid for yet
         (in the same per-level order the scalar recursion would traverse),
         then extends the cache level by level, raising
         :class:`BudgetExhausted` whenever the window's budget is spent before
-        a charge.  ``window=None`` uses the cache's default window.
+        a charge.
         """
-        window = self._window if window is None else window
         start = int(start)
         levels = self._ensure_root(start)
         charged = window._depths.get(start)
@@ -377,7 +316,9 @@ class DistributionCache:
             if chargeable and budget is not None \
                     and window.traversed_edges >= budget:
                 raise BudgetExhausted()
-            extended, cost = _propagate(self._graph, levels[-1])
+            extended, cost = propagate_distribution(
+                self._graph.in_indptr, self._graph.in_indices, levels[-1],
+                num_nodes=self._graph.num_nodes)
             self._append_level(start, extended, cost)
             if chargeable:
                 charged += 1
@@ -388,7 +329,7 @@ class DistributionCache:
     # ------------------------------------------------------------------ #
     # batched path: charge / prefetch / stacked gather
     # ------------------------------------------------------------------ #
-    def charge(self, window: Optional[BudgetWindow], starts: np.ndarray,
+    def charge(self, window: BudgetWindow, starts: np.ndarray,
                steps: int) -> None:
         """Charge ``window`` for fetching every start's level-``steps`` distribution.
 
@@ -399,8 +340,6 @@ class DistributionCache:
         as it goes), so the raise point and the final ``traversed_edges``
         match the sequential recursion bit for bit.
         """
-        if window is None:
-            return
         starts = np.asarray(starts, dtype=np.int64)
         if starts.size == 0:
             return
@@ -475,7 +414,7 @@ class DistributionCache:
         depth = self._avail[starts].copy()
         seeds = [self._cache[int(start)][-1] for start in starts.tolist()]
         sizes = np.array([seed.nnz for seed in seeds], dtype=np.int64)
-        engine = MultiPropagation.forward(self._graph, num_lanes)
+        engine = MultiPropagation(self._graph, num_lanes)
         engine.seed(np.repeat(np.arange(num_lanes, dtype=np.int64), sizes),
                     np.concatenate([seed.indices for seed in seeds]),
                     np.concatenate([seed.values for seed in seeds]),
@@ -487,7 +426,7 @@ class DistributionCache:
             live = depth < targets
             if not live.any():
                 break
-            edges = engine.step(narrow_cap=self._narrow_cap)
+            edges = engine.step()
             bounds = engine.lane_bounds()
             level_cols, level_vals = engine.cols, engine.values
             next_costs = np.bincount(engine.rows,
@@ -593,62 +532,7 @@ class DistributionCache:
         np.copyto(self._next_cost, self._in_degrees)
         self._by_depth = {}
         self._stacks = {}
-        self._exploit_memo = {}
         self._cached_bytes = 0
-
-
-#: Backwards-compatible private alias (the cache predates its public name).
-_DistributionCache = DistributionCache
-
-
-def _z_level(cache: DistributionCache, window: Optional[BudgetWindow],
-             node: int, level: int,
-             z_levels: List[Tuple[np.ndarray, np.ndarray]], decay: float
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """One level of the Lemma 4 recursion as sorted parallel arrays.
-
-    Z_ℓ(k, q) = c^ℓ (Pᵀ)^ℓ(k, q)² − Σ_{ℓ'<ℓ} Σ_{q'} c^{ℓ-ℓ'}
-    (Pᵀ)^{ℓ-ℓ'}(q', q)² · Z_{ℓ'}(k, q').  The edge budget is charged in the
-    scalar loop's fetch order (:meth:`DistributionCache.charge`), but both
-    the inner gather and the subtraction are single array passes: each inner
-    level's ``(q', remaining)`` supports come out of the per-step stack with
-    one ``searchsorted`` gather, and one ``np.searchsorted`` intersection
-    plus a single ``np.subtract.at`` scatter applies the whole ``Σ_{q'} …``
-    update at once.  Entries that end up non-positive are dropped, exactly
-    like the dict implementation's ``max(value, 0)`` + filter.
-
-    The pre-batching per-``q'`` loop survives as
-    :func:`repro.diagonal.reference.z_level_reference`.
-
-    Raises :class:`BudgetExhausted` from the cache when the edge budget is
-    spent mid-level.
-    """
-    cache.charge(window, np.array([node], dtype=np.int64), level)
-    from_k = cache.peek(node, level)
-    z_indices = from_k.indices.copy()
-    z_values = (decay ** level) * from_k.values * from_k.values
-    for first_meeting_level in range(1, level):
-        prev_indices, prev_values = z_levels[first_meeting_level - 1]
-        positive = prev_values > 0.0
-        q_primes = prev_indices[positive]
-        if q_primes.size == 0:
-            continue
-        remaining = level - first_meeting_level
-        cache.charge(window, q_primes, remaining)
-        if z_indices.size == 0:
-            continue
-        lengths, support, values = cache.gather_stacked(q_primes, remaining)
-        if support.size == 0:
-            continue
-        weights = np.repeat(prev_values[positive], lengths) * values * values
-        positions = np.searchsorted(z_indices, support)
-        positions = np.minimum(positions, z_indices.shape[0] - 1)
-        hit = z_indices[positions] == support
-        if hit.any():
-            factor = decay ** remaining
-            np.subtract.at(z_values, positions[hit], factor * weights[hit])
-    keep = z_values > 0.0
-    return z_indices[keep], z_values[keep]
 
 
 @dataclass
@@ -665,7 +549,7 @@ class LocalExploitResult:
     exact: bool = False
 
 
-def _demand_for_level(cache: DistributionCache, window: Optional[BudgetWindow],
+def _demand_for_level(cache: DistributionCache, window: BudgetWindow,
                       node: int, level: int,
                       z_levels: List[Tuple[np.ndarray, np.ndarray]],
                       start_parts: List[np.ndarray],
@@ -685,7 +569,7 @@ def _demand_for_level(cache: DistributionCache, window: Optional[BudgetWindow],
     path performs — and even an early cut would merely route that fetch
     through the materialising :meth:`DistributionCache.charge` slow path.
     """
-    budget = window.edge_budget if window is not None else None
+    budget = window.edge_budget
     remaining = np.inf if budget is None \
         else budget - window.traversed_edges
     bound = 0
@@ -732,64 +616,55 @@ def _demand_for_level(cache: DistributionCache, window: Optional[BudgetWindow],
             return
 
 
-def first_meeting_probabilities(graph: DiGraph, node: int, max_level: int, *,
-                                decay: float = 0.6) -> List[Distribution]:
-    """Z_ℓ(node, ·) for ℓ = 1 … ``max_level`` via the Lemma 4 recursion.
-
-    Intended for small neighbourhoods and for the tests that validate the
-    recursion against brute-force enumeration; Algorithm 3 embeds the same
-    recursion with the adaptive edge budget.
-    """
-    node = check_node_index(node, graph.num_nodes)
-    max_level = check_positive_int(max_level, "max_level")
-    cache = DistributionCache(graph)
-    window = cache.new_window(None)
-    z_levels: List[Tuple[np.ndarray, np.ndarray]] = []
-    for level in range(1, max_level + 1):
-        start_parts: List[np.ndarray] = []
-        step_parts: List[np.ndarray] = []
-        _demand_for_level(cache, window, node, level, z_levels,
-                          start_parts, step_parts)
-        if start_parts:
-            cache.prefetch(np.concatenate(start_parts),
-                           np.concatenate(step_parts))
-        z_levels.append(_z_level(cache, window, node, level, z_levels, decay))
-    return [dict(zip(indices.tolist(), values.tolist()))
-            for indices, values in z_levels]
-
-
 class _ExploitState:
     """Per-node progress of one interleaved Algorithm 3 recursion."""
 
-    __slots__ = ("node", "num_pairs", "budget", "window", "z_levels",
-                 "chosen", "alive")
+    __slots__ = ("node", "window", "z_levels", "chosen", "alive")
 
-    def __init__(self, node: int, num_pairs: int, budget: float,
-                 window: BudgetWindow):
+    def __init__(self, node: int, window: BudgetWindow):
         self.node = node
-        self.num_pairs = num_pairs
-        self.budget = budget
         self.window = window
         self.z_levels: List[Tuple[np.ndarray, np.ndarray]] = []
         self.chosen = 0
         self.alive = True
 
 
+def first_meeting_probabilities(graph: DiGraph, node: int, max_level: int, *,
+                                decay: float = 0.6) -> List[Distribution]:
+    """Z_ℓ(node, ·) for ℓ = 1 … ``max_level`` via the Lemma 4 recursion.
+
+    The Algorithm 3 level loop (:func:`_explore_levels`) for one node under
+    an unbudgeted window, so every level up to ``max_level`` is computed.
+    Intended for small neighbourhoods and for the tests that validate the
+    recursion against brute-force enumeration.
+    """
+    node = check_node_index(node, graph.num_nodes)
+    max_level = check_positive_int(max_level, "max_level")
+    state = _ExploitState(node, BudgetWindow(None))
+    _explore_levels(graph, DistributionCache(graph), [state], decay=decay,
+                    max_level=max_level)
+    return [dict(zip(indices.tolist(), values.tolist()))
+            for indices, values in state.z_levels]
+
+
 def _run_level_fused(cache: DistributionCache, states: List[_ExploitState],
                      level: int, decay: float, num_nodes: int) -> None:
     """Advance every state's Lemma 4 recursion one level, fused across states.
 
-    The per-state arithmetic of :func:`_z_level` collapses into one pass per
-    inner level ℓ': all alive states' ``(q', Z)`` pairs concatenate
-    state-major, their distributions come out of the shared level stack with
-    a single gather, and one ``np.subtract.at`` over ``state·n + node``
-    packed keys applies every state's ``Σ_{q'} …`` update at once.  Budget
+    Level ℓ of one state is Z_ℓ(k, q) = c^ℓ (Pᵀ)^ℓ(k, q)² − Σ_{ℓ'<ℓ} Σ_{q'}
+    c^{ℓ-ℓ'} (Pᵀ)^{ℓ-ℓ'}(q', q)² · Z_{ℓ'}(k, q'), and the subtraction runs
+    as one pass per inner level ℓ' for all states: their ``(q', Z)`` pairs
+    concatenate state-major, their distributions come out of the shared
+    level stack with a single gather, and one ``np.subtract.at`` over
+    ``state·n + node`` packed keys applies every state's ``Σ_{q'} …`` update
+    at once.  Entries that end up non-positive are dropped.  Budget
     charging stays per state (each window charges its own fetches in the
     scalar order), so a state that exhausts mid-level dies exactly where the
     sequential recursion would — its discarded level simply stops being
     subtracted into.  Within one state the packed-key subtraction touches
     the same targets with the same contributions in the same order as the
-    per-state path, so fusing changes no float.
+    per-``q'`` loop of :func:`repro.diagonal.reference.z_level_reference`,
+    so fusing changes no float.
     """
     participants: List[_ExploitState] = []
     node_parts: List[np.ndarray] = []
@@ -865,50 +740,26 @@ def _run_level_fused(cache: DistributionCache, states: List[_ExploitState],
         state.chosen = level
 
 
-def _exploit_deterministic_batch(graph: DiGraph, cache: DistributionCache,
-                                 requests: Sequence[Tuple[int, int]], *,
-                                 decay: float, max_level: int
-                                 ) -> List[Tuple[int, float, int]]:
-    """The deterministic half of Algorithm 3 for many nodes, level-synchronously.
+def _explore_levels(graph: DiGraph, cache: DistributionCache,
+                    states: List[_ExploitState], *, decay: float,
+                    max_level: int) -> None:
+    """Run the states' Lemma 4 recursions one global level at a time.
 
-    ``requests`` holds ``(node, num_pairs)`` pairs; the result list gives
-    ``(chosen_level, deterministic_mass, traversed_edges)`` per request.  All
-    recursions advance one global level at a time: the distributions every
-    active node's next level will consult are materialised by one batched
-    :meth:`DistributionCache.prefetch` (one stacked scatter per propagation
-    level, budget-aware per node), then each node runs its vectorized
-    Lemma 4 update against the shared level stacks under its own
-    :class:`BudgetWindow`.  Because every window charges every edge the
-    scalar recursion would traverse — cached or not, in the scalar fetch
-    order — the outcome per node is bit-identical to the sequential
-    recursion of :mod:`repro.diagonal.reference`, and is memoised on the
-    cache (a repeated ``(node, num_pairs)`` request is a lookup).
+    Per level, the distributions every active state will consult are
+    materialised by one batched :meth:`DistributionCache.prefetch` (one
+    stacked scatter per propagation level, budget-aware per state), then
+    :func:`_run_level_fused` applies every state's Lemma 4 update against
+    the shared level stacks, each charging its own :class:`BudgetWindow`.
+    A state stops once its window is spent.
     """
-    sqrt_c = float(np.sqrt(decay))
-    results: Dict[Tuple[int, int, int, float], Tuple[int, float, int]] = {}
-    states: List[_ExploitState] = []
-    for node, num_pairs in requests:
-        key = (int(node), int(num_pairs), int(max_level), float(decay))
-        if key in results:
-            continue
-        memoised = cache._exploit_memo.get(key)
-        if memoised is not None:
-            results[key] = memoised
-            continue
-        results[key] = (0, 0.0, 0)   # dedup placeholder; overwritten below
-        budget = 2.0 * key[1] / sqrt_c
-        states.append(_ExploitState(key[0], key[1], budget,
-                                    cache.new_window(budget)))
     for level in range(1, max_level + 1):
         cache._maybe_evict()
-        active: List[_ExploitState] = []
         for state in states:
-            if not state.alive:
-                continue
-            if state.window.traversed_edges >= state.budget:
+            window = state.window
+            if window.edge_budget is not None \
+                    and window.traversed_edges >= window.edge_budget:
                 state.alive = False
-                continue
-            active.append(state)
+        active = [state for state in states if state.alive]
         if not active:
             break
         start_parts: List[np.ndarray] = []
@@ -922,29 +773,38 @@ def _exploit_deterministic_batch(graph: DiGraph, cache: DistributionCache,
         # Paper's "goto OUTLOOP" happens inside the fused level: a state
         # whose budget dies mid-level keeps ℓ(k) at the last full level.
         _run_level_fused(cache, active, level, decay, graph.num_nodes)
-    for state in states:
-        mass = float(sum(values.sum() for _, values in state.z_levels))
-        key = (state.node, state.num_pairs, int(max_level), float(decay))
-        result = (state.chosen, mass, state.window.traversed_edges)
-        if len(cache._exploit_memo) >= DistributionCache.MAX_MEMO_ENTRIES:
-            cache._exploit_memo.clear()
-        cache._exploit_memo[key] = result
-        results[key] = result
-    return [results[(int(node), int(num_pairs), int(max_level), float(decay))]
-            for node, num_pairs in requests]
 
 
-def _exploit_deterministic(graph: DiGraph, cache: DistributionCache, node: int,
-                           num_pairs: int, *, decay: float, max_level: int
-                           ) -> Tuple[int, float, int]:
-    """The deterministic half of Algorithm 3 for one node.
+def _exploit_deterministic_batch(graph: DiGraph, cache: DistributionCache,
+                                 requests: Sequence[Tuple[int, int]], *,
+                                 decay: float, max_level: int
+                                 ) -> List[Tuple[int, float, int]]:
+    """The deterministic half of Algorithm 3 for many nodes, level-synchronously.
 
-    A batch of one through :func:`_exploit_deterministic_batch` — the level
-    interleaving degenerates to the sequential schedule, and the per-window
-    accounting makes the outcome identical either way.
+    ``requests`` holds ``(node, num_pairs)`` pairs; the result list gives
+    ``(chosen_level, deterministic_mass, traversed_edges)`` per request.
+    Each distinct request explores under its own :class:`BudgetWindow` of
+    2·R(k)/√c edges, and all of them advance together in
+    :func:`_explore_levels`.  Because every window charges every edge the
+    scalar recursion would traverse — cached or not, in the scalar fetch
+    order — the outcome per node is bit-identical to the sequential
+    recursion of :mod:`repro.diagonal.reference`.
     """
-    return _exploit_deterministic_batch(graph, cache, [(node, num_pairs)],
-                                        decay=decay, max_level=max_level)[0]
+    sqrt_c = float(np.sqrt(decay))
+    states: Dict[Tuple[int, int], _ExploitState] = {}
+    for node, num_pairs in requests:
+        key = (int(node), int(num_pairs))
+        if key not in states:
+            states[key] = _ExploitState(key[0],
+                                        BudgetWindow(2.0 * key[1] / sqrt_c))
+    _explore_levels(graph, cache, list(states.values()), decay=decay,
+                    max_level=max_level)
+    results = []
+    for node, num_pairs in requests:
+        state = states[(int(node), int(num_pairs))]
+        mass = float(sum(values.sum() for _, values in state.z_levels))
+        results.append((state.chosen, mass, state.window.traversed_edges))
+    return results
 
 
 def _needs_tail(chosen_level: int, num_pairs: int, decay: float) -> bool:
@@ -975,10 +835,10 @@ def estimate_diagonal_entry_local(graph: DiGraph, node: int, num_pairs: int, *,
         earlier because the edge budget is exhausted.
     cache:
         An optional shared :class:`DistributionCache`.  Sharing saves
-        wall-clock (distributions and completed explorations materialised by
-        earlier invocations are reused), but the edge budget still charges
-        cached levels, so the chosen ℓ(k) — and hence the estimate's
-        distribution — is identical to running with a fresh cache.
+        wall-clock (distributions materialised by earlier invocations are
+        reused), but the edge budget still charges cached levels, so the
+        chosen ℓ(k) — and hence the estimate's distribution — is identical
+        to running with a fresh cache.
     """
     node = check_node_index(node, graph.num_nodes)
     in_degree = graph.in_degree(node)
@@ -994,8 +854,8 @@ def estimate_diagonal_entry_local(graph: DiGraph, node: int, num_pairs: int, *,
     num_pairs = check_positive_int(num_pairs, "num_pairs")
     if cache is None:
         cache = DistributionCache(graph)
-    chosen_level, deterministic_mass, traversed = _exploit_deterministic(
-        graph, cache, node, num_pairs, decay=decay, max_level=max_level)
+    chosen_level, deterministic_mass, traversed = _exploit_deterministic_batch(
+        graph, cache, [(node, num_pairs)], decay=decay, max_level=max_level)[0]
     estimate = 1.0 - deterministic_mass
 
     # Tail: remaining first-meeting mass beyond the deterministic horizon.
@@ -1014,27 +874,6 @@ def estimate_diagonal_entry_local(graph: DiGraph, node: int, num_pairs: int, *,
                               tail_estimate=tail_estimate,
                               traversed_edges=traversed,
                               sampled_pairs=num_pairs)
-
-
-def estimate_diagonal_local(graph: DiGraph, allocations: np.ndarray, *,
-                            decay: float = 0.6, max_level: int = 20,
-                            max_steps: int = 64, seed: SeedLike = None,
-                            min_pairs_for_exploitation: int = 32,
-                            engine: Optional[SqrtCWalkEngine] = None,
-                            cache: Optional[DistributionCache] = None) -> np.ndarray:
-    """Estimate the full diagonal with Algorithm 3 under the given allocation.
-
-    Nodes whose allocation is below ``min_pairs_for_exploitation`` fall back
-    to the plain Algorithm 2 estimator: deterministic exploitation only pays
-    off when the sampled pairs it replaces would have re-traversed the same
-    neighbourhood many times (the paper's budget rule makes the same call
-    implicitly by choosing ℓ(k) = 0-ish levels for lightly sampled nodes).
-    """
-    walker = engine if engine is not None else SqrtCWalkEngine(graph, decay, seed=seed)
-    return estimate_diagonal_local_batch(
-        graph, [allocations], decay=decay, max_level=max_level,
-        max_steps=max_steps, min_pairs_for_exploitation=min_pairs_for_exploitation,
-        engine=walker, cache=cache)[0]
 
 
 def estimate_diagonal_local_batch(graph: DiGraph,
@@ -1128,7 +967,6 @@ __all__ = [
     "DistributionCache",
     "LocalExploitResult",
     "estimate_diagonal_entry_local",
-    "estimate_diagonal_local",
     "estimate_diagonal_local_batch",
     "first_meeting_probabilities",
 ]

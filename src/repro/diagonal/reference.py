@@ -29,14 +29,15 @@ from repro.diagonal.local import (
 from repro.graph.digraph import DiGraph
 
 
-def z_level_reference(cache: DistributionCache, window: Optional[BudgetWindow],
+def z_level_reference(cache: DistributionCache, window: BudgetWindow,
                       node: int, level: int,
                       z_levels: List[Tuple[np.ndarray, np.ndarray]],
                       decay: float) -> Tuple[np.ndarray, np.ndarray]:
     """One Lemma 4 level with the scalar per-``q'`` fetch loop.
 
-    Semantically identical to :func:`repro.diagonal.local._z_level`; the
-    inner loop walks the previous level's ``(q', Z)`` pairs in Python and
+    Semantically identical to one state's share of
+    :func:`repro.diagonal.local._run_level_fused`; the inner loop walks the
+    previous level's ``(q', Z)`` pairs in Python and
     fetches each distribution through :meth:`DistributionCache.distribution`
     (charging the window one fetch at a time), which is the order the
     batched ``charge``/``gather_stacked`` path replays.
@@ -85,7 +86,7 @@ def exploit_deterministic_reference(graph: DiGraph, node: int, num_pairs: int,
         cache = DistributionCache(graph)
     sqrt_c = float(np.sqrt(decay))
     edge_budget = 2.0 * num_pairs / sqrt_c
-    window = cache.new_window(edge_budget)
+    window = BudgetWindow(edge_budget)
     z_levels: List[Tuple[np.ndarray, np.ndarray]] = []
     chosen_level = 0
     for level in range(1, max_level + 1):

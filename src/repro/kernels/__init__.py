@@ -16,12 +16,17 @@ Layout:
   (``indices: int64[]``, ``values: float64[]``) the kernels produce/consume;
 * :mod:`repro.kernels.frontier` — the kernels themselves
   (:func:`push_frontier`, :func:`propagate_distribution`,
-  :func:`propagate_batch`);
-* :mod:`repro.kernels.multiprop` — the level-synchronous
-  :class:`MultiPropagation` engine: B independent propagations carried as
-  one stacked COO state, advanced per level through shared CSR slices with
-  per-lane thresholds, early termination and edge accounting (the substrate
-  of the batched index builds and the interleaved Algorithm 3 recursions);
+  :func:`propagate_batch` and their transpose twins); ProbeSim's and
+  PRSim's probes call the ``propagate_batch*`` kernels directly, the one
+  propagation API of the transpose direction;
+* :mod:`repro.kernels.multiprop` — the level-synchronous, forward-only
+  :class:`MultiPropagation` engine: B independent reverse-walk
+  propagations carried as one stacked COO state, advanced per level through
+  shared CSR slices with per-lane termination and edge accounting (the
+  Algorithm 3 prefetch of :mod:`repro.diagonal.local`);
+* :mod:`repro.kernels.parallel` — the thread pool behind the two threaded
+  paths that won when measured: column-blocked ``parallel_spmm`` and the
+  sharded pair walks of :mod:`repro.randomwalk.aggregate`;
 * :mod:`repro.kernels.reference` — the original dict-based loops, kept as
   executable specifications for the equivalence test suite.
 """
@@ -37,13 +42,11 @@ from repro.kernels.frontier import (
     push_frontier,
     push_frontier_batch,
 )
-from repro.kernels.multiprop import (DenseLanePropagation, MultiPropagation,
-                                     dense_lane_limit)
+from repro.kernels.multiprop import MultiPropagation, dense_lane_limit
 from repro.kernels.sparsevec import SparseVector
 
 __all__ = [
     "BatchPushLevel",
-    "DenseLanePropagation",
     "MultiPropagation",
     "PushLevel",
     "SparseVector",

@@ -190,7 +190,7 @@ def push_frontier_batch(indptr: np.ndarray, indices: np.ndarray,
 def propagate_transpose(out_indptr: np.ndarray, out_indices: np.ndarray,
                         in_degrees: np.ndarray, frontier: SparseVector, *,
                         num_nodes: int) -> Tuple[SparseVector, int]:
-    """One step of the adjoint operator ``Pᵀ`` on a sparse vector.
+    """One step of the transpose operator ``Pᵀ`` on a sparse vector.
 
     ``(Pᵀ x)(j) = Σ_{k ∈ I(j)} x(k) / d_in(j)``: mass at ``k`` travels along
     *out*-edges ``k → j`` and is normalized by the **receiver's** in-degree —

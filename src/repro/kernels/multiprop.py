@@ -1,65 +1,46 @@
-"""Level-synchronous multi-source propagation engine.
+"""Level-synchronous multi-source propagation engine (forward direction).
 
-A :class:`MultiPropagation` carries B independent sparse propagations —
-*lanes* — as one stacked COO triplet ``(lane, node, value)`` and advances any
-subset of them one level at a time with a single shared-CSR scatter per
-level: the frontiers of every advancing lane are concatenated, their CSR
+A :class:`MultiPropagation` carries B independent sparse reverse-walk
+propagations — *lanes* — as one stacked COO triplet ``(lane, node, value)``
+and advances all of them one level at a time with a single shared-CSR
+scatter per level: the frontiers of every lane are concatenated, their CSR
 slices gathered with one ``np.repeat`` pass, and the contributions
-re-aggregated per ``(lane, node)`` key — exactly the batched kernels of
-:mod:`repro.kernels.frontier`, plus the state-keeping the batch-of-queries
-call sites need:
+re-aggregated per ``(lane, node)`` key — exactly the batched kernel
+:func:`repro.kernels.frontier.propagate_batch`, plus the state-keeping its
+one caller needs.  That caller is the Algorithm 3 prefetch
+(:meth:`repro.diagonal.local.DistributionCache.prefetch`), which
+materialises the level-ℓ distributions of many start nodes together:
 
-* **both directions** — forward (the reverse-walk step ``P`` of
-  :func:`~repro.kernels.frontier.propagate_distribution`) and transpose (the
-  adjoint ``Pᵀ`` of :func:`~repro.kernels.frontier.propagate_transpose`);
-* **per-lane thresholds** — a post-step boolean mask per lane, the Lemma 2
-  truncation each propagation applies at its own level;
-* **per-lane early termination** — lanes advance only while selected by the
-  caller's ``active`` mask; dormant lanes keep their frontier untouched, so
-  heterogeneous target depths interleave over shared levels;
 * **per-lane work accounting** — every step reports the CSR entries gathered
-  per lane, so each caller keeps its own edge-budget window (the Algorithm 3
-  cost counter E_k stays per-node even when a thousand nodes share levels).
+  per lane, so each start keeps its exact Algorithm 3 cost counter E_k even
+  when a thousand starts share levels;
+* **per-lane termination** — lanes that reached their target depth are
+  dropped with :meth:`MultiPropagation.terminate` while the rest advance.
 
-The per-lane arithmetic is bit-identical to the single-lane kernels: within
-one lane the frontier entries stay sorted by node, the shared gather visits
-them in the same order as a single-frontier gather, and the scatter-add sums
-each ``(lane, node)`` key's contributions in the same occurrence order as the
+The per-lane arithmetic is bit-identical to the single-lane kernel
+:func:`~repro.kernels.frontier.propagate_distribution`: within one lane the
+frontier entries stay sorted by node, the shared gather visits them in the
+same order as a single-frontier gather, and the scatter-add sums each
+``(lane, node)`` key's contributions in the same occurrence order as the
 single-lane scatter — so interleaving B propagations changes *no* float.
-``tests/test_multiprop.py`` pins this lane-for-lane against the sequential
-kernels.
+``tests/test_multiprop.py`` pins this lane-for-lane.
 
-Two storage regimes, chosen by the caller per workload:
-
-* **stacked COO** (default) — cost proportional to the stacked frontier
-  size; the right regime for sparse frontiers and the only one with the
-  bit-identity guarantee above.
-* **dense lanes** (``dense=True``) — state held as one (num_nodes × L)
-  matrix advanced by a single ``scipy`` CSR-times-dense product per level
-  (one C pass over the operator for *all* lanes).  When frontiers saturate
-  — every lane's support approaching the reachable set, the regime of
-  PRSim's exact hub walks — the stacked gather degenerates to a
-  cache-hostile E·L scatter and loses to this path by ~5×; conversely the
-  dense path always pays O(num_nodes · L) per level, so it loses when
-  frontiers stay narrow.  Dense-lane values agree with the sequential
-  kernels only to ~1e-15 per level (multiply-then-add versus
-  sum-then-divide), with identical supports — callers that need exact
-  bit-equality (the Algorithm 3 budget accounting) must stay on the COO
-  regime.
+Lanes wider than the engine's narrow cap, ``max(128, num_nodes >> 4)``
+entries, advance one at a time through the single-lane kernel (whose
+scatter stays in a lane-local, cache-resident accumulator) while the narrow
+majority shares the stacked scatter.  Both routes are bit-identical per
+lane, so the split changes no value — only where the scatter-add lands.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.kernels import parallel
 from repro.kernels.frontier import (_DENSE_SCATTER_CAP, propagate_batch,
-                                    propagate_batch_transpose,
-                                    propagate_distribution,
-                                    propagate_transpose)
+                                    propagate_distribution)
 from repro.kernels.sparsevec import SparseVector
 from repro.utils.deadline import CHECKPOINT_LEVEL, checkpoint
 
@@ -74,61 +55,31 @@ def dense_lane_limit(num_nodes: int) -> int:
     once that key space outgrows the kernels' dense ``np.bincount`` cap they
     fall back to a sort-based reduction whose O(E log E) cost loses badly to
     per-lane dense scatters when lanes are wide.  Callers batching *many*
-    lanes (hub index builds, cache prefetches) should split them into chunks
-    of this size — lanes are independent, so chunking changes no result.
+    lanes should split them into chunks of this size — lanes are
+    independent, so chunking changes no result.
     """
     return max(1, _DENSE_SCATTER_CAP // max(num_nodes, 1))
 
 
 class MultiPropagation:
-    """B independent sparse propagations advanced level-synchronously.
+    """B independent reverse-walk propagations advanced level-synchronously.
 
-    Parameters
-    ----------
-    indptr, indices:
-        The CSR structure each step expands along — the *in*-adjacency for
-        forward (reverse-walk) steps, the *out*-adjacency for transpose
-        steps.  Use :meth:`forward` / :meth:`transpose` to pick them off a
-        :class:`~repro.graph.digraph.DiGraph`.
-    num_lanes:
-        Number of independent propagations carried.
-    transpose:
-        When true, steps apply the adjoint operator ``Pᵀ`` (contributions
-        normalized by the receiver's in-degree, which must be supplied).
+    Each step applies the non-stopping reverse-walk operator ``P`` of
+    :func:`~repro.kernels.frontier.propagate_distribution` along the
+    in-adjacency of ``graph`` to every lane.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, *,
-                 num_nodes: int, num_lanes: int, transpose: bool = False,
-                 in_degrees: Optional[np.ndarray] = None):
-        if transpose and in_degrees is None:
-            raise ValueError("transpose propagation needs the in-degree vector")
+    def __init__(self, graph: DiGraph, num_lanes: int):
         if num_lanes <= 0:
             raise ValueError("num_lanes must be positive")
-        self._indptr = indptr
-        self._indices = indices
-        self._in_degrees = in_degrees
-        self.num_nodes = int(num_nodes)
+        self._indptr = graph.in_indptr
+        self._indices = graph.in_indices
+        self.num_nodes = int(graph.num_nodes)
         self.num_lanes = int(num_lanes)
-        self.transpose = bool(transpose)
+        self._narrow_cap = max(128, self.num_nodes >> 4)
         self._rows = _EMPTY_I
         self._cols = _EMPTY_I
         self._vals = _EMPTY_F
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def forward(cls, graph: DiGraph, num_lanes: int) -> "MultiPropagation":
-        """Reverse-walk direction (``P``): mass spreads to in-neighbours."""
-        return cls(graph.in_indptr, graph.in_indices, num_nodes=graph.num_nodes,
-                   num_lanes=num_lanes)
-
-    @classmethod
-    def adjoint(cls, graph: DiGraph, num_lanes: int) -> "MultiPropagation":
-        """Transpose direction (``Pᵀ``): the PRSim/ProbeSim probe operator."""
-        return cls(graph.out_indptr, graph.out_indices, num_nodes=graph.num_nodes,
-                   num_lanes=num_lanes, transpose=True,
-                   in_degrees=graph.in_degrees)
 
     def seed(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, *,
              assume_sorted: bool = False) -> None:
@@ -155,14 +106,6 @@ class MultiPropagation:
             rows, cols, values = rows[order], cols[order], values[order]
         self._rows, self._cols, self._vals = rows, cols, values
 
-    def seed_units(self, nodes: np.ndarray) -> None:
-        """Seed lane ``i`` with the unit vector ``e_{nodes[i]}``."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.shape != (self.num_lanes,):
-            raise ValueError("seed_units needs exactly one start node per lane")
-        self.seed(np.arange(self.num_lanes, dtype=np.int64), nodes,
-                  np.ones(self.num_lanes, dtype=np.float64))
-
     # ------------------------------------------------------------------ #
     # state views
     # ------------------------------------------------------------------ #
@@ -188,28 +131,6 @@ class MultiPropagation:
         lo, hi = np.searchsorted(self._rows, [lane, lane + 1])
         return SparseVector(self._cols[lo:hi].copy(), self._vals[lo:hi].copy())
 
-    def nonempty(self) -> np.ndarray:
-        """Boolean mask of lanes whose frontier still holds entries."""
-        alive = np.zeros(self.num_lanes, dtype=bool)
-        alive[self._rows] = True
-        return alive
-
-    def snapshot(self, *, scale: float = 1.0,
-                 thresholds: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A scaled, per-lane-thresholded copy of the whole stacked state.
-
-        ``thresholds[lane]`` keeps entries with ``scale·value >= threshold``
-        (the :meth:`SparseVector.filtered` rule applied per lane); the live
-        frontiers are untouched — this is the "store pruned snapshots,
-        propagate exactly" discipline of the index builders.
-        """
-        values = self._vals if scale == 1.0 else scale * self._vals
-        if thresholds is None:
-            return self._rows.copy(), self._cols.copy(), np.array(values)
-        keep = values >= thresholds[self._rows]
-        return self._rows[keep], self._cols[keep], values[keep]
-
     def terminate(self, lanes: np.ndarray) -> None:
         """Drop the frontiers of ``lanes`` (their propagations end here)."""
         dead = np.zeros(self.num_lanes, dtype=bool)
@@ -221,25 +142,12 @@ class MultiPropagation:
     # ------------------------------------------------------------------ #
     # the level step
     # ------------------------------------------------------------------ #
-    def step(self, active: Optional[np.ndarray] = None, *, scale: float = 1.0,
-             thresholds: Optional[np.ndarray] = None,
-             narrow_cap: Optional[int] = None) -> np.ndarray:
-        """Advance the selected lanes one level; return per-lane edges gathered.
+    def step(self) -> np.ndarray:
+        """Advance every lane one level; return per-lane edges gathered.
 
-        ``active`` is a boolean mask over lanes (default: all); unselected
-        lanes keep their frontier.  ``scale`` multiplies every advanced
-        lane's new values (the √c decay), and ``thresholds[lane]`` prunes
-        advanced entries below the lane's threshold after scaling.  The
-        returned int64 array is the per-lane count of CSR entries gathered —
-        the Algorithm 3 cost counter E_k, charged by the caller to whichever
-        budget window owns the lane.
-
-        ``narrow_cap`` opts into the hybrid regime: lanes whose frontier
-        holds more than ``narrow_cap`` entries advance one at a time through
-        the single-lane kernel (whose scatter stays in a lane-local,
-        cache-resident accumulator) while the narrow majority shares the
-        stacked scatter.  Both routes are bit-identical per lane, so the
-        hybrid changes no value — only where the scatter-add lands.
+        The returned int64 array is the per-lane count of CSR entries
+        gathered — the Algorithm 3 cost counter E_k, charged by the caller
+        to whichever budget window owns the lane.
 
         Each step is a cooperative deadline checkpoint (kind ``level``): with
         an active :class:`repro.utils.deadline.Deadline` installed, an expired
@@ -248,98 +156,20 @@ class MultiPropagation:
         boundary.
         """
         checkpoint(CHECKPOINT_LEVEL)
-        if active is None:
-            adv_rows, adv_cols, adv_vals = self._rows, self._cols, self._vals
-            rest_rows = rest_cols = _EMPTY_I
-            rest_vals = _EMPTY_F
-        else:
-            if active.shape != (self.num_lanes,):
-                raise ValueError("active mask must have one entry per lane")
-            sel = active[self._rows]
-            adv_rows, adv_cols, adv_vals = \
-                self._rows[sel], self._cols[sel], self._vals[sel]
-            rest_rows, rest_cols, rest_vals = \
-                self._rows[~sel], self._cols[~sel], self._vals[~sel]
-
-        counts = self._indptr[adv_cols + 1] - self._indptr[adv_cols]
-        edges = np.bincount(adv_rows, weights=counts,
+        rows, cols, vals = self._rows, self._cols, self._vals
+        counts = self._indptr[cols + 1] - self._indptr[cols]
+        edges = np.bincount(rows, weights=counts,
                             minlength=self.num_lanes).astype(np.int64)
-
-        wide = None
-        if narrow_cap is not None:
-            sizes = np.bincount(adv_rows, minlength=self.num_lanes)
-            wide = sizes > narrow_cap
-        if wide is not None and wide.any():
-            new_rows, new_cols, new_vals = self._advance_hybrid(
-                adv_rows, adv_cols, adv_vals, wide)
+        wide = np.bincount(rows, minlength=self.num_lanes) > self._narrow_cap
+        if wide.any():
+            self._rows, self._cols, self._vals = self._advance_hybrid(wide)
         else:
-            blocks = parallel.lane_entry_blocks(adv_rows, self.num_lanes)
-            if len(blocks) > 1:
-                new_rows, new_cols, new_vals = self._advance_blocked(
-                    adv_rows, adv_cols, adv_vals, blocks)
-            elif self.transpose:
-                new_rows, new_cols, new_vals, _ = propagate_batch_transpose(
-                    self._indptr, self._indices, self._in_degrees,
-                    adv_rows, adv_cols, adv_vals, num_nodes=self.num_nodes)
-            else:
-                new_rows, new_cols, new_vals, _ = propagate_batch(
-                    self._indptr, self._indices, adv_rows, adv_cols, adv_vals,
-                    num_nodes=self.num_nodes)
-        if scale != 1.0:
-            new_vals = scale * new_vals
-        if thresholds is not None:
-            keep = new_vals >= thresholds[new_rows]
-            new_rows, new_cols = new_rows[keep], new_cols[keep]
-            new_vals = new_vals[keep]
-
-        if rest_rows.size == 0:
-            self._rows, self._cols, self._vals = new_rows, new_cols, new_vals
-        else:
-            rows = np.concatenate([rest_rows, new_rows])
-            cols = np.concatenate([rest_cols, new_cols])
-            vals = np.concatenate([rest_vals, new_vals])
-            order = np.argsort(rows * np.int64(self.num_nodes) + cols,
-                               kind="stable")
-            self._rows, self._cols, self._vals = \
-                rows[order], cols[order], vals[order]
+            self._rows, self._cols, self._vals, _ = propagate_batch(
+                self._indptr, self._indices, rows, cols, vals,
+                num_nodes=self.num_nodes)
         return edges
 
-    def _advance_blocked(self, adv_rows: np.ndarray, adv_cols: np.ndarray,
-                         adv_vals: np.ndarray, blocks
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance lane-aligned entry blocks on separate threads; concatenate.
-
-        Each block holds whole lanes of the lane-major stacked frontier, so
-        per-``(lane, node)`` contributions arrive in the same occurrence
-        order as in one stacked call and the scatter-add sums them
-        identically — like :meth:`_advance_hybrid`, a pure scheduling
-        decision that changes no float.  Lane ids are rebased per block to
-        keep each scatter's key space lane-count-sized, then restored, and
-        block-order concatenation preserves the lane-major sort.
-        """
-
-        def _run(bounds):
-            lo, hi = bounds
-            lane_lo = int(adv_rows[lo])
-            rows = adv_rows[lo:hi] - lane_lo
-            if self.transpose:
-                r, c, v, _ = propagate_batch_transpose(
-                    self._indptr, self._indices, self._in_degrees,
-                    rows, adv_cols[lo:hi], adv_vals[lo:hi],
-                    num_nodes=self.num_nodes)
-            else:
-                r, c, v, _ = propagate_batch(
-                    self._indptr, self._indices, rows, adv_cols[lo:hi],
-                    adv_vals[lo:hi], num_nodes=self.num_nodes)
-            return r + lane_lo, c, v
-
-        parts = parallel.run_blocks(_run, blocks)
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]))
-
-    def _advance_hybrid(self, adv_rows: np.ndarray, adv_cols: np.ndarray,
-                        adv_vals: np.ndarray, wide: np.ndarray
+    def _advance_hybrid(self, wide: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance wide lanes per-lane and narrow lanes stacked; reassemble.
 
@@ -347,33 +177,20 @@ class MultiPropagation:
         pure scheduling decision; the reassembly copies each lane's sorted
         segment into its slot of the combined lane-major output.
         """
-        entry_wide = wide[adv_rows]
-        narrow_out = propagate_batch_transpose(
-            self._indptr, self._indices, self._in_degrees,
-            adv_rows[~entry_wide], adv_cols[~entry_wide],
-            adv_vals[~entry_wide], num_nodes=self.num_nodes) if self.transpose \
-            else propagate_batch(
-                self._indptr, self._indices, adv_rows[~entry_wide],
-                adv_cols[~entry_wide], adv_vals[~entry_wide],
-                num_nodes=self.num_nodes)
-        narrow_rows, narrow_cols, narrow_vals, _ = narrow_out
+        rows, cols, vals = self._rows, self._cols, self._vals
+        entry_wide = wide[rows]
+        narrow_rows, narrow_cols, narrow_vals, _ = propagate_batch(
+            self._indptr, self._indices, rows[~entry_wide], cols[~entry_wide],
+            vals[~entry_wide], num_nodes=self.num_nodes)
 
-        lane_bounds = np.searchsorted(adv_rows,
-                                      np.arange(self.num_lanes + 1,
-                                                dtype=np.int64))
+        lane_bounds = self.lane_bounds()
         wide_results = {}
         for lane in np.flatnonzero(wide).tolist():
             lo, hi = int(lane_bounds[lane]), int(lane_bounds[lane + 1])
-            frontier = SparseVector.wrap(adv_cols[lo:hi], adv_vals[lo:hi])
-            if self.transpose:
-                advanced, _ = propagate_transpose(
-                    self._indptr, self._indices, self._in_degrees, frontier,
-                    num_nodes=self.num_nodes)
-            else:
-                advanced, _ = propagate_distribution(
-                    self._indptr, self._indices, frontier,
-                    num_nodes=self.num_nodes)
-            wide_results[lane] = advanced
+            wide_results[lane], _ = propagate_distribution(
+                self._indptr, self._indices,
+                SparseVector.wrap(cols[lo:hi], vals[lo:hi]),
+                num_nodes=self.num_nodes)
 
         out_sizes = np.bincount(narrow_rows, minlength=self.num_lanes)
         for lane, vector in wide_results.items():
@@ -402,87 +219,4 @@ class MultiPropagation:
         return new_rows, new_cols, new_vals
 
 
-class DenseLanePropagation:
-    """L independent propagations carried as one (num_nodes × L) dense matrix.
-
-    The saturated-frontier sibling of :class:`MultiPropagation`: one level is
-    a single ``scipy`` CSR-times-dense product ``M @ X`` — one C-level pass
-    over the weighted transition structure for *all* lanes — instead of a
-    stacked sparse scatter whose cost tracks the (here: saturated) frontier
-    size.  Supports match the sparse kernels exactly (a dense entry is zero
-    iff no walk mass reaches it); values agree only to ~1e-15 per level
-    because the matrix product multiplies each contribution by the edge
-    weight before adding, where the frontier kernels sum first and divide
-    once.  Use for exact (unpruned) many-lane walks — the PRSim hub index
-    build — never where bit-equality with the sequential kernels is part of
-    the contract.
-    """
-
-    def __init__(self, matrix, structure_degrees: np.ndarray, *,
-                 num_nodes: int, num_lanes: int):
-        if num_lanes <= 0:
-            raise ValueError("num_lanes must be positive")
-        self._matrix = matrix
-        self._degrees = structure_degrees
-        self.num_nodes = int(num_nodes)
-        self.num_lanes = int(num_lanes)
-        self._state = np.zeros((self.num_nodes, self.num_lanes),
-                               dtype=np.float64)
-
-    @classmethod
-    def forward(cls, graph: DiGraph, num_lanes: int, operator
-                ) -> "DenseLanePropagation":
-        """Reverse-walk direction ``P @ x`` (mass spreads to in-neighbours)."""
-        return cls(operator.matrix, graph.in_degrees,
-                   num_nodes=graph.num_nodes, num_lanes=num_lanes)
-
-    @classmethod
-    def adjoint(cls, graph: DiGraph, num_lanes: int, operator
-                ) -> "DenseLanePropagation":
-        """Transpose direction ``Pᵀ @ x`` (the PRSim hub-walk operator)."""
-        return cls(operator.matrix_t, graph.out_degrees,
-                   num_nodes=graph.num_nodes, num_lanes=num_lanes)
-
-    def seed_units(self, nodes: np.ndarray) -> None:
-        """Seed lane ``i`` with the unit vector ``e_{nodes[i]}``."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.shape != (self.num_lanes,):
-            raise ValueError("seed_units needs exactly one start node per lane")
-        self._state[:] = 0.0
-        self._state[nodes, np.arange(self.num_lanes)] = 1.0
-
-    def frontier(self, lane: int) -> SparseVector:
-        column = self._state[:, lane]
-        support = np.flatnonzero(column)
-        return SparseVector(support.astype(np.int64), column[support])
-
-    def step(self, *, scale: float = 1.0) -> np.ndarray:
-        """Advance every lane one level; return per-lane edges traversed.
-
-        The edge count per lane is the same CSR-entry accounting as the
-        sparse engine: the structure degrees of the lane's support.  Like the
-        sparse engine, every step is a ``level`` deadline checkpoint.
-        """
-        checkpoint(CHECKPOINT_LEVEL)
-        edges = (self._degrees.astype(np.float64)
-                 @ (self._state != 0.0)).astype(np.int64)
-        self._state = parallel.parallel_spmm(self._matrix, self._state)
-        if scale != 1.0:
-            self._state *= scale
-        return edges
-
-    def snapshot(self, *, scale: float = 1.0,
-                 thresholds: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scaled, per-lane-thresholded COO copy in canonical (lane, node) order."""
-        scaled = self._state.T if scale == 1.0 else scale * self._state.T
-        if thresholds is None:
-            keep = scaled != 0.0
-        else:
-            keep = scaled >= thresholds[:, np.newaxis]
-        rows, cols = np.nonzero(keep)
-        return (rows.astype(np.int64), cols.astype(np.int64),
-                np.ascontiguousarray(scaled[rows, cols]))
-
-
-__all__ = ["DenseLanePropagation", "MultiPropagation", "dense_lane_limit"]
+__all__ = ["MultiPropagation", "dense_lane_limit"]

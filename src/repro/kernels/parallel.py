@@ -1,36 +1,36 @@
 """Process-wide thread-parallel execution substrate for the kernels.
 
-One shared :class:`~concurrent.futures.ThreadPoolExecutor` serves every
-parallel kernel path in the process — the column-blocked dense-lane product,
-the lane-blocked stacked advance, and the sharded walk advancement.  Threads
-(not processes) are the right vehicle here because the hot loops all bottom
-out in C code that releases the GIL: ``scipy``'s CSR×dense product, numpy's
-ufunc loops, and the Generator's binomial/multinomial fills.
+One shared :class:`~concurrent.futures.ThreadPoolExecutor` serves the two
+threaded kernel paths in the process.  Threads (not processes) are the
+right vehicle here because both bottom out in C code that releases the
+GIL: ``scipy``'s CSR×dense product and the Generator's binomial/multinomial
+fills.  Each path stays because it won when measured on a 2-core box:
+
+* ``parallel_spmm`` — column blocks of one CSR×dense product (the
+  per-level products of ExactSim, SLING and Linearization, and PRSim's hub
+  build).  A PL200K (200k × 8) product takes 17.5 ms at 2 threads vs
+  23.5 ms at 1.
+* sharded ``pair_meet_counts`` (see :mod:`repro.randomwalk.aggregate`) —
+  the Algorithm 2/3 pair walks.  ``exactsim-gq`` p50 is 3.94 s at 2
+  threads vs 4.59 s at 1.
 
 Determinism contract
 --------------------
-Every parallel path is either *bit-identical* to its serial twin or
-*deterministic given (seed, thread count)*:
-
 * ``parallel_spmm`` — bit-identical.  scipy's ``csr_matvecs`` computes each
   output element by walking the row's CSR nonzeros in order, independently of
   which other columns sit in the same call, so computing a contiguous column
   block at a time changes no float.  Each thread writes a disjoint slice of
   one preallocated output.
-* lane-blocked stacked advance — bit-identical.  The scatter-add sums each
-  ``(lane, node)`` key's contributions in entry-occurrence order, and a
-  lane's entries never interleave with another lane's under the same key, so
-  splitting the stacked frontier at lane boundaries is a pure scheduling
-  decision (the same argument that licenses the ``narrow_cap`` hybrid).
-* sharded walks (see :mod:`repro.randomwalk.aggregate`) — *not* bit-identical
-  to serial, but deterministic: shard ``i`` draws from the ``i``-th
-  ``Generator.spawn`` child stream, so the result depends only on the seed
-  and the shard count, never on thread scheduling.
+* sharded pair walks — *not* bit-identical to serial, but deterministic:
+  shard ``i`` draws from the ``i``-th ``Generator.spawn`` child stream, so a
+  step above ``SHARD_MIN_STATES`` occupied states depends only on the seed
+  and the thread count, never on thread scheduling.  Below the threshold
+  the serial stream runs at any thread count, bit for bit.
 
 Thread count resolves from ``REPRO_NUM_THREADS`` (falling back to the CPU
 count) and can be overridden at runtime with :func:`set_num_threads`.  An
 auto heuristic (work below :data:`MIN_PARALLEL_WORK`, fewer than two
-blockable units) keeps tiny graphs on the serial paths so they never pay
+columns) keeps tiny products on the serial path so they never pay
 thread-pool overhead.  The pool is discarded in forked children
 (``os.register_at_fork``) — executor threads do not survive ``fork``, and
 worker processes re-create their own pool on first use.
@@ -50,15 +50,14 @@ __all__ = [
     "column_blocks",
     "default_num_threads",
     "get_num_threads",
-    "lane_entry_blocks",
     "parallel_spmm",
     "run_blocks",
     "set_num_threads",
 ]
 
-#: Minimum amount of kernel work (scalar multiply-adds for the dense product,
-#: stacked entries for the COO advance) below which the serial path always
-#: wins: thread handoff costs ~50µs while a small product finishes in less.
+#: Minimum amount of kernel work (scalar multiply-adds of the dense product)
+#: below which the serial path always wins: thread handoff costs ~50µs
+#: while a small product finishes in less.
 MIN_PARALLEL_WORK = 1 << 21
 
 _ENV_VAR = "REPRO_NUM_THREADS"
@@ -151,38 +150,6 @@ def column_blocks(num_columns: int, *, threads: Optional[int] = None
     bounds = np.linspace(0, num_columns, pieces + 1).astype(np.int64)
     return [(int(bounds[i]), int(bounds[i + 1]))
             for i in range(pieces) if bounds[i] < bounds[i + 1]]
-
-
-def lane_entry_blocks(rows: np.ndarray, num_lanes: int, *,
-                      threads: Optional[int] = None,
-                      min_entries: Optional[int] = None
-                      ) -> List[Tuple[int, int]]:
-    """Entry ranges of a lane-major stacked frontier, split at lane boundaries.
-
-    ``rows`` must be lane-major sorted (the invariant the stacked state
-    maintains).  Returns one block when the heuristic says serial: a single
-    configured thread, too few stacked entries, or fewer than two distinct
-    lanes.  Blocks are balanced by *entries*, not lanes, so one fat lane
-    does not serialize the rest, and never split inside a lane.
-    """
-    total = int(rows.size)
-    if threads is None:
-        threads = get_num_threads()
-    if min_entries is None:
-        min_entries = MIN_PARALLEL_WORK
-    if threads <= 1 or total < min_entries:
-        return [(0, total)]
-    lane_bounds = np.searchsorted(
-        rows, np.arange(num_lanes + 1, dtype=np.int64))
-    targets = np.linspace(0, total, min(threads, num_lanes) + 1)
-    cuts = np.unique(lane_bounds[
-        np.searchsorted(lane_bounds, targets, side="left").clip(
-            0, num_lanes)])
-    cuts = cuts[(cuts > 0) & (cuts < total)]
-    edges = [0, *cuts.tolist(), total]
-    blocks = [(int(edges[i]), int(edges[i + 1]))
-              for i in range(len(edges) - 1) if edges[i] < edges[i + 1]]
-    return blocks if len(blocks) > 1 else [(0, total)]
 
 
 def parallel_spmm(matrix, dense: np.ndarray, *,

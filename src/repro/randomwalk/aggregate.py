@@ -23,22 +23,23 @@ dwarfs the reachable neighbourhood.
 All kernels draw from a caller-supplied :class:`numpy.random.Generator`, so
 identical seeds reproduce identical results bit for bit.
 
-Sharded advancement
--------------------
-When a frontier holds at least :data:`SHARD_MIN_STATES` distinct occupied
-states and the process is configured for more than one kernel thread
-(:mod:`repro.kernels.parallel`), the advance splits the state arrays into
-contiguous per-thread shards, each drawing from its own
-``Generator.spawn`` child stream.  Collapsed walks are exchangeable, so
-which shard a state lands in only re-partitions the ensemble — every shard
-advances its walks with the same closed-form distributions, and the
-post-move ``group_sum`` collapses the union exactly as in the serial path.
-The result is *not* bit-identical to the serial stream (different draws),
-but it is a sample of the same distribution and is deterministic given
-``(seed, shard count)``: child streams come from ``spawn``, whose keys
-depend only on the parent seed and the spawn order, never on thread
-scheduling.  Below the threshold (every tier-1 test graph) the serial
-stream runs untouched, so pinned fixtures see identical bits.
+Sharded pair walks
+------------------
+When a pair-walk step of :func:`pair_meet_counts` holds at least
+:data:`SHARD_MIN_STATES` distinct occupied pair states and the process is
+configured for more than one kernel thread (:mod:`repro.kernels.parallel`),
+the step splits the state arrays into contiguous per-thread shards, each
+drawing from its own ``Generator.spawn`` child stream.  Collapsed pairs are
+exchangeable, so which shard a state lands in only re-partitions the
+ensemble — every shard moves its pairs with the same closed-form
+distributions, and the post-move regroup collapses the union exactly as in
+the serial path.  The result is *not* bit-identical to the serial stream
+(different draws), but it is a sample of the same distribution and is
+deterministic given ``(seed, thread count)``: child streams come from
+``spawn``, whose keys depend only on the parent seed and the spawn order,
+never on thread scheduling.  Below the threshold (every tier-1 test graph)
+the serial stream runs untouched at any thread count, so pinned fixtures
+see identical bits.
 """
 
 from __future__ import annotations
@@ -52,15 +53,14 @@ from repro.utils.deadline import CHECKPOINT_WALK_BATCH, checkpoint
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 
-#: Minimum distinct occupied states before an advance auto-shards; chosen so
+#: Minimum distinct occupied pair states before a step auto-shards; chosen so
 #: every pinned-fixture graph in the test suite stays on the serial stream.
 SHARD_MIN_STATES = 1 << 15
 
 
-def walk_shards(num_states: int, *, threads: Optional[int] = None) -> int:
+def walk_shards(num_states: int) -> int:
     """Shard count the auto heuristic picks for ``num_states`` occupied states."""
-    if threads is None:
-        threads = parallel.get_num_threads()
+    threads = parallel.get_num_threads()
     if threads <= 1 or num_states < SHARD_MIN_STATES:
         return 1
     return max(1, min(int(threads), num_states // (SHARD_MIN_STATES // 2)))
@@ -222,52 +222,16 @@ def multinomial_split(rng: np.random.Generator, indptr: np.ndarray,
 
 def advance_frontier(rng: np.random.Generator, indptr: np.ndarray,
                      indices: np.ndarray, in_degrees: np.ndarray,
-                     nodes: np.ndarray, counts: np.ndarray,
-                     survival: float, *,
-                     shards: Optional[int] = None
+                     nodes: np.ndarray, counts: np.ndarray, survival: float
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """One aggregated √c-walk step of a ``(nodes, counts)`` frontier.
 
     Each of the collapsed walks survives independently with probability
     ``survival`` (pass 1.0 for a non-stop prefix step); survivors at dangling
     nodes stop regardless.  Returns the aggregated next frontier.
-
-    ``shards`` forces the shard count; the default picks it with
-    :func:`walk_shards` (1 below :data:`SHARD_MIN_STATES` states — the
-    serial stream, bit-identical to earlier releases).  With ``n > 1``
-    shards the draws come from ``rng.spawn(n)`` child streams, one per
-    contiguous state shard (see the module docstring for the contract).
     """
     counts = np.asarray(counts, dtype=np.int64)
     nodes = np.asarray(nodes, dtype=np.int64)
-    num_shards = walk_shards(nodes.size) if shards is None \
-        else max(1, int(shards))
-    if num_shards > 1 and nodes.size >= num_shards:
-        streams = rng.spawn(num_shards)
-        bounds = np.linspace(0, nodes.size, num_shards + 1).astype(np.int64)
-
-        def _shard(index: int):
-            lo, hi = int(bounds[index]), int(bounds[index + 1])
-            return _advance_slice(streams[index], indptr, indices, in_degrees,
-                                  nodes[lo:hi], counts[lo:hi], survival)
-
-        parts = parallel.run_blocks(_shard, list(range(num_shards)))
-        dests = np.concatenate([p[0] for p in parts])
-        split = np.concatenate([p[1] for p in parts])
-    else:
-        dests, split = _advance_slice(rng, indptr, indices, in_degrees,
-                                      nodes, counts, survival)
-    if dests.size == 0:
-        return _EMPTY_INT, _EMPTY_INT
-    (unique_dests,), sums = group_sum(split, dests)
-    return unique_dests, sums
-
-
-def _advance_slice(rng: np.random.Generator, indptr: np.ndarray,
-                   indices: np.ndarray, in_degrees: np.ndarray,
-                   nodes: np.ndarray, counts: np.ndarray, survival: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Thin and split one state slice; returns unaggregated (dests, counts)."""
     if survival < 1.0:
         counts = rng.binomial(counts, survival)
     keep = (counts > 0) & (in_degrees[nodes] > 0)
@@ -275,15 +239,15 @@ def _advance_slice(rng: np.random.Generator, indptr: np.ndarray,
     if nodes.size == 0:
         return _EMPTY_INT, _EMPTY_INT
     _, dests, split = multinomial_split(rng, indptr, indices, nodes, counts)
-    return dests, split
+    (unique_dests,), sums = group_sum(split, dests)
+    return unique_dests, sums
 
 
 def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
                      indices: np.ndarray, in_degrees: np.ndarray,
                      decay: float, first: np.ndarray, second: np.ndarray,
                      counts: np.ndarray, *, max_steps: int,
-                     skip_steps: np.ndarray,
-                     shards: Optional[int] = None) -> np.ndarray:
+                     skip_steps: np.ndarray) -> np.ndarray:
     """Aggregated pair-of-√c-walks meeting counts, one entry per origin.
 
     Entry ``p`` simulates ``counts[p]`` independent pairs of √c-walks started
@@ -302,11 +266,10 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
     in-edges, then over ``v``'s).  Pairs where either walk reaches a dangling
     node can never meet again and are dropped.
 
-    ``shards`` forces the per-step shard count (default: the
-    :func:`walk_shards` heuristic on the live distinct-state count).  A
-    sharded step moves each contiguous state shard under its own spawned
-    child stream and regroups the union once — same distribution, serial
-    stream untouched below the threshold.
+    A step above :data:`SHARD_MIN_STATES` live pair states moves each of
+    :func:`walk_shards` contiguous state shards under its own spawned child
+    stream and regroups the union once — same distribution, serial stream
+    untouched below the threshold (see the module docstring).
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
@@ -324,9 +287,8 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
         if m.size == 0:
             break
         checkpoint(CHECKPOINT_WALK_BATCH)
-        num_shards = walk_shards(m.size) if shards is None \
-            else max(1, int(shards))
-        if num_shards > 1 and m.size >= num_shards:
+        num_shards = walk_shards(m.size)
+        if num_shards > 1:
             streams = rng.spawn(num_shards)
             bounds = np.linspace(0, m.size, num_shards + 1).astype(np.int64)
 

@@ -123,30 +123,6 @@ class SqrtCWalkEngine:
             raise ValueError("start node out of range")
         return self._record_walks(start.copy(), max_steps)
 
-    def terminal_nodes(self, node: int, num_walks: int, steps: int) -> np.ndarray:
-        """Positions after exactly ``steps`` non-stopping moves (−1 at dead ends).
-
-        Used by Algorithm 3: walks that survive their ``ℓ(k)``-step non-stop
-        prefix continue as fresh √c-walks from wherever they are.
-        """
-        node = check_node_index(node, self.graph.num_nodes)
-        finals = np.full(num_walks, -1, dtype=np.int64)
-        alive = np.arange(num_walks, dtype=np.int64)
-        current = np.full(num_walks, node, dtype=np.int64)
-        for _ in range(steps):
-            if alive.size == 0:
-                break
-            checkpoint(CHECKPOINT_WALK_BATCH)
-            movable = self._in_degrees[current] > 0
-            alive, current = alive[movable], current[movable]
-            if alive.size == 0:
-                break
-            degrees = self._in_degrees[current]
-            offsets = (self.rng.random(current.shape[0]) * degrees).astype(np.int64)
-            current = self._indices[self._indptr[current] + offsets]
-        finals[alive] = current
-        return finals
-
     # ------------------------------------------------------------------ #
     # count-aggregated ensemble simulation
     # ------------------------------------------------------------------ #
@@ -184,25 +160,6 @@ class SqrtCWalkEngine:
                 break
             levels.append((nodes, counts))
         return levels
-
-    def estimate_visit_distribution(self, node: int, num_walks: int, *,
-                                    max_steps: int = 16) -> np.ndarray:
-        """Empirical ℓ-hop visiting distribution of √c-walks from ``node``.
-
-        Row ``ℓ`` of the returned ``(max_steps + 1, n)`` array estimates
-        Pr[the walk is alive at step ℓ and located at node k], i.e. the ℓ-hop
-        hitting-probability vector ``(√c P)^ℓ e_node``.  Runs on the
-        count-aggregated frontier.
-        """
-        node = check_node_index(node, self.graph.num_nodes)
-        num_walks = check_positive_int(num_walks, "num_walks")
-        levels = self.visit_count_steps(np.array([node], dtype=np.int64),
-                                        np.array([num_walks], dtype=np.int64),
-                                        max_steps=max_steps)
-        histogram = np.zeros((max_steps + 1, self.graph.num_nodes), dtype=np.float64)
-        for step, (nodes, counts) in enumerate(levels):
-            histogram[step, nodes] = counts
-        return histogram / float(num_walks)
 
     # ------------------------------------------------------------------ #
     # aggregated pair meetings
@@ -249,55 +206,6 @@ class SqrtCWalkEngine:
                                 self._in_degrees, self.decay, first, second,
                                 counts, max_steps=max_steps,
                                 skip_steps=np.ascontiguousarray(skip))
-
-    # ------------------------------------------------------------------ #
-    # mask-shaped compatibility wrappers
-    # ------------------------------------------------------------------ #
-    def pair_walks_meet(self, node: int, num_pairs: int, *, max_steps: int = 64,
-                        skip_steps: int = 0) -> np.ndarray:
-        """Boolean meet mask over ``num_pairs`` pairs of walks from ``node``.
-
-        Backed by the aggregated :meth:`pair_meet_counts`; pairs are
-        exchangeable, so the mask's only meaningful statistic is its sum — the
-        first ``met`` entries are set.  Prefer :meth:`pair_meet_counts` in new
-        code.
-        """
-        node = check_node_index(node, self.graph.num_nodes)
-        num_pairs = check_positive_int(num_pairs, "num_pairs")
-        met = int(self.pair_meet_counts(
-            np.array([node], dtype=np.int64), np.array([num_pairs], dtype=np.int64),
-            max_steps=max_steps, skip_steps=skip_steps)[0])
-        mask = np.zeros(num_pairs, dtype=bool)
-        mask[:met] = True
-        return mask
-
-    def pair_walks_meet_batch(self, start_nodes: np.ndarray, *,
-                              max_steps: int = 64) -> np.ndarray:
-        """Meet mask for one pair of √c-walks per entry of ``start_nodes``.
-
-        Duplicated start entries collapse into one origin with a pair count
-        before simulation (pairs from the same node are exchangeable), so the
-        cost matches one aggregated :meth:`pair_meet_counts` call over the
-        unique start nodes; the per-origin meet counts are then scattered
-        back onto the first entries of each group.  Prefer
-        :meth:`pair_meet_counts` in new code.
-        """
-        start = np.asarray(start_nodes, dtype=np.int64)
-        if start.ndim != 1:
-            raise ValueError("start_nodes must be one-dimensional")
-        if start.size == 0:
-            return np.zeros(0, dtype=bool)
-        if start.min() < 0 or start.max() >= self.graph.num_nodes:
-            raise ValueError("start node out of range")
-        unique, inverse = np.unique(start, return_inverse=True)
-        totals = np.bincount(inverse, minlength=unique.shape[0]).astype(np.int64)
-        met_counts = self.pair_meet_counts(unique, totals, max_steps=max_steps)
-        order = np.argsort(inverse, kind="stable")
-        group_offsets = np.concatenate(([0], np.cumsum(totals)[:-1]))
-        ranks = np.arange(start.shape[0], dtype=np.int64) - group_offsets[inverse[order]]
-        mask = np.zeros(start.shape[0], dtype=bool)
-        mask[order[ranks < met_counts[inverse[order]]]] = True
-        return mask
 
 
 __all__ = ["CountFrontier", "SqrtCWalkEngine", "WalkBatch"]

@@ -104,11 +104,12 @@ class ReferenceWalkEngine:
             lengths[current >= 0] = step
         return WalkBatch(positions=positions, lengths=lengths)
 
-    def pair_walks_meet(self, node: int, num_pairs: int, *, max_steps: int = 64,
-                        skip_steps: int = 0) -> np.ndarray:
-        """Simulate ``num_pairs`` *pairs* of walks from ``node``; return a meet mask.
+    def pair_meet_counts(self, start_nodes: np.ndarray, pair_counts: np.ndarray,
+                         *, max_steps: int = 64, skip_steps: int = 0) -> np.ndarray:
+        """How many of ``pair_counts[p]`` walk pairs from ``start_nodes[p]`` meet.
 
-        A pair "meets" if the two walks occupy the same node at the same step
+        Every pair is simulated walk by walk in one full-width batch.  A pair
+        "meets" if the two walks occupy the same node at the same step
         ``t ≥ 1`` while both are still alive.  With ``skip_steps > 0`` the
         walks do not flip the stopping coin during their first ``skip_steps``
         steps (they stop only at dead ends) — this is the "non-stop prefix"
@@ -116,13 +117,18 @@ class ReferenceWalkEngine:
         Σ_{ℓ>ℓ(k)} Z_ℓ(k).  In that mode a pair whose walks already met during
         the prefix is excluded (its first meeting belongs to the
         deterministically computed part), and only meetings strictly after the
-        prefix are reported.
+        prefix are counted.
         """
-        node = check_node_index(node, self.graph.num_nodes)
-        num_pairs = check_positive_int(num_pairs, "num_pairs")
-
-        first = np.full(num_pairs, node, dtype=np.int64)
-        second = np.full(num_pairs, node, dtype=np.int64)
+        starts = np.asarray(start_nodes, dtype=np.int64)
+        counts = np.asarray(pair_counts, dtype=np.int64)
+        if starts.shape != counts.shape or starts.ndim != 1:
+            raise ValueError("start_nodes and pair_counts must be matching 1-d arrays")
+        if starts.size and (starts.min() < 0 or starts.max() >= self.graph.num_nodes):
+            raise ValueError("start node out of range")
+        origin = np.repeat(np.arange(starts.shape[0], dtype=np.int64), counts)
+        num_pairs = origin.shape[0]
+        first = starts[origin]
+        second = first.copy()
         met = np.zeros(num_pairs, dtype=bool)
         met_in_prefix = np.zeros(num_pairs, dtype=bool)
         for step in range(1, max_steps + 1):
@@ -142,53 +148,7 @@ class ReferenceWalkEngine:
                 met_in_prefix |= same_node
             else:
                 met |= same_node & ~met_in_prefix
-        return met
-
-    def pair_walks_meet_batch(self, start_nodes: np.ndarray, *,
-                              max_steps: int = 64) -> np.ndarray:
-        """Simulate one pair of √c-walks per entry of ``start_nodes``; return meet mask."""
-        start = np.asarray(start_nodes, dtype=np.int64)
-        if start.ndim != 1:
-            raise ValueError("start_nodes must be one-dimensional")
-        if start.size and (start.min() < 0 or start.max() >= self.graph.num_nodes):
-            raise ValueError("start node out of range")
-        num_pairs = start.shape[0]
-        first = start.copy()
-        second = start.copy()
-        met = np.zeros(num_pairs, dtype=bool)
-        for _ in range(max_steps):
-            active = (first >= 0) & (second >= 0) & ~met
-            if not active.any():
-                break
-            survive_first = self.rng.random(num_pairs) < self.sqrt_c
-            survive_second = self.rng.random(num_pairs) < self.sqrt_c
-            first = self._advance(first, survive_first)
-            second = self._advance(second, survive_second)
-            met |= (first >= 0) & (first == second)
-        return met
-
-    def terminal_nodes(self, node: int, num_walks: int, steps: int) -> np.ndarray:
-        """Positions after exactly ``steps`` non-stopping moves (−1 at dead ends)."""
-        node = check_node_index(node, self.graph.num_nodes)
-        current = np.full(num_walks, node, dtype=np.int64)
-        always = np.ones(num_walks, dtype=bool)
-        for _ in range(steps):
-            if not (current >= 0).any():
-                break
-            current = self._advance(current, always)
-        return current
-
-    def estimate_visit_distribution(self, node: int, num_walks: int, *,
-                                    max_steps: int = 16) -> np.ndarray:
-        """Empirical ℓ-hop visiting distribution of √c-walks from ``node``."""
-        batch = self.walks_from(node, num_walks, max_steps=max_steps)
-        histogram = np.zeros((max_steps + 1, self.graph.num_nodes), dtype=np.float64)
-        for step in range(max_steps + 1):
-            row = batch.positions[step]
-            nodes = row[row >= 0]
-            if nodes.size:
-                histogram[step] += np.bincount(nodes, minlength=self.graph.num_nodes)
-        return histogram / float(num_walks)
+        return np.bincount(origin[met], minlength=starts.shape[0]).astype(np.int64)
 
 
 __all__ = ["ReferenceWalkEngine"]

@@ -50,6 +50,30 @@ class TestQueryCommand:
             main(["query", "--source", "0"])
 
 
+class TestMethodConfig:
+    def test_answer_keeps_the_exactsim_sample_cap(self):
+        """``answer`` has no --max-samples flag, so ExactSim keeps the
+        5×10⁵ default cap of ExactSimConfig instead of running uncapped."""
+        from repro.algorithms import registry
+        from repro.cli import _build_parser, _method_config
+        from repro.core.config import ExactSimConfig
+
+        args = _build_parser().parse_args(["answer", "--dataset", "GQ"])
+        config = _method_config(args, "exactsim", accepted_params_only=True)
+        graph = preferential_attachment_graph(30, 2, directed=False, seed=1)
+        algorithm = registry.create("exactsim", graph, config)
+        assert algorithm.config.max_total_samples \
+            == ExactSimConfig().max_total_samples == 500_000
+
+    def test_query_flag_sets_the_sample_cap(self):
+        from repro.cli import _build_parser, _method_config
+
+        args = _build_parser().parse_args(
+            ["query", "--dataset", "GQ", "--source", "1",
+             "--max-samples", "20000"])
+        assert _method_config(args, "exactsim")["max_total_samples"] == 20_000
+
+
 class TestExperimentCommand:
     def test_table2(self, capsys):
         assert main(["experiment", "table2"]) == 0

@@ -9,7 +9,7 @@ from repro.diagonal.basic import estimate_diagonal_basic
 from repro.diagonal.exact import exact_diagonal, exact_diagonal_entry
 from repro.diagonal.local import (
     estimate_diagonal_entry_local,
-    estimate_diagonal_local,
+    estimate_diagonal_local_batch,
     first_meeting_probabilities,
 )
 from repro.diagonal.parsim_approx import parsim_diagonal
@@ -120,7 +120,8 @@ class TestLocalExploitation:
         budget = total_sample_budget(collab_graph.num_nodes, 0.05, decay=DECAY)
         ppr = ppr_vector(collab_graph, 0, decay=DECAY)
         allocation, _ = allocate_proportional(ppr, min(budget, 100_000))
-        estimated = estimate_diagonal_local(collab_graph, allocation, decay=DECAY, seed=5)
+        estimated = estimate_diagonal_local_batch(collab_graph, [allocation],
+                                                  decay=DECAY, seed=5)[0]
         relevant = allocation > 0
         assert np.max(np.abs(estimated[relevant] - exact[relevant])) < 0.08
 

@@ -1,14 +1,15 @@
-"""Thread-invariance and multicore-substrate tests (PR 10).
+"""Thread-invariance and multicore-substrate tests.
 
-The determinism contract under test, in three tiers:
+The determinism contract of the two threaded kernel paths, in three tiers:
 
-1. **Bit-identical regardless of thread count** — dense-lane spmm
-   (column blocking) and the stacked COO advance (lane blocking) must
+1. **Bit-identical regardless of thread count** — column-blocked
+   ``parallel_spmm`` (and PRSim's hub build, which runs on it) must
    produce the same bits at 1, 2 and 4 threads, because blocking never
    changes any per-element summation order.
-2. **Deterministic given (seed, shard count)** — sharded walk advancement
-   draws from ``rng.spawn`` child streams: a different (exchangeable)
-   sample than the serial stream, but exactly reproducible.
+2. **Deterministic given (seed, thread count)** — sharded pair walks draw
+   from ``rng.spawn`` child streams: a different (exchangeable) sample
+   than the serial stream, but exactly reproducible and of the same
+   distribution.
 3. **Serial below threshold** — every tier-1 test graph sits under
    ``SHARD_MIN_STATES``, so the auto path must keep the pinned serial
    stream bit-for-bit.
@@ -34,12 +35,14 @@ from repro.graph.updates import (
     WalCorruptionError,
 )
 from repro.kernels import parallel
-from repro.kernels.multiprop import DenseLanePropagation, MultiPropagation
+from repro.kernels.multiprop import MultiPropagation
+from repro.randomwalk import aggregate
 from repro.randomwalk.aggregate import (
     SHARD_MIN_STATES,
     advance_frontier,
     walk_shards,
 )
+from repro.randomwalk.engine import SqrtCWalkEngine
 
 THREAD_COUNTS = (1, 2, 4)
 
@@ -89,17 +92,6 @@ def test_column_blocks_cover_and_partition():
         assert hi == lo
 
 
-def test_lane_entry_blocks_align_to_lanes():
-    rows = np.repeat(np.arange(6, dtype=np.int64), [5, 1, 9, 2, 7, 3])
-    blocks = parallel.lane_entry_blocks(rows, 6, threads=3, min_entries=1)
-    assert blocks[0][0] == 0 and blocks[-1][1] == rows.size
-    for lo, hi in blocks:
-        if lo > 0:
-            assert rows[lo] != rows[lo - 1]     # never splits inside a lane
-        if hi < rows.size:
-            assert rows[hi] != rows[hi - 1]
-
-
 # --------------------------------------------------------------------------- #
 # tier 1: bit-identical at every thread count
 # --------------------------------------------------------------------------- #
@@ -125,39 +117,43 @@ def test_parallel_spmm_single_column_and_vector(random_graph):
 
 def test_dense_lane_propagation_thread_invariant(random_graph,
                                                  forced_parallel):
-    operator = GraphContext.shared(random_graph).operator(0.6)
-    sources = np.arange(16, dtype=np.int64)
-    states = {}
+    """PRSim's hub build: unit columns propagated by parallel_spmm."""
+    from repro.baselines.prsim import PRSim
+
+    prsim = PRSim(random_graph, epsilon=1e-2, hub_fraction=0.1, seed=5)
+    hubs = np.argsort(-random_graph.in_degrees)[:16].astype(np.int64)
+    threshold = (1.0 - prsim._operator.sqrt_c) ** 2 * prsim.epsilon
+    builds = {}
     for threads in THREAD_COUNTS:
         parallel.set_num_threads(threads)
         try:
-            prop = DenseLanePropagation.forward(random_graph, sources.size,
-                                                operator)
-            prop.seed_units(sources)
-            for _ in range(4):
-                prop.step(scale=float(np.sqrt(0.6)))
-            states[threads] = prop.snapshot()
+            builds[threads] = prsim._build_hub_vectors(
+                hubs, prsim.num_iterations(), threshold)
         finally:
             parallel.set_num_threads(parallel.default_num_threads())
     for threads in THREAD_COUNTS[1:]:
-        for a, b in zip(states[threads], states[1]):
+        for a, b in zip(builds[threads], builds[1]):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("wide", [False, True])
 def test_multiprop_advance_thread_invariant(random_graph, forced_parallel,
-                                            transpose):
+                                            wide):
+    """Stacked lanes, and (``wide``) a lane past the narrow cap that
+    advances through the per-lane kernel."""
     sources = np.argsort(-random_graph.in_degrees)[:24].astype(np.int64)
+    rows, cols = np.arange(sources.size), sources
+    if wide:
+        rows = np.concatenate([rows, np.full(200, sources.size)])
+        cols = np.concatenate([cols, np.arange(200)])
     states = {}
     for threads in THREAD_COUNTS:
         parallel.set_num_threads(threads)
         try:
-            prop = (MultiPropagation.adjoint(random_graph, sources.size)
-                    if transpose
-                    else MultiPropagation.forward(random_graph, sources.size))
-            prop.seed_units(sources)
+            prop = MultiPropagation(random_graph, int(rows.max()) + 1)
+            prop.seed(rows, cols, np.ones(rows.size))
             for _ in range(3):
-                prop.step(scale=np.sqrt(0.6))
+                prop.step()
             states[threads] = (prop.rows.copy(), prop.cols.copy(),
                                prop.values.copy())
         finally:
@@ -168,11 +164,12 @@ def test_multiprop_advance_thread_invariant(random_graph, forced_parallel,
 
 
 def test_multiprop_single_lane_b1(random_graph, forced_parallel):
-    """B=1: lane blocking must degenerate gracefully to one block."""
-    prop = MultiPropagation.forward(random_graph, 1)
-    prop.seed_units(np.array([int(np.argmax(random_graph.in_degrees))]))
-    reference = MultiPropagation.forward(random_graph, 1)
-    reference.seed_units(np.array([int(np.argmax(random_graph.in_degrees))]))
+    """B=1: a single lane steps identically at every thread count."""
+    start = np.array([int(np.argmax(random_graph.in_degrees))])
+    prop = MultiPropagation(random_graph, 1)
+    prop.seed(np.zeros(1), start, np.ones(1))
+    reference = MultiPropagation(random_graph, 1)
+    reference.seed(np.zeros(1), start, np.ones(1))
     for threads in THREAD_COUNTS:
         parallel.set_num_threads(threads)
         try:
@@ -190,7 +187,7 @@ def test_multiprop_empty_frontier(forced_parallel):
     for threads in THREAD_COUNTS:
         parallel.set_num_threads(threads)
         try:
-            prop = MultiPropagation.forward(graph, 4)
+            prop = MultiPropagation(graph, 4)
             prop.step()
             assert prop.rows.size == 0
         finally:
@@ -207,8 +204,8 @@ def test_dangling_nodes_thread_invariant(forced_parallel):
     for threads in THREAD_COUNTS:
         parallel.set_num_threads(threads)
         try:
-            prop = MultiPropagation.forward(graph, seeds.size)
-            prop.seed_units(seeds)
+            prop = MultiPropagation(graph, seeds.size)
+            prop.seed(np.arange(seeds.size), seeds, np.ones(seeds.size))
             prop.step()
             states[threads] = (prop.rows.copy(), prop.cols.copy())
         finally:
@@ -219,54 +216,99 @@ def test_dangling_nodes_thread_invariant(forced_parallel):
 
 
 # --------------------------------------------------------------------------- #
-# tier 2/3: sharded walks — deterministic per (seed, shards), serial below
-# the threshold
+# tier 2/3: sharded pair walks — deterministic per (seed, thread count),
+# serial below the threshold
 # --------------------------------------------------------------------------- #
+def _with_threads(threads, fn):
+    parallel.set_num_threads(threads)
+    try:
+        return fn()
+    finally:
+        parallel.set_num_threads(parallel.default_num_threads())
+
+
 def test_walk_shards_serial_below_threshold():
-    assert walk_shards(SHARD_MIN_STATES - 1, threads=8) == 1
-    assert walk_shards(0, threads=8) == 1
-    assert walk_shards(SHARD_MIN_STATES * 4, threads=1) == 1
-    assert walk_shards(SHARD_MIN_STATES * 4, threads=4) > 1
+    assert _with_threads(8, lambda: walk_shards(SHARD_MIN_STATES - 1)) == 1
+    assert _with_threads(8, lambda: walk_shards(0)) == 1
+    assert _with_threads(1, lambda: walk_shards(SHARD_MIN_STATES * 4)) == 1
+    assert _with_threads(4, lambda: walk_shards(SHARD_MIN_STATES * 4)) > 1
 
 
-def test_advance_frontier_auto_matches_serial(random_graph):
-    """Below the threshold the auto path must keep the pinned serial bits."""
+@pytest.fixture
+def forced_shards(monkeypatch):
+    """Shard every pair-walk step of two or more states, and record the
+    shard counts the steps chose."""
+    monkeypatch.setattr(aggregate, "SHARD_MIN_STATES", 2)
+    chosen = []
+    original = aggregate.walk_shards
+
+    def recording(num_states):
+        chosen.append(original(num_states))
+        return chosen[-1]
+
+    monkeypatch.setattr(aggregate, "walk_shards", recording)
+    return chosen
+
+
+def _pair_origins(graph):
+    nodes = np.flatnonzero(graph.in_degrees > 1)[:40].astype(np.int64)
+    return nodes, np.full(nodes.size, 2_000, dtype=np.int64)
+
+
+def _meet_counts(graph, nodes, pairs, threads, seed=7):
+    return _with_threads(threads, lambda: SqrtCWalkEngine(
+        graph, 0.6, seed=seed).pair_meet_counts(nodes, pairs, max_steps=40))
+
+
+def test_sharded_pair_meet_counts_deterministic(random_graph, forced_shards):
+    nodes, pairs = _pair_origins(random_graph)
+    first = _meet_counts(random_graph, nodes, pairs, threads=2)
+    assert max(forced_shards) == 2              # the sharded path ran
+    second = _meet_counts(random_graph, nodes, pairs, threads=2)
+    assert np.array_equal(first, second)
+
+
+def test_sharded_pair_meet_counts_within_pairs(random_graph, forced_shards):
+    nodes, pairs = _pair_origins(random_graph)
+    met = _meet_counts(random_graph, nodes, pairs, threads=2)
+    assert max(forced_shards) == 2
+    assert met.shape == pairs.shape
+    assert np.all(met >= 0) and np.all(met <= pairs)
+
+
+def test_sharded_pair_meet_fraction_matches_serial(random_graph,
+                                                   forced_shards):
+    """Same distribution as the serial stream: the pooled meet fraction of
+    the sharded run lies within a binomial bound of the serial run's."""
+    nodes, pairs = _pair_origins(random_graph)
+    serial = _meet_counts(random_graph, nodes, pairs, threads=1, seed=11)
+    assert max(forced_shards) == 1
+    sharded = _meet_counts(random_graph, nodes, pairs, threads=2, seed=12)
+    assert max(forced_shards) == 2
+    total = int(pairs.sum())
+    p_serial, p_sharded = serial.sum() / total, sharded.sum() / total
+    # Two independent binomial(total, p) fractions: 5 standard deviations
+    # of their difference.
+    bound = 5.0 * np.sqrt(2.0 * p_serial * (1.0 - p_serial) / total)
+    assert abs(p_sharded - p_serial) <= bound
+
+
+def test_advance_frontier_auto_matches_serial(random_graph, monkeypatch):
+    """Walk advancement never shards: with the shard threshold forced down
+    and 4 threads it keeps the serial stream bit for bit."""
+    monkeypatch.setattr(aggregate, "SHARD_MIN_STATES", 2)
     in_degrees = random_graph.in_degrees
     nodes = np.flatnonzero(in_degrees > 0).astype(np.int64)
     counts = np.full(nodes.size, 9, dtype=np.int64)
-    auto = advance_frontier(np.random.default_rng(7), random_graph.in_indptr,
-                            random_graph.in_indices, in_degrees, nodes,
-                            counts, 0.8)
-    serial = advance_frontier(np.random.default_rng(7),
-                              random_graph.in_indptr,
-                              random_graph.in_indices, in_degrees, nodes,
-                              counts, 0.8, shards=1)
+
+    def advance(threads):
+        return _with_threads(threads, lambda: advance_frontier(
+            np.random.default_rng(7), random_graph.in_indptr,
+            random_graph.in_indices, in_degrees, nodes, counts, 0.8))
+
+    auto, serial = advance(4), advance(1)
     assert np.array_equal(auto[0], serial[0])
     assert np.array_equal(auto[1], serial[1])
-
-
-def test_advance_frontier_sharded_deterministic(random_graph):
-    in_degrees = random_graph.in_degrees
-    nodes = np.flatnonzero(in_degrees > 0).astype(np.int64)
-    counts = np.full(nodes.size, 9, dtype=np.int64)
-    runs = [advance_frontier(np.random.default_rng(7),
-                             random_graph.in_indptr,
-                             random_graph.in_indices, in_degrees, nodes,
-                             counts, 0.8, shards=4) for _ in range(2)]
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert np.array_equal(runs[0][1], runs[1][1])
-
-
-def test_advance_frontier_sharded_mass_conserved(random_graph):
-    """survival=1.0, no dangling: sharding must move every single walk."""
-    in_degrees = random_graph.in_degrees
-    nodes = np.flatnonzero(in_degrees > 0).astype(np.int64)
-    counts = np.full(nodes.size, 5, dtype=np.int64)
-    dests, split = advance_frontier(
-        np.random.default_rng(3), random_graph.in_indptr,
-        random_graph.in_indices, in_degrees, nodes, counts, 1.0, shards=4)
-    assert int(split.sum()) == int(counts.sum())
-    assert np.all(np.diff(dests) > 0)               # aggregated and sorted
 
 
 def test_advance_frontier_empty(random_graph):
@@ -274,7 +316,7 @@ def test_advance_frontier_empty(random_graph):
     dests, split = advance_frontier(
         np.random.default_rng(0), random_graph.in_indptr,
         random_graph.in_indices, random_graph.in_degrees, empty, empty,
-        0.8, shards=4)
+        0.8)
     assert dests.size == 0 and split.size == 0
 
 

@@ -6,8 +6,8 @@ from the full-width :class:`ReferenceWalkEngine` (the executable spec).  The
 two must nevertheless simulate the *same process*: these tests pin
 
 * visit-count distributions (per step and total) within sampling tolerance,
-* meeting probabilities (plain, batch and non-stop-prefix tail) within
-  sampling tolerance,
+* meeting probabilities (plain, batched origins and non-stop-prefix tail)
+  within sampling tolerance,
 * exact seed-determinism of the compacted path, including a pinned fixture
   so a change to the RNG consumption pattern cannot slip through unnoticed,
 * alive-compaction edge cases: all walks dead at step 1, dangling nodes
@@ -115,13 +115,25 @@ class TestKernels:
         assert np.all(np.abs(totals / 60_000 - 1.0 / 6.0) < 0.01)
 
 
+def _visit_histogram(levels, num_nodes, max_steps, num_walks):
+    """Row ℓ: the fraction of walks alive at step ℓ and located at each node."""
+    histogram = np.zeros((max_steps + 1, num_nodes))
+    for step, (nodes, counts) in enumerate(levels):
+        histogram[step, nodes] = counts
+    return histogram / num_walks
+
+
 class TestStatisticalEquivalence:
     def test_visit_distribution_matches_reference(self, walk_graph):
         source = int(np.argmax(walk_graph.in_degrees))
-        aggregated = SqrtCWalkEngine(walk_graph, DECAY, seed=3) \
-            .estimate_visit_distribution(source, 40_000, max_steps=6)
-        reference = ReferenceWalkEngine(walk_graph, DECAY, seed=4) \
-            .estimate_visit_distribution(source, 40_000, max_steps=6)
+        levels = SqrtCWalkEngine(walk_graph, DECAY, seed=3).visit_count_steps(
+            np.array([source]), np.array([40_000]), max_steps=6)
+        aggregated = _visit_histogram(levels, walk_graph.num_nodes, 6, 40_000)
+        batch = ReferenceWalkEngine(walk_graph, DECAY, seed=4) \
+            .walks_from(source, 40_000, max_steps=6)
+        reference = _visit_histogram(
+            [np.unique(row[row >= 0], return_counts=True)
+             for row in batch.positions], walk_graph.num_nodes, 6, 40_000)
         assert np.max(np.abs(aggregated - reference)) < 0.015
 
     def test_trajectory_visit_counts_match_reference(self, walk_graph):
@@ -140,32 +152,31 @@ class TestStatisticalEquivalence:
 
     def test_pair_meeting_matches_reference(self, walk_graph):
         node = int(np.argmax(walk_graph.in_degrees))
-        met_ref = ReferenceWalkEngine(walk_graph, DECAY, seed=7) \
-            .pair_walks_meet(node, 30_000, max_steps=40).mean()
+        met_ref = ReferenceWalkEngine(walk_graph, DECAY, seed=7).pair_meet_counts(
+            np.array([node]), np.array([30_000]), max_steps=40)[0] / 30_000
         met_agg = SqrtCWalkEngine(walk_graph, DECAY, seed=8).pair_meet_counts(
             np.array([node]), np.array([30_000]), max_steps=40)[0] / 30_000
         assert met_agg == pytest.approx(met_ref, abs=0.01)
 
     def test_tail_meeting_matches_reference(self, walk_graph):
         node = int(np.argmax(walk_graph.in_degrees))
-        met_ref = ReferenceWalkEngine(walk_graph, DECAY, seed=9) \
-            .pair_walks_meet(node, 30_000, max_steps=40, skip_steps=2).mean()
+        met_ref = ReferenceWalkEngine(walk_graph, DECAY, seed=9).pair_meet_counts(
+            np.array([node]), np.array([30_000]), max_steps=40,
+            skip_steps=2)[0] / 30_000
         met_agg = SqrtCWalkEngine(walk_graph, DECAY, seed=10).pair_meet_counts(
             np.array([node]), np.array([30_000]), max_steps=40,
             skip_steps=2)[0] / 30_000
         assert met_agg == pytest.approx(met_ref, abs=0.01)
 
-    def test_batch_mask_matches_reference_per_node(self, walk_graph):
+    def test_batched_origins_match_reference_per_node(self, walk_graph):
         eligible = np.flatnonzero(walk_graph.in_degrees > 1)[:6]
-        starts = np.repeat(eligible, 5_000)
-        mask_agg = SqrtCWalkEngine(walk_graph, DECAY, seed=11) \
-            .pair_walks_meet_batch(starts, max_steps=40)
-        mask_ref = ReferenceWalkEngine(walk_graph, DECAY, seed=12) \
-            .pair_walks_meet_batch(starts, max_steps=40)
-        for node in eligible:
-            sel = starts == node
-            assert mask_agg[sel].mean() == pytest.approx(
-                mask_ref[sel].mean(), abs=0.02)
+        pairs = np.full(eligible.size, 5_000)
+        met_agg = SqrtCWalkEngine(walk_graph, DECAY, seed=11) \
+            .pair_meet_counts(eligible, pairs, max_steps=40)
+        met_ref = ReferenceWalkEngine(walk_graph, DECAY, seed=12) \
+            .pair_meet_counts(eligible, pairs, max_steps=40)
+        for agg, ref in zip(met_agg / pairs, met_ref / pairs):
+            assert agg == pytest.approx(ref, abs=0.02)
 
     def test_distinct_start_pairs_match_eq2(self, walk_graph):
         # pair_meet_counts_from with (i, j) starts is the eq. (2) estimator.
@@ -292,12 +303,3 @@ class TestEdgeCases:
         node = int(np.argmax(walk_graph.in_degrees))
         met = engine.pair_meet_counts(np.array([node, 5]), np.array([0, 100]))
         assert met[0] == 0
-
-    def test_terminal_nodes_compacted(self):
-        edges = [(leaf, 0) for leaf in range(1, 10)]
-        graph = DiGraph.from_edges(edges)
-        engine = SqrtCWalkEngine(graph, DECAY, seed=7)
-        finals = engine.terminal_nodes(0, 100, steps=1)
-        assert np.all(finals >= 1)
-        finals_two = engine.terminal_nodes(0, 100, steps=2)
-        assert np.all(finals_two == -1)

@@ -138,8 +138,8 @@ class TestDeadlinePrimitives:
 # --------------------------------------------------------------------------- #
 class TestCheckpointKinds:
     def test_level_checkpoint_in_multiprop(self, graph):
-        engine = MultiPropagation.forward(graph, 2)
-        engine.seed_units(np.array([3, 5], dtype=np.int64))
+        engine = MultiPropagation(graph, 2)
+        engine.seed(np.arange(2), np.array([3, 5]), np.ones(2))
         with deadline_scope(Deadline(-1.0)):
             with pytest.raises(DeadlineExceeded) as info:
                 engine.step()

@@ -530,10 +530,10 @@ class TestSparseDepthRecord:
         assert record.memory_bytes() < 10_000
 
     def test_budget_window_uses_sparse_record(self, toy_graph):
-        from repro.diagonal.local import DistributionCache
+        from repro.diagonal.local import BudgetWindow, DistributionCache
 
         cache = DistributionCache(toy_graph)
-        window = cache.new_window(1_000.0)
+        window = BudgetWindow(1_000.0)
         cache.distribution(2, 2, window)
         assert window._depths.touched <= toy_graph.num_nodes
         assert window._depths.get(2) == 2
