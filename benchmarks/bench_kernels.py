@@ -143,7 +143,7 @@ def _time(callable_, *args, repeats=5, **kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# thread scaling: column-blocked spmm and sharded pair walks
+# thread scaling: column-blocked spmm and chunked pair walks
 # --------------------------------------------------------------------------- #
 THREAD_GRID = (1, 2, 4)
 LANES = 128
@@ -159,11 +159,22 @@ def _dense_lane_inputs(graph, num_lanes=LANES):
     return matrix, state
 
 
+def _at_threads(threads, fn):
+    from repro.kernels import parallel
+
+    saved = parallel.set_num_threads(threads)
+    try:
+        return fn()
+    finally:
+        parallel.set_num_threads(saved)
+
+
 def record_thread_scaling(quick=False):
-    """The multicore record: column-blocked spmm and sharded pair walks.
+    """The multicore record: column-blocked spmm and chunked pair walks.
 
     Every dense-lane measurement first *asserts* bitwise equality against
-    the serial product — the determinism contract of
+    the serial product, and the pair-walk entry asserts equal meet counts
+    at 1 and 4 threads — the determinism contract of
     :mod:`repro.kernels.parallel` is part of what this bench certifies, not
     an assumption.  ``cpu_count`` rides in the record because the speedup
     claim is conditional on cores existing: on a 1-core runner the honest
@@ -207,9 +218,7 @@ def record_thread_scaling(quick=False):
                 "speedup_vs_serial": (serial_s / spmm_s if spmm_s > 0
                                       else float("inf")),
             }
-        # Sharded pair walks: deterministic per (seed, thread count) but a
-        # *different* (exchangeable) sample than the serial stream, so the
-        # record carries meeting counts, not bit equality.
+        # Chunked pair walks draw the same sample at every thread count.
         nodes = np.flatnonzero(graph.in_degrees > 1).astype(np.int64)
         pairs = np.full(nodes.size, 50, dtype=np.int64)
 
@@ -217,18 +226,16 @@ def record_thread_scaling(quick=False):
             return SqrtCWalkEngine(graph, DECAY, seed=SCALING_SEED) \
                 .pair_meet_counts(nodes, pairs)
 
-        walk = {}
-        saved = parallel.get_num_threads()
+        walk, met = {}, {}
         for threads in (1, 4):
-            parallel.set_num_threads(threads)
-            try:
-                walk_s = _time(_pair_walks, repeats=repeats)
-                met = _pair_walks()
-            finally:
-                parallel.set_num_threads(saved)
+            walk_s = _at_threads(threads, lambda: _time(_pair_walks,
+                                                        repeats=repeats))
+            met[threads] = _at_threads(threads, _pair_walks)
             walk[str(threads)] = {"seconds": walk_s,
-                                  "met_pairs": int(met.sum()),
+                                  "met_pairs": int(met[threads].sum()),
                                   "total_pairs": int(pairs.sum())}
+        assert np.array_equal(met[1], met[4]), (
+            f"{key}: pair walk meet counts differ between 1 and 4 threads")
         section["datasets"][key] = {
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
@@ -249,20 +256,24 @@ def record_thread_scaling(quick=False):
 
 
 def parallel_smoke():
-    """CI smoke: column-blocked ``parallel_spmm`` must match serial bit for bit.
+    """CI smoke: both threaded kernel paths must not depend on the thread count.
 
     Propagates a 64-column dense state four levels through
     ``parallel_spmm`` with parallelism forced on (``MIN_PARALLEL_WORK`` = 1,
-    so the column blocks engage at any thread count above one), once at the
-    *environment-configured* thread count (``REPRO_NUM_THREADS``) and once
-    at a forced 4 threads, asserts both are bit-identical to the serial
-    product chain, and prints a crc32 of the configured-thread output.  The
-    CI job runs this twice — ``REPRO_NUM_THREADS=1`` and ``=4`` — and diffs
-    the checksum lines: a column block that changes any bit breaks the diff.
+    so the column blocks engage at any thread count above one), and runs a
+    DB pair walk of more than ``2 * PAIR_CHUNK`` pairs (at least three
+    chunks).  Each runs once at the *environment-configured* thread count
+    (``REPRO_NUM_THREADS``) and once at a forced 4 threads; the smoke
+    asserts the two agree (and the products equal the serial chain), then
+    prints one crc32 over the configured-thread outputs.  The CI job runs
+    this twice — ``REPRO_NUM_THREADS=1`` and ``=4`` — and diffs the checksum
+    lines: a column block or a chunk stream that changes any bit breaks it.
     """
     import zlib
 
     from repro.kernels import parallel
+    from repro.randomwalk.aggregate import PAIR_CHUNK
+    from repro.randomwalk.engine import SqrtCWalkEngine
 
     graph = load_dataset("DB")
     matrix, state = _dense_lane_inputs(graph, num_lanes=64)
@@ -273,12 +284,20 @@ def parallel_smoke():
             current = SQRT_C * parallel.parallel_spmm(matrix, current, **kwargs)
         return current
 
+    nodes = np.flatnonzero(graph.in_degrees > 1).astype(np.int64)
+    pairs = np.full(nodes.size, 2 * PAIR_CHUNK // nodes.size + 1,
+                    dtype=np.int64)
+
+    def _pair_walks():
+        return SqrtCWalkEngine(graph, DECAY, seed=SCALING_SEED) \
+            .pair_meet_counts(nodes, pairs)
+
     serial = _propagate(threads=1)
     saved = parallel.MIN_PARALLEL_WORK
     parallel.MIN_PARALLEL_WORK = 1
     try:
         configured = _propagate()
-        forced = _propagate(threads=4)
+        forced = _at_threads(4, lambda: _propagate(threads=4))
     finally:
         parallel.MIN_PARALLEL_WORK = saved
     for label, result in (("configured", configured), ("forced-4", forced)):
@@ -286,9 +305,14 @@ def parallel_smoke():
             raise SystemExit(
                 f"parallel-smoke FAILED: column-blocked spmm diverged "
                 f"({label} threads)")
+    met = _pair_walks()
+    if not np.array_equal(met, _at_threads(4, _pair_walks)):
+        raise SystemExit("parallel-smoke FAILED: pair walk meet counts "
+                         "differ between the configured and 4 threads")
     crc = zlib.crc32(np.ascontiguousarray(configured).tobytes())
+    crc = zlib.crc32(np.ascontiguousarray(met).tobytes(), crc)
     print(f"parallel-smoke ok threads={parallel.get_num_threads()} "
-          f"crc32=0x{crc:08x}")
+          f"pairs={int(pairs.sum())} crc32=0x{crc:08x}")
 
 
 def record_baseline(path="BENCH_kernels.json"):
@@ -346,9 +370,9 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="CI parallel-smoke: assert thread-count "
-                             "invariance of the column-blocked spmm and print "
-                             "a stable checksum line instead of regenerating "
-                             "the baseline")
+                             "invariance of the column-blocked spmm and the "
+                             "chunked pair walks and print a stable checksum "
+                             "line instead of regenerating the baseline")
     args = parser.parse_args()
     if args.quick:
         parallel_smoke()

@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graph.digraph import DiGraph
+from repro.utils.validation import check_integer
 
 PathLike = Union[str, Path]
 
@@ -57,11 +58,20 @@ class WalCorruptionError(RuntimeError):
 
 
 def _as_edge_array(edges: Any) -> np.ndarray:
-    """Coerce ``edges`` into a deduplicated, sorted ``(k, 2)`` int64 array."""
+    """Coerce ``edges`` into a deduplicated, sorted ``(k, 2)`` int64 array.
+
+    Outside an integer array, every node id must pass :func:`check_integer`,
+    the rule for query ids, so ``1.5`` or ``true`` is rejected, not coerced.
+    """
     if edges is None:
         return np.empty((0, 2), dtype=np.int64)
-    array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                       dtype=np.int64)
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        array = edges.astype(np.int64)
+    else:
+        rows = np.asarray(list(edges), dtype=object)
+        array = np.asarray([check_integer(node, "node id")
+                            for node in rows.ravel()],
+                           dtype=np.int64).reshape(rows.shape)
     if array.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if array.ndim != 2 or array.shape[1] != 2:
@@ -111,7 +121,7 @@ class EdgeBatch:
         try:
             return cls(inserts=payload.get("insert") or [],
                        deletes=payload.get("delete") or [])
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ValueError(f"malformed update record: {error}") from error
 
     def to_wire(self) -> Dict[str, Any]:

@@ -25,8 +25,8 @@ Layout:
   shared CSR slices with per-lane termination and edge accounting (the
   Algorithm 3 prefetch of :mod:`repro.diagonal.local`);
 * :mod:`repro.kernels.parallel` — the thread pool behind the two threaded
-  paths that won when measured: column-blocked ``parallel_spmm`` and the
-  sharded pair walks of :mod:`repro.randomwalk.aggregate`;
+  paths: column-blocked ``parallel_spmm`` and the chunked pair walks of
+  :mod:`repro.randomwalk.aggregate`, both bit-identical at any thread count;
 * :mod:`repro.kernels.reference` — the original dict-based loops, kept as
   executable specifications for the equivalence test suite.
 """

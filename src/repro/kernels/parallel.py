@@ -1,52 +1,43 @@
 """Process-wide thread-parallel execution substrate for the kernels.
 
 One shared :class:`~concurrent.futures.ThreadPoolExecutor` serves the two
-threaded kernel paths in the process.  Threads (not processes) are the
-right vehicle here because both bottom out in C code that releases the
-GIL: ``scipy``'s CSR×dense product and the Generator's binomial/multinomial
-fills.  Each path stays because it won when measured on a 2-core box:
+threaded kernel paths.  Threads (not processes) suffice because both spend
+their time in C code that releases the GIL:
 
 * ``parallel_spmm`` — column blocks of one CSR×dense product (the
   per-level products of ExactSim, SLING and Linearization, and PRSim's hub
   build).  A PL200K (200k × 8) product takes 17.5 ms at 2 threads vs
   23.5 ms at 1.
-* sharded ``pair_meet_counts`` (see :mod:`repro.randomwalk.aggregate`) —
-  the Algorithm 2/3 pair walks.  ``exactsim-gq`` p50 is 3.94 s at 2
-  threads vs 4.59 s at 1.
+* ``pair_meet_counts`` (:mod:`repro.randomwalk.aggregate`) — one chunk of
+  at most ``PAIR_CHUNK`` walk pairs per task.
 
-Determinism contract
---------------------
-* ``parallel_spmm`` — bit-identical.  scipy's ``csr_matvecs`` computes each
-  output element by walking the row's CSR nonzeros in order, independently of
-  which other columns sit in the same call, so computing a contiguous column
-  block at a time changes no float.  Each thread writes a disjoint slice of
-  one preallocated output.
-* sharded pair walks — *not* bit-identical to serial, but deterministic:
-  shard ``i`` draws from the ``i``-th ``Generator.spawn`` child stream, so a
-  step above ``SHARD_MIN_STATES`` occupied states depends only on the seed
-  and the thread count, never on thread scheduling.  Below the threshold
-  the serial stream runs at any thread count, bit for bit.
+Both are bit-identical at any thread count.  scipy's ``csr_matvecs`` walks
+each row's nonzeros in order whichever columns share the call, so a column
+block changes no float; a pair-walk chunk draws from a stream fixed by its
+position in the input, never by the thread that runs it.
 
-Thread count resolves from ``REPRO_NUM_THREADS`` (falling back to the CPU
-count) and can be overridden at runtime with :func:`set_num_threads`.  An
-auto heuristic (work below :data:`MIN_PARALLEL_WORK`, fewer than two
-columns) keeps tiny products on the serial path so they never pay
-thread-pool overhead.  The pool is discarded in forked children
-(``os.register_at_fork``) — executor threads do not survive ``fork``, and
-worker processes re-create their own pool on first use.
+The thread count comes from ``REPRO_NUM_THREADS``, else the CPUs this
+process may run on, and :func:`set_num_threads` overrides it at runtime.
+Products below :data:`MIN_PARALLEL_WORK`, or with fewer than two columns,
+stay serial.  Forked children drop the pool (``os.register_at_fork``):
+executor threads do not survive ``fork``, so each worker process builds its
+own on first use.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "MIN_PARALLEL_WORK",
+    "available_cpus",
     "column_blocks",
     "default_num_threads",
     "get_num_threads",
@@ -68,8 +59,16 @@ _pool: Optional[ThreadPoolExecutor] = None
 _pool_size = 0
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` and cgroup cpusets shrink it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
 def default_num_threads() -> int:
-    """Thread count from ``REPRO_NUM_THREADS``, else the CPU count."""
+    """Thread count from ``REPRO_NUM_THREADS``, else :func:`available_cpus`."""
     raw = os.environ.get(_ENV_VAR, "").strip()
     if raw:
         try:
@@ -77,7 +76,7 @@ def default_num_threads() -> int:
         except ValueError:
             value = 1
         return max(1, value)
-    return max(1, os.cpu_count() or 1)
+    return available_cpus()
 
 
 def get_num_threads() -> int:
@@ -129,16 +128,32 @@ def _executor(workers: int) -> ThreadPoolExecutor:
 
 
 def run_blocks(fn: Callable, blocks: Sequence) -> List:
-    """Run ``fn`` over ``blocks``, in threads when there is more than one.
+    """``[fn(block) for block in blocks]``, computed on the kernel pool.
 
-    Results come back in block order regardless of completion order; the
-    first exception propagates.  With a single block the call is inlined —
-    no pool, no handoff.
+    At most :func:`get_num_threads` blocks are in flight at once, each in a
+    copy of the caller's context (so :func:`repro.utils.deadline.checkpoint`
+    sees the caller's deadline).  Results come back in block order; the
+    first exception propagates once no block of the call is still running.
+    With one thread or one block the call runs inline.  Never call this
+    from inside a block: a bounded pool can deadlock on nested calls.
     """
-    if len(blocks) <= 1:
+    threads = get_num_threads()
+    if threads <= 1 or len(blocks) <= 1:
         return [fn(block) for block in blocks]
-    pool = _executor(len(blocks))
-    return list(pool.map(fn, blocks))
+    pool = _executor(threads)
+    running, results = deque(), []
+    try:
+        for block in blocks:
+            if len(running) == threads:
+                results.append(running.popleft().result())
+            running.append(pool.submit(contextvars.copy_context().run,
+                                       fn, block))
+        results += [future.result() for future in running]
+    finally:
+        for future in running:
+            future.cancel()
+        wait(running)
+    return results
 
 
 def column_blocks(num_columns: int, *, threads: Optional[int] = None

@@ -23,23 +23,18 @@ dwarfs the reachable neighbourhood.
 All kernels draw from a caller-supplied :class:`numpy.random.Generator`, so
 identical seeds reproduce identical results bit for bit.
 
-Sharded pair walks
+Chunked pair walks
 ------------------
-When a pair-walk step of :func:`pair_meet_counts` holds at least
-:data:`SHARD_MIN_STATES` distinct occupied pair states and the process is
-configured for more than one kernel thread (:mod:`repro.kernels.parallel`),
-the step splits the state arrays into contiguous per-thread shards, each
-drawing from its own ``Generator.spawn`` child stream.  Collapsed pairs are
-exchangeable, so which shard a state lands in only re-partitions the
-ensemble — every shard moves its pairs with the same closed-form
-distributions, and the post-move regroup collapses the union exactly as in
-the serial path.  The result is *not* bit-identical to the serial stream
-(different draws), but it is a sample of the same distribution and is
-deterministic given ``(seed, thread count)``: child streams come from
-``spawn``, whose keys depend only on the parent seed and the spawn order,
-never on thread scheduling.  Below the threshold (every tier-1 test graph)
-the serial stream runs untouched at any thread count, so pinned fixtures
-see identical bits.
+:func:`pair_meet_counts` cuts the origins' pair counts, in input order, into
+consecutive chunks of at most :data:`PAIR_CHUNK` pairs, splitting an origin
+that straddles a boundary (exact in distribution: pairs are independent).
+Chunk 0 draws from the caller's generator and chunk ``c ≥ 1`` from the
+``c``-th child of one ``Generator.spawn`` call, so every draw depends on the
+input alone: answers are bit-identical at any thread count, and a call of at
+most :data:`PAIR_CHUNK` pairs is exactly the caller's serial stream.  Chunks
+run on the kernel thread pool (:func:`repro.kernels.parallel.run_blocks`),
+one per thread at a time, so :data:`PAIR_CHUNK`, the thread count and the
+graph bound the peak walk state before any work starts.
 """
 
 from __future__ import annotations
@@ -53,17 +48,10 @@ from repro.utils.deadline import CHECKPOINT_WALK_BATCH, checkpoint
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 
-#: Minimum distinct occupied pair states before a step auto-shards; chosen so
-#: every pinned-fixture graph in the test suite stays on the serial stream.
-SHARD_MIN_STATES = 1 << 15
-
-
-def walk_shards(num_states: int) -> int:
-    """Shard count the auto heuristic picks for ``num_states`` occupied states."""
-    threads = parallel.get_num_threads()
-    if threads <= 1 or num_states < SHARD_MIN_STATES:
-        return 1
-    return max(1, min(int(threads), num_states // (SHARD_MIN_STATES // 2)))
+#: Most walk pairs one chunk of :func:`pair_meet_counts` simulates.  Smaller
+#: chunks collapse fewer equal pair states; at 2**19 a 5e5-pair single-source
+#: diagonal fits one chunk and loses its second thread.
+PAIR_CHUNK = 1 << 18
 
 
 def group_sum(counts: np.ndarray, *keys: np.ndarray
@@ -266,57 +254,52 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
     in-edges, then over ``v``'s).  Pairs where either walk reaches a dangling
     node can never meet again and are dropped.
 
-    A step above :data:`SHARD_MIN_STATES` live pair states moves each of
-    :func:`walk_shards` contiguous state shards under its own spawned child
-    stream and regroups the union once — same distribution, serial stream
-    untouched below the threshold (see the module docstring).
+    Each chunk of at most :data:`PAIR_CHUNK` pairs runs this step loop on its
+    own stream (see the module docstring); met counts sum per origin.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     skip_steps = np.asarray(skip_steps, dtype=np.int64)
-    num_origins = first.shape[0]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    num_chunks = -(-total // PAIR_CHUNK)
+    streams = [rng] + (rng.spawn(num_chunks - 1) if num_chunks > 1 else [])
 
-    met = np.zeros(num_origins, dtype=np.int64)
-    origin = np.arange(num_origins, dtype=np.int64)
-    u, v, m = first.copy(), second.copy(), counts.copy()
-    live = m > 0
-    origin, u, v, m = origin[live], u[live], v[live], m[live]
+    def _chunk(index: int) -> Tuple[int, np.ndarray]:
+        # Origins lo..hi-1 hold the pairs [low, high); m is each one's share.
+        low, high = index * PAIR_CHUNK, min(total, (index + 1) * PAIR_CHUNK)
+        lo = int(np.searchsorted(ends, low, side="right"))
+        hi = int(np.searchsorted(starts, high, side="left"))
+        m = np.minimum(ends[lo:hi], high) - np.maximum(starts[lo:hi], low)
+        u, v, skip = first[lo:hi], second[lo:hi], skip_steps[lo:hi]
+        met = np.zeros(hi - lo, dtype=np.int64)
+        origin = np.arange(hi - lo, dtype=np.int64)
+        live = m > 0
+        origin, u, v, m = origin[live], u[live], v[live], m[live]
+        for step in range(1, max_steps + 1):
+            if m.size == 0:
+                break
+            checkpoint(CHECKPOINT_WALK_BATCH)
+            origin, u, v, m = _pair_step(streams[index], indptr, indices,
+                                         in_degrees, decay, skip, step,
+                                         origin, u, v, m)
+            if m.size == 0:
+                break
+            origin, u, v, m = _regroup(m, origin, u, v)
+            # Meetings: count post-prefix ones, drop prefix ones entirely.
+            same = u == v
+            if same.any():
+                met_origin = origin[same]
+                after = skip[met_origin] < step
+                np.add.at(met, met_origin[after], m[same][after])
+                origin, u, v, m = origin[~same], u[~same], v[~same], m[~same]
+        return lo, met
 
-    for step in range(1, max_steps + 1):
-        if m.size == 0:
-            break
-        checkpoint(CHECKPOINT_WALK_BATCH)
-        num_shards = walk_shards(m.size)
-        if num_shards > 1:
-            streams = rng.spawn(num_shards)
-            bounds = np.linspace(0, m.size, num_shards + 1).astype(np.int64)
-
-            def _shard(index: int):
-                lo, hi = int(bounds[index]), int(bounds[index + 1])
-                return _pair_step(streams[index], indptr, indices, in_degrees,
-                                  decay, skip_steps, step, origin[lo:hi],
-                                  u[lo:hi], v[lo:hi], m[lo:hi])
-
-            parts = parallel.run_blocks(_shard, list(range(num_shards)))
-            origin = np.concatenate([p[0] for p in parts])
-            u = np.concatenate([p[1] for p in parts])
-            v = np.concatenate([p[2] for p in parts])
-            m = np.concatenate([p[3] for p in parts])
-        else:
-            origin, u, v, m = _pair_step(rng, indptr, indices, in_degrees,
-                                         decay, skip_steps, step, origin, u,
-                                         v, m)
-        if m.size == 0:
-            break
-        origin, u, v, m = _regroup(m, origin, u, v)
-        # Meetings: count post-prefix ones, drop prefix ones entirely.
-        same = u == v
-        if same.any():
-            met_origin = origin[same]
-            after = skip_steps[met_origin] < step
-            np.add.at(met, met_origin[after], m[same][after])
-            origin, u, v, m = origin[~same], u[~same], v[~same], m[~same]
+    met = np.zeros(first.shape[0], dtype=np.int64)
+    for lo, part in parallel.run_blocks(_chunk, range(num_chunks)):
+        met[lo:lo + part.size] += part
     return met
 
 
@@ -356,10 +339,9 @@ def _regroup(split: np.ndarray, origin: np.ndarray, u: np.ndarray, v: np.ndarray
 
 
 __all__ = [
-    "SHARD_MIN_STATES",
+    "PAIR_CHUNK",
     "advance_frontier",
     "group_sum",
     "multinomial_split",
     "pair_meet_counts",
-    "walk_shards",
 ]

@@ -174,7 +174,10 @@ class SqrtCWalkEngine:
         after the per-origin non-stop prefix when ``skip_steps`` is set —
         pairs meeting inside the prefix are disqualified, matching the
         Algorithm 3 tail-estimator semantics).  One aggregated simulation
-        serves all origins at once.
+        serves all origins at once, in chunks of at most
+        :data:`~repro.randomwalk.aggregate.PAIR_CHUNK` pairs on the kernel
+        thread pool: the counts are bit-identical at any thread count, and
+        a call of at most that many pairs draws only from :attr:`rng`.
         """
         starts = np.asarray(start_nodes, dtype=np.int64)
         return self.pair_meet_counts_from(starts, starts, pair_counts,

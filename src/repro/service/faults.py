@@ -175,7 +175,8 @@ def adversarial_jsonl(num_nodes: int, count: int,
 
     Used by the fault-injection smoke test and the CI job: ``count`` lines
     cycling through valid queries and every malformation category (parse
-    errors, unknown types, out-of-range ids, bad ``k``, non-finite epsilon).
+    errors, unknown types, out-of-range or non-finite ids, bad ``k``,
+    non-finite epsilon).
     No randomness — line ``i`` is always the same string.
     """
     malformed: Sequence[str] = (
@@ -193,6 +194,9 @@ def adversarial_jsonl(num_nodes: int, count: int,
         '{"type": "single_source", "source": 0, "epsilon": "NaN"}',
         '{"type": "single_source", "source": 0, "epsilon": -0.5}',
         '{"type": "single_source", "source": "zero"}',
+        '{"type": "top_k", "source": 1, "k": 1e400}',
+        '{"type": "single_source", "source": 1e400}',
+        '{"type": "single_pair", "source": 0, "target": 1e400}',
     )
     valid_every = max(1, round(1.0 / max(valid_fraction, 1e-9)))
     lines: List[str] = []

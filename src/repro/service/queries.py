@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.result import SinglePairResult, SingleSourceResult, TopKResult
+from repro.utils.validation import check_integer
 
 #: Wire names of the query kinds (match ``baselines.base.QUERY_KINDS``).
 KIND_SINGLE_SOURCE = "single_source"
@@ -101,7 +102,7 @@ def query_from_dict(payload: Mapping[str, Any]) -> Query:
                          f"expected one of {sorted(set(_KIND_ALIASES.values()))}")
     if "source" not in payload:
         raise ValueError(f"{kind} query needs a 'source' field")
-    source = _parse_int(payload["source"], "source")
+    source = check_integer(payload["source"], "source")
     method = payload.get("method")
     if method is not None:
         method = str(method)
@@ -115,25 +116,12 @@ def query_from_dict(payload: Mapping[str, Any]) -> Query:
         if "target" not in payload:
             raise ValueError("single_pair query needs a 'target' field")
         return SinglePairQuery(source=source,
-                               target=_parse_int(payload["target"], "target"),
+                               target=check_integer(payload["target"], "target"),
                                method=method, epsilon=epsilon)
     if kind == KIND_TOP_K:
-        return TopKQuery(source=source, k=_parse_int(payload.get("k", 500), "k"),
+        return TopKQuery(source=source, k=check_integer(payload.get("k", 500), "k"),
                          method=method, epsilon=epsilon)
     return SingleSourceQuery(source=source, method=method, epsilon=epsilon)
-
-
-def _parse_int(value: Any, name: str) -> int:
-    """An integer field; rejects floats-with-fraction and non-numbers."""
-    if isinstance(value, bool):
-        raise ValueError(f"'{name}' must be an integer, got {value!r}")
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"'{name}' must be an integer, got {value!r}")
-    if isinstance(value, float) and value != as_int:
-        raise ValueError(f"'{name}' must be an integer, got {value!r}")
-    return as_int
 
 
 class QueryValidationError(ValueError):

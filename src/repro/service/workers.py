@@ -390,9 +390,10 @@ class WorkerPool:
     worker_threads:
         Kernel threads each worker configures for itself
         (:func:`repro.kernels.parallel.set_num_threads`).  Default: the
-        ``REPRO_NUM_THREADS`` environment override if set, else
-        ``cores // num_workers`` (at least 1) so the pool as a whole never
-        oversubscribes the machine.
+        ``REPRO_NUM_THREADS`` environment override if set, else the CPUs
+        this process may run on (:func:`repro.kernels.parallel.available_cpus`)
+        divided by ``num_workers``, at least 1, so the pool as a whole never
+        oversubscribes them.
     """
 
     def __init__(self, planner_factory: Callable[[], QueryPlanner], *,
@@ -437,7 +438,7 @@ class WorkerPool:
             self.worker_threads = kernel_parallel.default_num_threads()
         else:
             self.worker_threads = max(
-                1, (os.cpu_count() or 1) // int(num_workers))
+                1, kernel_parallel.available_cpus() // int(num_workers))
         self._update_version = int(base_version)
         if wal is not None and wal.last_version() > self._update_version:
             raise ValueError(

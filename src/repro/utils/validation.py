@@ -7,7 +7,7 @@ inside a numeric kernel.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -37,6 +37,21 @@ def check_non_negative(value: float, name: str) -> float:
     if value < 0.0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def check_integer(value: Any, name: str) -> int:
+    """An integral number (``3`` or ``3.0``) as ``int``, for ids read off the
+    wire; a bool, a fractional or non-finite float, or anything ``int()``
+    rejects raises ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    if isinstance(value, (float, np.floating)) and value != as_int:
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return as_int
 
 
 def check_node_index(node: int, num_nodes: int, name: str = "node") -> int:
@@ -78,6 +93,7 @@ __all__ = [
     "check_probability",
     "check_positive",
     "check_non_negative",
+    "check_integer",
     "check_node_index",
     "check_vector_length",
     "check_positive_int",

@@ -1,18 +1,11 @@
 """Thread-invariance and multicore-substrate tests.
 
-The determinism contract of the two threaded kernel paths, in three tiers:
-
-1. **Bit-identical regardless of thread count** — column-blocked
-   ``parallel_spmm`` (and PRSim's hub build, which runs on it) must
-   produce the same bits at 1, 2 and 4 threads, because blocking never
-   changes any per-element summation order.
-2. **Deterministic given (seed, thread count)** — sharded pair walks draw
-   from ``rng.spawn`` child streams: a different (exchangeable) sample
-   than the serial stream, but exactly reproducible and of the same
-   distribution.
-3. **Serial below threshold** — every tier-1 test graph sits under
-   ``SHARD_MIN_STATES``, so the auto path must keep the pinned serial
-   stream bit-for-bit.
+The determinism contract of the two threaded kernel paths is one rule:
+answers are bit-identical at every thread count.  Column-blocked
+``parallel_spmm`` (and PRSim's hub build, which runs on it) never changes a
+per-element summation order; a chunked pair walk draws from a stream fixed
+by the chunk's position in the input, and a call of at most ``PAIR_CHUNK``
+pairs is one chunk on the caller's own stream.
 
 Plus the pool-level machinery the substrate feeds: the shared-memory graph
 segment lifecycle (adopt, destroy, no leak across chaos kills), respawn
@@ -37,12 +30,9 @@ from repro.graph.updates import (
 from repro.kernels import parallel
 from repro.kernels.multiprop import MultiPropagation
 from repro.randomwalk import aggregate
-from repro.randomwalk.aggregate import (
-    SHARD_MIN_STATES,
-    advance_frontier,
-    walk_shards,
-)
+from repro.randomwalk.aggregate import advance_frontier
 from repro.randomwalk.engine import SqrtCWalkEngine
+from repro.utils.deadline import Deadline, DeadlineExceeded, deadline_scope
 
 THREAD_COUNTS = (1, 2, 4)
 
@@ -74,6 +64,19 @@ def test_env_var_garbage_falls_back(monkeypatch):
     assert parallel.default_num_threads() >= 1
 
 
+def test_default_threads_follow_the_affinity_mask(monkeypatch):
+    """Under taskset or a cpuset the usable CPUs, not the host's, set the
+    kernel thread count and the pool's per-worker default."""
+    from repro.service.workers import WorkerPool
+
+    monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert parallel.default_num_threads() == 1
+    assert WorkerPool(lambda: None, num_workers=1).worker_threads == 1
+
+
 def test_set_get_num_threads():
     saved = parallel.get_num_threads()
     try:
@@ -93,7 +96,7 @@ def test_column_blocks_cover_and_partition():
 
 
 # --------------------------------------------------------------------------- #
-# tier 1: bit-identical at every thread count
+# column-blocked products
 # --------------------------------------------------------------------------- #
 def test_parallel_spmm_bit_identical(random_graph, forced_parallel):
     matrix = GraphContext.shared(random_graph).operator(0.6).matrix
@@ -216,8 +219,7 @@ def test_dangling_nodes_thread_invariant(forced_parallel):
 
 
 # --------------------------------------------------------------------------- #
-# tier 2/3: sharded pair walks — deterministic per (seed, thread count),
-# serial below the threshold
+# chunked pair walks
 # --------------------------------------------------------------------------- #
 def _with_threads(threads, fn):
     parallel.set_num_threads(threads)
@@ -227,27 +229,26 @@ def _with_threads(threads, fn):
         parallel.set_num_threads(parallel.default_num_threads())
 
 
-def test_walk_shards_serial_below_threshold():
-    assert _with_threads(8, lambda: walk_shards(SHARD_MIN_STATES - 1)) == 1
-    assert _with_threads(8, lambda: walk_shards(0)) == 1
-    assert _with_threads(1, lambda: walk_shards(SHARD_MIN_STATES * 4)) == 1
-    assert _with_threads(4, lambda: walk_shards(SHARD_MIN_STATES * 4)) > 1
+#: 40 origins of 2,000 pairs in chunks of 5,000: 16 chunks, and origin 2
+#: (pairs 4,000-5,999) crosses the first chunk boundary.
+SMALL_CHUNK = 5_000
 
 
 @pytest.fixture
-def forced_shards(monkeypatch):
-    """Shard every pair-walk step of two or more states, and record the
-    shard counts the steps chose."""
-    monkeypatch.setattr(aggregate, "SHARD_MIN_STATES", 2)
-    chosen = []
-    original = aggregate.walk_shards
+def small_chunks(monkeypatch):
+    """Cut pair walks into SMALL_CHUNK-pair chunks, and record the chunk
+    count of every pair walk."""
+    monkeypatch.setattr(aggregate, "PAIR_CHUNK", SMALL_CHUNK)
+    chunks = []
+    original = parallel.run_blocks
 
-    def recording(num_states):
-        chosen.append(original(num_states))
-        return chosen[-1]
+    def recording(fn, blocks):
+        blocks = list(blocks)
+        chunks.append(len(blocks))
+        return original(fn, blocks)
 
-    monkeypatch.setattr(aggregate, "walk_shards", recording)
-    return chosen
+    monkeypatch.setattr(parallel, "run_blocks", recording)
+    return chunks
 
 
 def _pair_origins(graph):
@@ -260,43 +261,87 @@ def _meet_counts(graph, nodes, pairs, threads, seed=7):
         graph, 0.6, seed=seed).pair_meet_counts(nodes, pairs, max_steps=40))
 
 
-def test_sharded_pair_meet_counts_deterministic(random_graph, forced_shards):
+def test_chunked_pair_meet_counts_thread_invariant(random_graph,
+                                                   small_chunks):
+    nodes, pairs = _pair_origins(random_graph)
+    ends = np.cumsum(pairs)
+    boundaries = np.arange(SMALL_CHUNK, ends[-1], SMALL_CHUNK)
+    assert not np.isin(boundaries, ends).all()      # an origin is split
+    met = {threads: _meet_counts(random_graph, nodes, pairs, threads)
+           for threads in THREAD_COUNTS}
+    assert min(small_chunks) >= 3
+    for threads in THREAD_COUNTS[1:]:
+        assert np.array_equal(met[threads], met[1])
+
+
+def test_sharded_pair_meet_counts_deterministic(random_graph, small_chunks):
+    """The same seed gives the same counts when the pairs are sharded into
+    chunks across threads."""
     nodes, pairs = _pair_origins(random_graph)
     first = _meet_counts(random_graph, nodes, pairs, threads=2)
-    assert max(forced_shards) == 2              # the sharded path ran
+    assert min(small_chunks) >= 3               # the chunked path ran
     second = _meet_counts(random_graph, nodes, pairs, threads=2)
     assert np.array_equal(first, second)
 
 
-def test_sharded_pair_meet_counts_within_pairs(random_graph, forced_shards):
+def test_sharded_pair_meet_counts_within_pairs(random_graph, small_chunks):
     nodes, pairs = _pair_origins(random_graph)
     met = _meet_counts(random_graph, nodes, pairs, threads=2)
-    assert max(forced_shards) == 2
+    assert min(small_chunks) >= 3
     assert met.shape == pairs.shape
     assert np.all(met >= 0) and np.all(met <= pairs)
 
 
-def test_sharded_pair_meet_fraction_matches_serial(random_graph,
-                                                   forced_shards):
-    """Same distribution as the serial stream: the pooled meet fraction of
-    the sharded run lies within a binomial bound of the serial run's."""
+def test_chunked_pair_meet_fraction_matches_one_chunk(random_graph,
+                                                      monkeypatch):
+    """Splitting into chunks keeps the distribution: the pooled meet
+    fraction of a many-chunk run lies within a binomial bound of a
+    one-chunk run's."""
     nodes, pairs = _pair_origins(random_graph)
-    serial = _meet_counts(random_graph, nodes, pairs, threads=1, seed=11)
-    assert max(forced_shards) == 1
-    sharded = _meet_counts(random_graph, nodes, pairs, threads=2, seed=12)
-    assert max(forced_shards) == 2
+    whole = _meet_counts(random_graph, nodes, pairs, threads=1, seed=11)
+    monkeypatch.setattr(aggregate, "PAIR_CHUNK", SMALL_CHUNK)
+    chunked = _meet_counts(random_graph, nodes, pairs, threads=2, seed=12)
     total = int(pairs.sum())
-    p_serial, p_sharded = serial.sum() / total, sharded.sum() / total
+    p_whole, p_chunked = whole.sum() / total, chunked.sum() / total
     # Two independent binomial(total, p) fractions: 5 standard deviations
     # of their difference.
-    bound = 5.0 * np.sqrt(2.0 * p_serial * (1.0 - p_serial) / total)
-    assert abs(p_sharded - p_serial) <= bound
+    bound = 5.0 * np.sqrt(2.0 * p_whole * (1.0 - p_whole) / total)
+    assert abs(p_chunked - p_whole) <= bound
 
 
-def test_advance_frontier_auto_matches_serial(random_graph, monkeypatch):
-    """Walk advancement never shards: with the shard threshold forced down
-    and 4 threads it keeps the serial stream bit for bit."""
-    monkeypatch.setattr(aggregate, "SHARD_MIN_STATES", 2)
+def test_chunked_exactsim_batch_thread_invariant(random_graph, small_chunks):
+    from repro.algorithms import registry
+
+    config = {"epsilon": 1e-2, "seed": 5, "max_total_samples": 20_000}
+    sources = [3, 17, 101]
+
+    def batch():
+        algorithm = registry.create("exactsim", random_graph, dict(config))
+        return [result.scores
+                for result in algorithm.single_source_batch(sources)]
+
+    scores = {threads: _with_threads(threads, batch)
+              for threads in THREAD_COUNTS}
+    assert max(small_chunks) >= 3
+    for threads in THREAD_COUNTS[1:]:
+        for a, b in zip(scores[threads], scores[1]):
+            assert np.array_equal(a, b)
+
+
+def test_chunked_walk_honours_an_expired_deadline(random_graph,
+                                                  small_chunks):
+    """Chunk tasks run in the caller's context, so a pool thread sees the
+    route's deadline and stops at its first walk step."""
+    nodes, pairs = _pair_origins(random_graph)
+    with deadline_scope(Deadline(-1.0)):
+        with pytest.raises(DeadlineExceeded):
+            _meet_counts(random_graph, nodes, pairs, threads=2)
+    assert min(small_chunks) >= 3
+
+
+def test_advance_frontier_auto_matches_serial(random_graph):
+    """Walk advancement has no threaded variant: at 4 threads it keeps the
+    serial stream bit for bit."""
     in_degrees = random_graph.in_degrees
     nodes = np.flatnonzero(in_degrees > 0).astype(np.int64)
     counts = np.full(nodes.size, 9, dtype=np.int64)

@@ -54,6 +54,7 @@ from repro.service import (
     WorkerPool,
     outcome_to_wire,
 )
+from repro.service.frontend import parse_wire_line
 
 MC_CONFIG = {"walks_per_node": 30, "walk_length": 5, "seed": 4}
 
@@ -131,6 +132,19 @@ class TestWireAndWal:
         batch = EdgeBatch.from_wire({"type": "update", "insert": [[0, 99]]})
         with pytest.raises(ValueError, match="num_nodes"):
             batch.validate(60)
+
+    @pytest.mark.parametrize("edge", [[1e30, 2], [1e400, 2], [10 ** 30, 2],
+                                      [1.5, 2], [True, 2], [1, False]])
+    def test_non_integral_node_ids_rejected(self, edge):
+        """Edge ids follow the query-id rule: integral numbers only, no
+        bools; nothing is coerced and no OverflowError escapes."""
+        with pytest.raises(ValueError, match="malformed update record"):
+            EdgeBatch.from_wire({"type": "update", "insert": [edge]})
+        with pytest.raises(ValueError, match="malformed update record"):
+            EdgeBatch.from_wire({"type": "update", "delete": [edge]})
+        line = json.dumps({"type": "update", "insert": [edge]})
+        kind, payload = parse_wire_line(line, 60)
+        assert kind == "error" and payload["code"] == "invalid_query"
 
     def test_torn_tail_replays_as_clean_prefix(self, tmp_path):
         path = tmp_path / "torn.wal"
