@@ -18,11 +18,12 @@ by ``tests/test_multiprop.py`` — and records the committed baseline
 Three workloads per dataset:
 
 * ``prsim_hub_vectors`` — the hub half of ``PRSim._build_index``: the
-  per-hub sequential frontier walk (``_reverse_hop_vectors`` loop) vs the
-  dense batched build.  Identical supports, values ≤ 1e-12.
+  per-hub sequential frontier walk (:func:`specs.probes.
+  build_hub_vectors_reference`) vs the dense batched build.  Identical
+  supports, values ≤ 1e-12.
 * ``heavy_node_exploit`` — the deterministic heavy-node phase of
   ``estimate_diagonal_local_batch``: a shared-cache loop of the sequential
-  recursion (:func:`repro.diagonal.reference.exploit_deterministic_reference`)
+  recursion (:func:`specs.algorithm3.exploit_deterministic_reference`)
   vs the level-synchronous batch.  ℓ(k), edge accounting and masses are
   pinned identical inside the measurement.
 * ``batched_queries`` — SLING and Linearization ``single_source_batch`` vs a
@@ -39,18 +40,25 @@ records both budget depths.
 """
 
 import json
+import os
 import platform
 import sys
 import time
 
 import numpy as np
 
+# The sequential reference paths are the test suite's executable specs
+# (tests/specs/); put tests/ on the path however this file is run.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+
 from repro.algorithms import registry
 from repro.baselines.prsim import PRSim
 from repro.diagonal.local import DistributionCache, _exploit_deterministic_batch
-from repro.diagonal.reference import exploit_deterministic_reference
 from repro.graph.datasets import load_dataset
 from repro.ppr.pagerank import pagerank
+from specs.algorithm3 import exploit_deterministic_reference
+from specs.probes import build_hub_vectors_reference
 
 DECAY = 0.6
 SEED = 2020
@@ -75,12 +83,12 @@ def _prsim_hub_vectors_workload(graph, epsilon, hub_fraction, repeats):
     prsim._operator.matrix_t          # warm the shared transition matrices
 
     reference = _best(
-        lambda: prsim._build_hub_vectors_reference(hubs, iterations, threshold),
+        lambda: build_hub_vectors_reference(prsim, hubs, iterations, threshold),
         repeats)
     batched = _best(
         lambda: prsim._build_hub_vectors(hubs, iterations, threshold), repeats)
-    sequential_flat = prsim._build_hub_vectors_reference(hubs, iterations,
-                                                         threshold)
+    sequential_flat = build_hub_vectors_reference(prsim, hubs, iterations,
+                                                  threshold)
     batched_flat = prsim._build_hub_vectors(hubs, iterations, threshold)
     supports_equal = all(np.array_equal(a, b) for a, b in
                          zip(sequential_flat[:3], batched_flat[:3]))

@@ -15,17 +15,26 @@ or regenerate the committed perf baseline ``BENCH_kernels.json``::
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
+# The sequential reference paths are the test suite's executable specs
+# (tests/specs/); put tests/ on the path however this file is run.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+
 from repro.graph.datasets import load_dataset
 from repro.kernels.frontier import propagate_distribution, push_frontier
-from repro.kernels.reference import (
+from repro.kernels.sparsevec import SparseVector
+from repro.ppr.push import forward_push_hop_ppr, forward_push_hop_ppr_batch
+from specs.frontier import (
+    _reference_forward_push_hop_ppr,
     _reference_propagate_distribution,
     _reference_push_frontier,
 )
-from repro.kernels.sparsevec import SparseVector
-from repro.ppr.push import forward_push_hop_ppr, forward_push_hop_ppr_batch
 
 DECAY = 0.6
 SQRT_C = float(np.sqrt(DECAY))
@@ -340,7 +349,6 @@ def record_baseline(path="BENCH_kernels.json"):
         before_prop = _time(_reference_propagate_distribution, graph, frontier_dict)
         after_prop = _time(propagate_distribution, graph.in_indptr,
                            graph.in_indices, frontier, num_nodes=graph.num_nodes)
-        from repro.kernels.reference import _reference_forward_push_hop_ppr
         before_full = _time(_reference_forward_push_hop_ppr, graph, source, 20,
                             R_MAX, decay=DECAY, repeats=3)
         after_full = _time(forward_push_hop_ppr, graph, source, 20, R_MAX,

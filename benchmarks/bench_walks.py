@@ -4,7 +4,7 @@ Measures, on the registered benchmark graphs, the wall-clock time of the
 Monte-Carlo sampling primitives on
 
 * ``reference`` — the pre-compaction full-width engine
-  (:class:`repro.randomwalk.reference.ReferenceWalkEngine`): every step pays
+  (:class:`specs.walks.ReferenceWalkEngine`): every step pays
   O(batch width) regardless of how many walks are alive, and walk pairs are
   advanced one array slot per pair, and
 * ``aggregated`` — the production :class:`repro.randomwalk.engine.
@@ -37,11 +37,17 @@ history in BENCH_batch.json stays comparable.
 """
 
 import json
+import os
 import platform
 import sys
 import time
 
 import numpy as np
+
+# The sequential reference paths are the test suite's executable specs
+# (tests/specs/); put tests/ on the path however this file is run.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
 
 from repro.core.config import ExactSimConfig
 from repro.core.exactsim import ExactSim
@@ -49,7 +55,7 @@ from repro.core.sampling import allocate_squared, total_sample_budget
 from repro.graph.datasets import load_dataset
 from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.randomwalk.engine import SqrtCWalkEngine
-from repro.randomwalk.reference import ReferenceWalkEngine
+from specs.walks import ReferenceWalkEngine
 
 DECAY = 0.6
 SEED = 2020

@@ -24,9 +24,8 @@ Quickstart
 """
 
 from repro.core.config import ExactSimConfig, EPSILON_EXACT
-from repro.core.exactsim import ExactSim, exact_single_source, exact_top_k
+from repro.core.exactsim import ExactSim
 from repro.core.result import SingleSourceResult, TopKResult
-from repro.core.topk import AdaptiveTopKResult, adaptive_top_k
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.algorithms import registry as algorithm_registry
@@ -50,10 +49,6 @@ __all__ = [
     "ExactSim",
     "ExactSimConfig",
     "EPSILON_EXACT",
-    "exact_single_source",
-    "exact_top_k",
-    "adaptive_top_k",
-    "AdaptiveTopKResult",
     "SingleSourceResult",
     "SinglePairResult",
     "TopKResult",

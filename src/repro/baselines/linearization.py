@@ -29,7 +29,8 @@ from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.deadline import active_deadline
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
-from repro.utils.validation import check_node_index, check_positive_int
+from repro.utils.validation import (check_node_index, check_positive,
+                                    check_positive_int)
 
 
 class LinearizationSimRank(SimRankAlgorithm):
@@ -45,7 +46,7 @@ class LinearizationSimRank(SimRankAlgorithm):
                  samples_per_node: Optional[int] = None, seed: SeedLike = None,
                  context: Optional[GraphContext] = None):
         super().__init__(graph, decay=decay, context=context)
-        self.epsilon = float(epsilon)
+        self.epsilon = check_positive(epsilon, "epsilon")
         if samples_per_node is None:
             # The paper's setting: O(log n / ε²) pairs per node; the constant is
             # scaled down so sweeps stay tractable on the Python substrate.

@@ -35,8 +35,7 @@ from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.diagonal.parsim_approx import parsim_diagonal
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
-from repro.kernels.frontier import propagate_batch_transpose, propagate_transpose
-from repro.kernels.sparsevec import SparseVector
+from repro.kernels.frontier import propagate_batch_transpose
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
@@ -181,24 +180,6 @@ class ProbeSim(SimRankAlgorithm):
         if isinstance(hop, np.ndarray):
             return hop[nodes]
         return hop.gather(nodes)
-
-    def _probe(self, node: int, level: int) -> SparseVector:
-        """π_·^level(node) as a sparse vector (truncated reverse probe).
-
-        The sequential reference the batched accumulation replaces; kept for
-        the tests that pin batched ≡ sequential probing.
-        """
-        sqrt_c = self._operator.sqrt_c
-        frontier = SparseVector(np.array([node], dtype=np.int64),
-                                np.array([1.0], dtype=np.float64))
-        for _ in range(level):
-            frontier, _ = propagate_transpose(
-                self.graph.out_indptr, self.graph.out_indices,
-                self.graph.in_degrees, frontier, num_nodes=self.graph.num_nodes)
-            frontier = frontier.scaled(sqrt_c)
-            if self.probe_threshold > 0.0:
-                frontier = frontier.filtered(self.probe_threshold)
-        return frontier.scaled(1.0 - sqrt_c)
 
 
 __all__ = ["ProbeSim"]

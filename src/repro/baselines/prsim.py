@@ -25,8 +25,8 @@ one ``Pᵀ``-times-dense product per level for the whole hub set
 toward the reachable set within a few levels, exactly the regime where the
 dense product beats any frontier-proportional scatter), with the per-level
 snapshot pruning applied as a single mask over the stacked state.  The
-per-hub sequential walk survives as :meth:`PRSim._reverse_hop_vectors`
-(the executable spec ``tests/test_multiprop.py`` pins the batched build
+per-hub sequential walk survives in ``tests/specs/probes.py`` (the
+executable spec ``tests/test_multiprop.py`` pins the batched build
 against: identical supports, values ≤ 1e-12).
 The index itself lives as flat COO triplets ``(hub position, level, column,
 value)`` sorted by (position, level, column): queries accumulate the whole
@@ -42,23 +42,22 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
                                   SimRankAlgorithm)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
-from repro.kernels.frontier import propagate_batch_transpose, propagate_transpose
+from repro.kernels.frontier import propagate_batch_transpose
 from repro.kernels.parallel import parallel_spmm
-from repro.kernels.sparsevec import SparseVector
 from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.ppr.pagerank import pagerank
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.deadline import active_deadline
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
-from repro.utils.validation import check_node_index, check_probability
+from repro.utils.validation import (check_node_index, check_positive,
+                                    check_probability)
 
 #: The flat hub index: (positions, levels, columns, values) sorted by
 #: (position, level, column).  ``positions`` indexes into the hub array.
@@ -84,7 +83,7 @@ class PRSim(SimRankAlgorithm):
                  hub_fraction: float = 0.1, seed: SeedLike = None,
                  context: Optional[GraphContext] = None):
         super().__init__(graph, decay=decay, context=context)
-        self.epsilon = float(epsilon)
+        self.epsilon = check_positive(epsilon, "epsilon")
         self.hub_fraction = check_probability(hub_fraction, "hub_fraction",
                                               inclusive_low=False)
         self._seed = seed
@@ -104,36 +103,6 @@ class PRSim(SimRankAlgorithm):
     # ------------------------------------------------------------------ #
     # preprocessing
     # ------------------------------------------------------------------ #
-    def _reverse_hop_vectors(self, node: int, iterations: int, threshold: float
-                             ) -> List[sparse.csr_matrix]:
-        """π_·^ℓ(node) over all source nodes, truncated below ``threshold``.
-
-        Uses the symmetry π_j^ℓ(k) = (1 − √c)·((√c Pᵀ)^ℓ e_k)(j): one sparse
-        frontier walk from ``node`` yields the whole column of the index.
-        The frontier itself is propagated exactly (only the stored snapshots
-        are pruned, as in the seed's dense implementation).
-
-        This is the sequential executable spec; production index builds run
-        all hubs at once through :meth:`_build_hub_vectors`.
-        """
-        sqrt_c = self._operator.sqrt_c
-        num_nodes = self.graph.num_nodes
-        frontier = SparseVector(np.array([node], dtype=np.int64),
-                                np.array([1.0], dtype=np.float64))
-        vectors: List[sparse.csr_matrix] = []
-        for level in range(iterations + 1):
-            hop = frontier.scaled(1.0 - sqrt_c).filtered(threshold)
-            vectors.append(sparse.csr_matrix(
-                (hop.values, (np.zeros(hop.nnz, dtype=np.int64), hop.indices)),
-                shape=(1, num_nodes)))
-            if level == iterations:
-                break
-            frontier, _ = propagate_transpose(
-                self.graph.out_indptr, self.graph.out_indices,
-                self.graph.in_degrees, frontier, num_nodes=num_nodes)
-            frontier = frontier.scaled(sqrt_c)
-        return vectors
-
     #: Cap on the dense lane state of one build chunk (bytes); 64 MB keeps
     #: the per-chunk (num_nodes × lanes) matrix cache- and RAM-friendly.
     _DENSE_LANE_BYTES = 64 << 20
@@ -148,7 +117,8 @@ class PRSim(SimRankAlgorithm):
         (num_nodes × hubs) matrix, advanced by a single ``Pᵀ``-times-dense
         product per level, with the per-level snapshot pruning applied as
         one mask over the whole chunk.  Supports match the sequential
-        :meth:`_reverse_hop_vectors` exactly and values to ≤1e-12 (the
+        per-hub walk (``tests/specs/probes.py``) exactly and values to
+        ≤1e-12 (the
         matrix product multiplies by the edge weight before adding, where
         the frontier kernel sums first and divides once); the equivalence
         suite pins both.
@@ -186,30 +156,6 @@ class PRSim(SimRankAlgorithm):
         # both read the flat arrays in this order.
         order = np.lexsort((cols, levels, positions))
         return positions[order], levels[order], cols[order], vals[order]
-
-    def _build_hub_vectors_reference(self, hubs: np.ndarray, iterations: int,
-                                     threshold: float) -> HubIndex:
-        """Sequential per-hub build flattened to the canonical flat layout.
-
-        The loop the batched build replaces; kept for the equivalence tests
-        and the index-build benchmark.
-        """
-        position_parts: List[np.ndarray] = []
-        level_parts: List[np.ndarray] = []
-        col_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        for position, hub in enumerate(hubs.tolist()):
-            for level, vector in enumerate(
-                    self._reverse_hop_vectors(int(hub), iterations, threshold)):
-                nnz = vector.nnz
-                position_parts.append(np.full(nnz, position, dtype=np.int64))
-                level_parts.append(np.full(nnz, level, dtype=np.int64))
-                col_parts.append(vector.indices.astype(np.int64))
-                val_parts.append(vector.data.astype(np.float64))
-        concat = (lambda parts, dtype: np.concatenate(parts)
-                  if parts else np.empty(0, dtype=dtype))
-        return (concat(position_parts, np.int64), concat(level_parts, np.int64),
-                concat(col_parts, np.int64), concat(val_parts, np.float64))
 
     def _build_index(self) -> None:
         num_nodes = self.graph.num_nodes

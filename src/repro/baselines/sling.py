@@ -50,7 +50,7 @@ from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.deadline import active_deadline
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
-from repro.utils.validation import check_node_index
+from repro.utils.validation import check_node_index, check_positive
 
 
 class SLING(SimRankAlgorithm):
@@ -67,7 +67,7 @@ class SLING(SimRankAlgorithm):
                  samples_per_node: Optional[int] = None, seed: SeedLike = None,
                  context: Optional[GraphContext] = None):
         super().__init__(graph, decay=decay, context=context)
-        self.epsilon = float(epsilon)
+        self.epsilon = check_positive(epsilon, "epsilon")
         if samples_per_node is None:
             samples_per_node = min(int(np.ceil(1.0 / max(self.epsilon, 1e-6))), 10_000)
         self.samples_per_node = int(samples_per_node)

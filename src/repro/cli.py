@@ -62,6 +62,7 @@ from repro.service import (
     outcome_to_wire,
     parse_wire_line,
 )
+from repro.utils.validation import check_positive
 
 _FIGURE_DRIVERS = {
     "fig1": fig_error_vs_query_time,
@@ -261,7 +262,12 @@ def _method_config(args: argparse.Namespace, method: str, *,
     instantiate any of them), and e.g. a parsim-only ``iterations`` must
     not poison sling's config.  Single-method commands keep the strict
     pass-through so a mistyped key still fails loudly.
+
+    ε — from ``--epsilon`` or ``--param epsilon=`` — must be positive and
+    finite, whether or not ``method`` reads it; anything else raises
+    ``ValueError``, which every command turns into exit code 2.
     """
+    check_positive(args.epsilon, "--epsilon")
     spec = registry.get_spec(method)
     config: Dict[str, Any] = {}
     if "decay" in spec.config_keys:
@@ -275,6 +281,10 @@ def _method_config(args: argparse.Namespace, method: str, *,
         config["max_total_samples"] = args.max_samples
     for item in args.param:
         key, value = _parse_param(item)
+        if key == "epsilon":
+            if not isinstance(value, (int, float)):
+                raise ValueError(f"--param epsilon must be a number, got {value!r}")
+            check_positive(value, "--param epsilon")
         if not accepted_params_only or key in spec.config_keys:
             config[key] = value
     return config
@@ -666,6 +676,8 @@ def _command_query(args: argparse.Namespace) -> int:
         try:
             sources = [int(item) for item in args.sources.split(",") if item.strip()]
         except ValueError:
+            sources = []
+        if not sources:
             print(f"error: --sources must be comma-separated integers, "
                   f"got {args.sources!r}", file=sys.stderr)
             return 2

@@ -12,12 +12,9 @@ from repro.core.sparse import (
     sparsify_to_vector,
     sparsify_vector,
 )
-from repro.core.exactsim import ExactSim, exact_single_source, exact_top_k
-from repro.core.topk import AdaptiveTopKResult, adaptive_top_k
+from repro.core.exactsim import ExactSim
 
 __all__ = [
-    "AdaptiveTopKResult",
-    "adaptive_top_k",
     "ExactSimConfig",
     "SingleSourceResult",
     "TopKResult",
@@ -28,6 +25,4 @@ __all__ = [
     "sparsify_to_vector",
     "sparsify_vector",
     "ExactSim",
-    "exact_single_source",
-    "exact_top_k",
 ]

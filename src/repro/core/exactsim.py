@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.baselines.base import QUERY_SINGLE_PAIR, SimRankAlgorithm
 from repro.core.config import ExactSimConfig
-from repro.core.result import SinglePairResult, SingleSourceResult, TopKResult
+from repro.core.result import SinglePairResult, SingleSourceResult
 from repro.core.sampling import allocate_proportional, allocate_squared, total_sample_budget
 from repro.diagonal.basic import estimate_diagonal_basic_batch
 from repro.diagonal.local import DistributionCache, estimate_diagonal_local_batch
@@ -89,8 +89,8 @@ class ExactSim(SimRankAlgorithm):
         # Graph-derived snapshots, rebuilt whenever the instance moves to
         # another graph version so it answers exactly like a fresh one.
         self._operator = self._operator_for_graph()
-        self._walk_engine = SqrtCWalkEngine(self.graph, self.config.decay,
-                                            seed=self.config.seed)
+        self._engine = SqrtCWalkEngine(self.graph, self.config.decay,
+                                       seed=self.config.seed)
         # Heavy-node visit-distribution cache for Algorithm 3, shared across
         # the sources of a batch and across successive queries of this engine
         # (the distributions are deterministic per graph, so reuse is exact).
@@ -397,11 +397,11 @@ class ExactSim(SimRankAlgorithm):
             return estimate_diagonal_local_batch(
                 self.graph, allocations, decay=config.decay,
                 max_level=config.max_exploit_level,
-                max_steps=config.max_walk_steps, engine=self._walk_engine,
+                max_steps=config.max_walk_steps, engine=self._engine,
                 cache=self._distribution_cache)
         return estimate_diagonal_basic_batch(
             self.graph, allocations, decay=config.decay,
-            max_steps=config.max_walk_steps, engine=self._walk_engine)
+            max_steps=config.max_walk_steps, engine=self._engine)
 
     def _back_substitute_batch(self, hop_pprs: List[HopPPR],
                                diagonals: List[np.ndarray]) -> List[np.ndarray]:
@@ -444,33 +444,4 @@ class ExactSim(SimRankAlgorithm):
             current[hop.indices, column] += scale * diagonal[hop.indices] * hop.values
 
 
-def exact_single_source(graph: DiGraph, source: int, *, epsilon: float = 1e-4,
-                        decay: float = 0.6, optimized: bool = True,
-                        seed: Optional[int] = None,
-                        max_total_samples: Optional[int] = 2_000_000
-                        ) -> SingleSourceResult:
-    """One-shot convenience wrapper around :class:`ExactSim`.
-
-    ``optimized=False`` runs the basic variant of Algorithm 1 (no sparse
-    linearization, proportional sampling, Algorithm 2 for D) — the
-    configuration labelled "Basic ExactSim" in Figure 9 and Table 3.
-    """
-    if optimized:
-        config = ExactSimConfig(epsilon=epsilon, decay=decay, seed=seed,
-                                max_total_samples=max_total_samples)
-    else:
-        config = ExactSimConfig.basic(epsilon=epsilon, decay=decay, seed=seed,
-                                      max_total_samples=max_total_samples)
-    return ExactSim(graph, config).single_source(source)
-
-
-def exact_top_k(graph: DiGraph, source: int, k: int = 500, *, epsilon: float = 1e-4,
-                decay: float = 0.6, optimized: bool = True,
-                seed: Optional[int] = None) -> TopKResult:
-    """One-shot top-k query (the paper evaluates k = 500)."""
-    result = exact_single_source(graph, source, epsilon=epsilon, decay=decay,
-                                 optimized=optimized, seed=seed)
-    return result.top_k(k)
-
-
-__all__ = ["ExactSim", "exact_single_source", "exact_top_k"]
+__all__ = ["ExactSim"]

@@ -28,7 +28,7 @@ level.  Each node keeps its own :class:`BudgetWindow`: the window charges
 every edge the scalar recursion would traverse — prefetched or not, in the
 scalar fetch order — so the adaptive ℓ(k) choice is *bit-identical* to the
 sequential recursion (preserved as the executable specification in
-:mod:`repro.diagonal.reference` and pinned by ``tests/test_multiprop.py``).
+``tests/specs/algorithm3.py`` and pinned by ``tests/test_multiprop.py``).
 
 The demand fed to the prefetch is *budget-aware*: a node whose window is
 near exhaustion only prefetches the prefix of its level's fetch sequence
@@ -53,8 +53,6 @@ the sources of a ``single_source_batch``: distributions another node already
 materialised cost a lookup instead of a propagation (the walk-pooling reuse
 the compacted sampling substrate exploits elsewhere), while the per-window
 accounting keeps every node's ℓ(k) independent of cache warmth.
-:func:`first_meeting_probabilities` runs the same level loop for one node
-under an unbudgeted window.
 
 The sampling side rides the count-aggregated walk engine: lightly sampled
 nodes form one batched pair-meeting call, and the Algorithm 3 tail estimates
@@ -64,7 +62,6 @@ non-stop prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,10 +72,6 @@ from repro.kernels.multiprop import MultiPropagation, dense_lane_limit
 from repro.kernels.sparsevec import SparseVector
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.rng import SeedLike
-from repro.utils.validation import check_node_index, check_positive_int
-
-# A sparse probability distribution over nodes (the public dict view).
-Distribution = Dict[int, float]
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -535,20 +528,6 @@ class DistributionCache:
         self._cached_bytes = 0
 
 
-@dataclass
-class LocalExploitResult:
-    """Outcome of Algorithm 3 for one node."""
-
-    node: int
-    estimate: float
-    chosen_level: int
-    deterministic_mass: float
-    tail_estimate: float
-    traversed_edges: int
-    sampled_pairs: int
-    exact: bool = False
-
-
 def _demand_for_level(cache: DistributionCache, window: BudgetWindow,
                       node: int, level: int,
                       z_levels: List[Tuple[np.ndarray, np.ndarray]],
@@ -629,24 +608,6 @@ class _ExploitState:
         self.alive = True
 
 
-def first_meeting_probabilities(graph: DiGraph, node: int, max_level: int, *,
-                                decay: float = 0.6) -> List[Distribution]:
-    """Z_ℓ(node, ·) for ℓ = 1 … ``max_level`` via the Lemma 4 recursion.
-
-    The Algorithm 3 level loop (:func:`_explore_levels`) for one node under
-    an unbudgeted window, so every level up to ``max_level`` is computed.
-    Intended for small neighbourhoods and for the tests that validate the
-    recursion against brute-force enumeration.
-    """
-    node = check_node_index(node, graph.num_nodes)
-    max_level = check_positive_int(max_level, "max_level")
-    state = _ExploitState(node, BudgetWindow(None))
-    _explore_levels(graph, DistributionCache(graph), [state], decay=decay,
-                    max_level=max_level)
-    return [dict(zip(indices.tolist(), values.tolist()))
-            for indices, values in state.z_levels]
-
-
 def _run_level_fused(cache: DistributionCache, states: List[_ExploitState],
                      level: int, decay: float, num_nodes: int) -> None:
     """Advance every state's Lemma 4 recursion one level, fused across states.
@@ -663,8 +624,8 @@ def _run_level_fused(cache: DistributionCache, states: List[_ExploitState],
     sequential recursion would — its discarded level simply stops being
     subtracted into.  Within one state the packed-key subtraction touches
     the same targets with the same contributions in the same order as the
-    per-``q'`` loop of :func:`repro.diagonal.reference.z_level_reference`,
-    so fusing changes no float.
+    sequential spec's per-``q'`` loop (``tests/specs/algorithm3.py``), so
+    fusing changes no float.
     """
     participants: List[_ExploitState] = []
     node_parts: List[np.ndarray] = []
@@ -788,7 +749,7 @@ def _exploit_deterministic_batch(graph: DiGraph, cache: DistributionCache,
     :func:`_explore_levels`.  Because every window charges every edge the
     scalar recursion would traverse — cached or not, in the scalar fetch
     order — the outcome per node is bit-identical to the sequential
-    recursion of :mod:`repro.diagonal.reference`.
+    recursion of ``tests/specs/algorithm3.py``.
     """
     sqrt_c = float(np.sqrt(decay))
     states: Dict[Tuple[int, int], _ExploitState] = {}
@@ -814,66 +775,6 @@ def _needs_tail(chosen_level: int, num_pairs: int, decay: float) -> bool:
     of the sample budget there is nothing worth sampling.
     """
     return (decay ** chosen_level) * num_pairs >= 1.0
-
-
-def estimate_diagonal_entry_local(graph: DiGraph, node: int, num_pairs: int, *,
-                                  decay: float = 0.6, max_level: int = 20,
-                                  max_steps: int = 64, seed: SeedLike = None,
-                                  engine: Optional[SqrtCWalkEngine] = None,
-                                  cache: Optional[DistributionCache] = None
-                                  ) -> LocalExploitResult:
-    """Algorithm 3: estimate D(node, node) with deterministic local exploitation.
-
-    Parameters
-    ----------
-    num_pairs:
-        The sample budget R(k) this node was allocated; it both caps the
-        deterministic edge budget (2·R(k)/√c) and sets the number of walk
-        pairs used for the tail estimate.
-    max_level:
-        Hard cap on ℓ(k); the paper's adaptive rule almost always stops far
-        earlier because the edge budget is exhausted.
-    cache:
-        An optional shared :class:`DistributionCache`.  Sharing saves
-        wall-clock (distributions materialised by earlier invocations are
-        reused), but the edge budget still charges cached levels, so the
-        chosen ℓ(k) — and hence the estimate's distribution — is identical
-        to running with a fresh cache.
-    """
-    node = check_node_index(node, graph.num_nodes)
-    in_degree = graph.in_degree(node)
-    if in_degree == 0:
-        return LocalExploitResult(node=node, estimate=1.0, chosen_level=0,
-                                  deterministic_mass=0.0, tail_estimate=0.0,
-                                  traversed_edges=0, sampled_pairs=0, exact=True)
-    if in_degree == 1:
-        return LocalExploitResult(node=node, estimate=1.0 - decay, chosen_level=0,
-                                  deterministic_mass=decay, tail_estimate=0.0,
-                                  traversed_edges=0, sampled_pairs=0, exact=True)
-
-    num_pairs = check_positive_int(num_pairs, "num_pairs")
-    if cache is None:
-        cache = DistributionCache(graph)
-    chosen_level, deterministic_mass, traversed = _exploit_deterministic_batch(
-        graph, cache, [(node, num_pairs)], decay=decay, max_level=max_level)[0]
-    estimate = 1.0 - deterministic_mass
-
-    # Tail: remaining first-meeting mass beyond the deterministic horizon.
-    tail_estimate = 0.0
-    if _needs_tail(chosen_level, num_pairs, decay):
-        walker = engine if engine is not None else SqrtCWalkEngine(graph, decay, seed=seed)
-        met = walker.pair_meet_counts(
-            np.array([node], dtype=np.int64), np.array([num_pairs], dtype=np.int64),
-            max_steps=max_steps, skip_steps=chosen_level)
-        tail_estimate = float(decay ** chosen_level) * float(met[0]) / float(num_pairs)
-        estimate -= tail_estimate
-
-    estimate = float(min(max(estimate, 0.0), 1.0))
-    return LocalExploitResult(node=node, estimate=estimate, chosen_level=chosen_level,
-                              deterministic_mass=deterministic_mass,
-                              tail_estimate=tail_estimate,
-                              traversed_edges=traversed,
-                              sampled_pairs=num_pairs)
 
 
 def estimate_diagonal_local_batch(graph: DiGraph,
@@ -965,8 +866,5 @@ __all__ = [
     "BudgetWindow",
     "SparseDepthRecord",
     "DistributionCache",
-    "LocalExploitResult",
-    "estimate_diagonal_entry_local",
     "estimate_diagonal_local_batch",
-    "first_meeting_probabilities",
 ]

@@ -12,23 +12,19 @@ instances on one graph paid for ten identical CSR-to-CSC conversions.
 * ``operator(decay)`` returns a :class:`TransitionOperator` cached per decay
   value, so the sparse ``P``/``Pᵀ`` matrices are built at most once per
   (graph, decay) pair no matter how many algorithms share the context;
-* the CSR arrays and degree vectors are exposed as properties so kernel-level
-  callers can stay on the arrays without reaching into the graph;
 * :meth:`GraphContext.shared` is a process-wide weak cache, so algorithms
   that are constructed without an explicit context still end up sharing one
   per graph (the common case in the harness and the CLI).
 
 The context deliberately does **not** cache random-walk engines: an engine
 carries RNG state, and sharing it implicitly across algorithms would couple
-their sample streams.  Use :meth:`walk_engine` to construct a fresh one.
+their sample streams.
 """
 
 from __future__ import annotations
 
 import weakref
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.graph.transition import TransitionOperator
@@ -79,12 +75,6 @@ class GraphContext:
             operator = TransitionOperator(self.graph, key)
             self._operators[key] = operator
         return operator
-
-    def walk_engine(self, decay: float = 0.6, *, seed=None):
-        """A fresh √c-walk engine (never cached — engines carry RNG state)."""
-        from repro.randomwalk.engine import SqrtCWalkEngine
-
-        return SqrtCWalkEngine(self.graph, decay, seed=seed)
 
     # ------------------------------------------------------------------ #
     # online updates
@@ -227,47 +217,6 @@ class GraphContext:
                                   self.graph_at(version_to),
                                   version_from=int(version_from),
                                   version_to=int(version_to))
-
-    # ------------------------------------------------------------------ #
-    # array views
-    # ------------------------------------------------------------------ #
-    @property
-    def num_nodes(self) -> int:
-        return self.graph.num_nodes
-
-    @property
-    def in_indptr(self) -> np.ndarray:
-        return self.graph.in_indptr
-
-    @property
-    def in_indices(self) -> np.ndarray:
-        return self.graph.in_indices
-
-    @property
-    def out_indptr(self) -> np.ndarray:
-        return self.graph.out_indptr
-
-    @property
-    def out_indices(self) -> np.ndarray:
-        return self.graph.out_indices
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return self.graph.in_degrees
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return self.graph.out_degrees
-
-    # ------------------------------------------------------------------ #
-    # accounting
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self) -> int:
-        """Bytes held by the graph CSR arrays plus every cached operator."""
-        total = self.graph.memory_bytes()
-        for operator in self._operators.values():
-            total += operator.memory_bytes()
-        return int(total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GraphContext(graph={self.graph.name!r}, "

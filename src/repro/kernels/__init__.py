@@ -26,9 +26,11 @@ Layout:
   Algorithm 3 prefetch of :mod:`repro.diagonal.local`);
 * :mod:`repro.kernels.parallel` — the thread pool behind the two threaded
   paths: column-blocked ``parallel_spmm`` and the chunked pair walks of
-  :mod:`repro.randomwalk.aggregate`, both bit-identical at any thread count;
-* :mod:`repro.kernels.reference` — the original dict-based loops, kept as
-  executable specifications for the equivalence test suite.
+  :mod:`repro.randomwalk.aggregate`, both bit-identical at any thread count.
+
+The original dict-based loops are kept with the tests, in
+``tests/specs/frontier.py``, as executable specifications for the
+equivalence suite.
 """
 
 from repro.kernels.frontier import (

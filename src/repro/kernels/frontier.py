@@ -19,7 +19,7 @@ operations only:
 
 The cost of one level is therefore O(frontier edges) vectorized work — the
 same asymptotics as the seed's dict loops with a ~10-100× smaller constant.
-The original loops survive in :mod:`repro.kernels.reference` as executable
+The original loops survive in ``tests/specs/frontier.py`` as executable
 specifications; ``tests/test_kernels.py`` pins the two to each other at
 1e-12 on random power-law graphs with dangling nodes and self-loops.
 """

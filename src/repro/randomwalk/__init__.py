@@ -6,11 +6,9 @@ from repro.randomwalk.meeting import (
     estimate_diagonal_entry,
     estimate_tail_meeting_probability,
 )
-from repro.randomwalk.reference import ReferenceWalkEngine
 
 __all__ = [
     "CountFrontier",
-    "ReferenceWalkEngine",
     "SqrtCWalkEngine",
     "WalkBatch",
     "estimate_meeting_probability",

@@ -26,9 +26,9 @@ instead of the batch width:
   the single-source ``num_walks ≫ |reachable set|`` regimes of ExactSim's
   phase 2 and the diagonal estimators orders of magnitude cheaper.
 
-The pre-compaction full-width engine survives as
-:class:`repro.randomwalk.reference.ReferenceWalkEngine` — the executable
-specification the statistical-equivalence tests pin this engine against.
+The pre-compaction full-width engine survives in ``tests/specs/walks.py``
+— the executable specification the statistical-equivalence tests pin this
+engine against.
 Seeded runs of this engine are deterministic (same seed ⇒ bit-identical
 results), but the RNG consumption pattern differs from the reference engine,
 so the two produce different (equally distributed) sample paths.

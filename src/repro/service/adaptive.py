@@ -1,14 +1,16 @@
 """Adaptive top-k refinement over the planner's instance cache.
 
-The paper's Figure 6 observation — top-k answers stabilise one or two
-ε-levels before the exactness setting — used to be wired to a private
-ExactSim loop in :mod:`repro.core.topk`.  This module generalises it to
-*any* registered method with an accuracy knob: the planner constructs the
-per-round instances (sharing the graph context, the persisted-index store
-and — via the registry — the method's declared sweep parameter), each round
-answers through the method's ``top_k`` (the *native* early-stopping path
-where the method has one), and refinement stops as soon as the answer is
-stable for ``stable_rounds`` consecutive rounds.
+The paper's Figure 6 observation: ExactSim's top-500 answer *stabilises* one
+or two ε-levels before the exactness setting — on all four large graphs the
+top-500 at ε = 1e-6 already equals the top-500 at ε = 1e-7.  This module
+turns that into a query strategy for *any* registered method with an
+accuracy knob: run at a coarse setting, refine it round by round, and stop
+as soon as the top-k answer stops changing.  The planner constructs the
+per-round instances (sharing the graph context and — via the registry —
+the method's declared sweep parameter), each round answers through the
+method's ``top_k`` (the *native* early-stopping path where the method has
+one), and refinement stops as soon as the answer is stable for
+``stable_rounds`` consecutive rounds.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.core.result import TopKResult
 from repro.service.planner import QueryPlanner
 from repro.utils.deadline import (CHECKPOINT_REFINE_ROUND, DeadlineExceeded,
                                   checkpoint)
+from repro.utils.validation import (check_node_index, check_positive,
+                                    check_positive_int)
 
 
 @dataclass
@@ -53,8 +57,8 @@ def refine_top_k(planner: QueryPlanner, method: str, source: int, k: int = 500,
     Parameters
     ----------
     planner:
-        Supplies the per-round algorithm instances (shared context, cached
-        across calls, persisted indices auto-loaded).
+        Supplies the per-round algorithm instances (shared context; the
+        planner keeps the most recently used ones across calls).
     initial / refine / stop:
         The knob schedule: the first value, the map from one round's value
         to the next (e.g. ``lambda e: e / 10`` for ε knobs, ``lambda r:
@@ -69,6 +73,9 @@ def refine_top_k(planner: QueryPlanner, method: str, source: int, k: int = 500,
     spec = registry.get_spec(method)
     if spec.sweep_parameter is None:
         raise ValueError(f"{method} has no sweep parameter to refine")
+    source = check_node_index(source, planner.graph.num_nodes, "source")
+    check_positive_int(k, "k")
+    check_positive(initial, "initial")
     if stable_rounds < 1:
         raise ValueError("stable_rounds must be at least 1")
 

@@ -49,7 +49,11 @@ the outcome carry a ``route_failed`` error.
 Index-based methods auto-load their persisted index from ``index_dir`` on
 first touch.  A corrupt or stale index file degrades to a rebuild with a
 logged structured warning (and an ``index_load_failures`` counter) — never
-an exception on the serving path.
+an exception on the serving path.  Only the *configured* instance of a
+method touches ``index_dir``: an instance built for a per-query ε override
+never loads, saves or re-saves the persisted file, and the planner keeps at
+most :data:`OVERRIDE_INSTANCES` of them alive (least recently used first
+out; an evicted one rebuilds on demand, bit-identically since it is seeded).
 
 **Online updates.**  The planner participates in the versioned update plane
 of :mod:`repro.graph.context` / :mod:`repro.graph.updates`:
@@ -119,6 +123,14 @@ ROUTE_DERIVED = "derived"
 ROUTE_FALLBACK = "fallback"
 
 PathLike = Union[str, Path]
+
+#: How many per-query override instances (a wire ε other than the configured
+#: one) a planner keeps alive, least recently used first out.  At least the
+#: number of rounds of an adaptive top-k refinement (ε from 1e-1 down to
+#: 1e-5 by factors of 10 is five), so one refinement never rebuilds its own
+#: earlier rounds; each instance can hold an index, and an ExactSim one a
+#: distribution cache of up to 64 MB.
+OVERRIDE_INSTANCES = 8
 
 
 @dataclass(frozen=True)
@@ -289,7 +301,11 @@ class QueryPlanner:
         # advanced only by the atomic swap in complete_repairs().
         self._graph_key = graph.fingerprint().tobytes()
         self._graph_version = self.context.version_of(graph)
-        self._instances: Dict[Hashable, SimRankAlgorithm] = {}
+        # The configured (or registered) instance of each method name, and
+        # the per-query override instances keyed by (method, merged config).
+        self._instances: Dict[str, SimRankAlgorithm] = {}
+        self._overrides: "OrderedDict[Hashable, SimRankAlgorithm]" = \
+            OrderedDict()
         # Methods whose freshly built index should be persisted once an
         # actual query forces the build (never eagerly at construction).
         self._pending_saves: set = set()
@@ -329,35 +345,44 @@ class QueryPlanner:
         if algorithm.graph is not self.graph and algorithm.graph != self.graph:
             raise ValueError("algorithm was built for a different graph")
         key = name if name is not None else algorithm.name
-        self._instances[(key, None)] = algorithm
+        self._instances[key] = algorithm
         return key
 
     def instance(self, method: Optional[str] = None,
                  config: Optional[Mapping[str, Any]] = None) -> SimRankAlgorithm:
         """The (cached) algorithm instance answering ``method`` queries.
 
-        ``config`` overrides the planner's per-method config for this
-        instance (used by the adaptive top-k refinement, which sweeps the
-        accuracy knob); instances are cached per (method, config).  On first
-        construction of a persistable method the planner auto-loads its
-        persisted index from ``index_dir`` (and otherwise saves a freshly
-        built one there when ``save_indices`` is set).
+        Without ``config`` this is the method's configured instance: on
+        first construction of a persistable method the planner auto-loads
+        its persisted index from ``index_dir`` (and otherwise saves a
+        freshly built one there when ``save_indices`` is set).  ``config``
+        overrides the planner's per-method config (a wire ε, or the
+        accuracy knob the adaptive top-k refinement sweeps); such an
+        override instance never touches ``index_dir``, and the planner keeps
+        the :data:`OVERRIDE_INSTANCES` most recently used ones.
         """
         method = method if method is not None else self.default_method
-        if config is None and (method, None) in self._instances:
-            return self._instances[(method, None)]
-        merged = dict(self._configs.get(method, {}))
+        configured = self._configs.get(method, {})
         if config is not None:
-            merged.update(config)
-        key = (method, tuple(sorted(merged.items())))
-        algorithm = self._instances.get(key)
+            merged = {**configured, **config}
+            if merged != configured:
+                key = (method, tuple(sorted(merged.items())))
+                algorithm = self._overrides.get(key)
+                if algorithm is None:
+                    algorithm = registry.create(method, self.graph, merged,
+                                                context=self.context)
+                    self._overrides[key] = algorithm
+                    while len(self._overrides) > OVERRIDE_INSTANCES:
+                        self._overrides.popitem(last=False)
+                else:
+                    self._overrides.move_to_end(key)
+                return algorithm
+        algorithm = self._instances.get(method)
         if algorithm is None:
-            algorithm = registry.create(method, self.graph, merged,
+            algorithm = registry.create(method, self.graph, dict(configured),
                                         context=self.context)
             self._maybe_load_index(method, algorithm)
-            self._instances[key] = algorithm
-            if config is None:
-                self._instances[(method, None)] = algorithm
+            self._instances[method] = algorithm
         return algorithm
 
     def _maybe_load_index(self, method: str, algorithm: SimRankAlgorithm) -> None:
@@ -381,8 +406,13 @@ class QueryPlanner:
 
     def _flush_pending_save(self, method: str,
                             algorithm: SimRankAlgorithm) -> None:
-        """Persist a freshly built index once a query has paid for the build."""
+        """Persist a freshly built index once a query has paid for the build.
+
+        Only the configured instance saves: an override instance's index
+        was built at another ε and must not replace the method's file.
+        """
         if method in self._pending_saves and algorithm.prepared \
+                and self._instances.get(method) is algorithm \
                 and self.index_dir is not None:
             algorithm.save_index(self.index_dir
                                  / f"{self.graph.name}.{method}.npz")
@@ -449,13 +479,14 @@ class QueryPlanner:
         repairs: List[Dict[str, Any]] = []
         if delta is None:
             self._instances.clear()
+            self._overrides.clear()
             self._counters["index_rebuilds"] += 1
             repairs.append({"method": "*", "strategy": "drop_all",
                             "reason": "version history evicted"})
         else:
             instances: Dict[int, SimRankAlgorithm] = {
-                id(algorithm): algorithm
-                for algorithm in self._instances.values()}
+                id(algorithm): algorithm for algorithm in
+                [*self._instances.values(), *self._overrides.values()]}
             for algorithm in instances.values():
                 try:
                     report = algorithm.repair(delta)
@@ -465,6 +496,9 @@ class QueryPlanner:
                     self._instances = {
                         key: held for key, held in self._instances.items()
                         if held is not algorithm}
+                    self._overrides = OrderedDict(
+                        (key, held) for key, held in self._overrides.items()
+                        if held is not algorithm)
                     self._counters["index_rebuilds"] += 1
                     _LOGGER.warning(
                         "repair-failed method=%s error=%r; dropping the "
@@ -496,9 +530,10 @@ class QueryPlanner:
         """Persist repaired indices, checkpoint the graph, truncate the WAL.
 
         Runs after every swap when a WAL is attached, in a crash-safe
-        order: (1) every *prepared* persistable instance is re-saved
-        stamped at ``version``, so a restart loads indices that match the
-        post-compaction graph instead of rebuilding; (2) a graph
+        order: (1) every *prepared* persistable configured instance (never
+        a per-query override) is re-saved stamped at ``version``, so a
+        restart loads indices that match the post-compaction graph instead
+        of rebuilding; (2) a graph
         checkpoint at ``version`` is atomically written next to the WAL;
         (3) only then does :meth:`UpdateLog.compact` drop the records the
         checkpoint made redundant.  A crash between any two steps leaves

@@ -7,7 +7,8 @@ inside a numeric kernel.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import math
+from typing import Any
 
 import numpy as np
 
@@ -26,9 +27,10 @@ def check_probability(value: float, name: str, *, inclusive_low: bool = True,
 
 
 def check_positive(value: float, name: str) -> float:
+    """A positive, finite ``value`` as ``float``; NaN and ±inf raise."""
     value = float(value)
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
@@ -83,12 +85,6 @@ def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
     return value
 
 
-def check_optional_positive(value: Optional[float], name: str) -> Optional[float]:
-    if value is None:
-        return None
-    return check_positive(value, name)
-
-
 __all__ = [
     "check_probability",
     "check_positive",
@@ -97,5 +93,4 @@ __all__ = [
     "check_node_index",
     "check_vector_length",
     "check_positive_int",
-    "check_optional_positive",
 ]

@@ -5,19 +5,23 @@ level-synchronously over one batched multi-propagation
 (:func:`repro.diagonal.local._exploit_deterministic_batch`).  This module
 keeps the pre-batching schedule — one node at a time, one ``(q', remaining)``
 distribution fetch at a time — exactly as the scalar recursion traverses it,
-mirroring :mod:`repro.kernels.reference` and :mod:`repro.randomwalk.
-reference`: an executable spec the equivalence suite pins the batched path
-against (``tests/test_multiprop.py``: ℓ(k), deterministic mass and the
-per-window edge accounting must match bit for bit).
+mirroring :mod:`specs.frontier` and :mod:`specs.walks`: an executable spec
+the equivalence suite pins the batched path against
+(``tests/test_multiprop.py``: ℓ(k), deterministic mass and the per-window
+edge accounting must match bit for bit).
 
 The reference is also what ``benchmarks/bench_index.py`` times the batched
 heavy-node phase against, so the recorded speedups compare two live code
 paths, not a live path against a memory.
+
+:func:`first_meeting_probabilities` runs the production level loop for one
+node under an unbudgeted window, for the tests that check the recursion
+against closed forms and the exact D.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,8 +29,11 @@ from repro.diagonal.local import (
     BudgetExhausted,
     BudgetWindow,
     DistributionCache,
+    _ExploitState,
+    _explore_levels,
 )
 from repro.graph.digraph import DiGraph
+from repro.utils.validation import check_node_index, check_positive_int
 
 
 def z_level_reference(cache: DistributionCache, window: BudgetWindow,
@@ -105,4 +112,23 @@ def exploit_deterministic_reference(graph: DiGraph, node: int, num_pairs: int,
     return chosen_level, deterministic_mass, window.traversed_edges
 
 
-__all__ = ["exploit_deterministic_reference", "z_level_reference"]
+def first_meeting_probabilities(graph: DiGraph, node: int, max_level: int, *,
+                                decay: float = 0.6) -> List[Dict[int, float]]:
+    """Z_ℓ(node, ·) for ℓ = 1 … ``max_level`` via the Lemma 4 recursion.
+
+    The Algorithm 3 level loop (:func:`repro.diagonal.local._explore_levels`)
+    for one node under an unbudgeted window, so every level up to
+    ``max_level`` is computed.  Intended for small neighbourhoods and for the
+    tests that validate the recursion against brute-force enumeration.
+    """
+    node = check_node_index(node, graph.num_nodes)
+    max_level = check_positive_int(max_level, "max_level")
+    state = _ExploitState(node, BudgetWindow(None))
+    _explore_levels(graph, DistributionCache(graph), [state], decay=decay,
+                    max_level=max_level)
+    return [dict(zip(indices.tolist(), values.tolist()))
+            for indices, values in state.z_levels]
+
+
+__all__ = ["exploit_deterministic_reference", "first_meeting_probabilities",
+           "z_level_reference"]

@@ -1,7 +1,7 @@
 """Per-walk reference implementation of the √c-walk engine.
 
 This is the pre-compaction engine preserved verbatim as an *executable
-specification*, mirroring :mod:`repro.kernels.reference`: every step advances
+specification*, mirroring :mod:`specs.frontier`: every step advances
 the full walk batch width with one coin flip and one neighbour draw per walk,
 regardless of how many walks are still alive.  The production engine in
 :mod:`repro.randomwalk.engine` compacts to the live frontier and aggregates

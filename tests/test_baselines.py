@@ -9,9 +9,19 @@ from repro.baselines.parsim import ParSim
 from repro.baselines.power_method import PowerMethod, simrank_matrix
 from repro.baselines.probesim import ProbeSim
 from repro.baselines.prsim import PRSim
+from repro.baselines.sling import SLING
 from repro.metrics.accuracy import max_error, precision_at_k
+from specs.probes import probe as probe_spec
 
 DECAY = 0.6
+
+
+class TestEpsilonValidation:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("cls", [SLING, PRSim, LinearizationSimRank])
+    def test_constructor_rejects_bad_epsilon(self, cls, epsilon, collab_graph):
+        with pytest.raises(ValueError, match="epsilon"):
+            cls(collab_graph, epsilon=epsilon)
 
 
 class TestPowerMethod:
@@ -222,7 +232,7 @@ class TestProbeSimBatchedProbes:
                                               counts[meeting_nodes], scale)
             sequential = np.zeros(num_nodes, dtype=np.float64)
             for node in meeting_nodes:
-                probe = algorithm._probe(int(node), level)
+                probe = probe_spec(algorithm, int(node), level)
                 probe.add_into(sequential, scale * counts[node] *
                                algorithm._diagonal[node])
             assert np.allclose(batched, sequential, atol=1e-12), \

@@ -74,6 +74,38 @@ class TestMethodConfig:
         assert _method_config(args, "exactsim")["max_total_samples"] == 20_000
 
 
+class TestEpsilonValidation:
+    """ε ≤ 0, NaN or ±inf is refused at start-up (exit 2, nothing served) by
+    every command that configures a method, from ``--epsilon`` and from
+    ``--param epsilon=`` alike."""
+
+    @pytest.mark.parametrize("command", [
+        ["query", "--source", "1", "--method", "sling", "--epsilon", "0"],
+        ["query", "--source", "1", "--method", "prsim", "--epsilon", "nan"],
+        ["query", "--source", "1", "--method", "linearization",
+         "--param", "epsilon=-1"],
+        ["answer", "--method", "sling", "--epsilon", "-1"],
+        ["answer", "--method", "exactsim", "--epsilon", "-1"],
+        ["answer", "--method", "parsim", "--epsilon", "inf"],
+        ["index", "build", "--method", "sling", "--epsilon", "0"],
+        ["index", "build", "--method", "prsim", "--param", "epsilon=none"],
+    ])
+    def test_bad_epsilon_exits_2(self, command, tmp_path, capsys):
+        graph = preferential_attachment_graph(40, 2, directed=False, seed=3)
+        write_edge_list(graph, tmp_path / "graph.txt")
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"type": "single_pair", "source": 1, "target": 2}\n')
+        argv = command + ["--edge-list", str(tmp_path / "graph.txt")]
+        if command[0] == "answer":
+            argv += ["--queries", str(queries)]
+        if command[0] == "index":
+            argv += ["--index-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "epsilon" in captured.err
+        assert captured.out == ""
+
+
 class TestExperimentCommand:
     def test_table2(self, capsys):
         assert main(["experiment", "table2"]) == 0
@@ -118,6 +150,10 @@ class TestQueryMethodAndBatch:
 
     def test_invalid_sources_string(self, capsys):
         code = main(["query", "--dataset", "GQ", "--sources", "3,x",
+                     "--method", "parsim"])
+        assert code == 2
+        assert "comma-separated" in capsys.readouterr().err
+        code = main(["query", "--dataset", "GQ", "--sources", ",",
                      "--method", "parsim"])
         assert code == 2
         assert "comma-separated" in capsys.readouterr().err

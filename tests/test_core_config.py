@@ -39,6 +39,8 @@ class TestConfig:
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
             ExactSimConfig(epsilon=0.0)
+        with pytest.raises(ValueError):
+            ExactSimConfig(epsilon=float("inf"))
 
     def test_invalid_decay(self):
         with pytest.raises(ValueError):

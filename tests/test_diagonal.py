@@ -6,18 +6,27 @@ import pytest
 from repro.baselines.power_method import simrank_matrix
 from repro.core.sampling import allocate_proportional, total_sample_budget
 from repro.diagonal.basic import estimate_diagonal_basic
-from repro.diagonal.exact import exact_diagonal, exact_diagonal_entry
 from repro.diagonal.local import (
-    estimate_diagonal_entry_local,
+    DistributionCache,
+    _exploit_deterministic_batch,
     estimate_diagonal_local_batch,
-    first_meeting_probabilities,
 )
 from repro.diagonal.parsim_approx import parsim_diagonal
 from repro.graph.digraph import DiGraph
 from repro.graph.transition import reverse_transition_matrix
 from repro.ppr.hop_ppr import ppr_vector
+from specs.algorithm3 import first_meeting_probabilities
+from specs.exact_diagonal import exact_diagonal, exact_diagonal_entry
 
 DECAY = 0.6
+
+
+def local_entry(graph, node, num_pairs, *, seed=None):
+    """Algorithm 3's estimate of D(node, node) when only ``node`` is sampled."""
+    allocation = np.zeros(graph.num_nodes, dtype=np.int64)
+    allocation[node] = num_pairs
+    return estimate_diagonal_local_batch(graph, [allocation], decay=DECAY,
+                                         seed=seed)[0][node]
 
 
 def linearized_simrank(graph, diagonal, decay=DECAY, levels=60):
@@ -102,18 +111,24 @@ class TestLocalExploitation:
         assert sum(levels[0].values()) == pytest.approx(expected_z1)
 
     def test_entry_local_trivial_cases(self, toy_graph):
-        assert estimate_diagonal_entry_local(toy_graph, 0, 10, decay=DECAY).estimate == 1.0
-        result = estimate_diagonal_entry_local(toy_graph, 1, 10, decay=DECAY)
-        assert result.estimate == pytest.approx(1.0 - DECAY)
-        assert result.exact
+        # Dangling and single-in-neighbour nodes are exact without a sample:
+        # no meeting, and a sure meeting at step 1 with probability c.
+        allocation = np.full(toy_graph.num_nodes, 10, dtype=np.int64)
+        estimated = estimate_diagonal_local_batch(toy_graph, [allocation],
+                                                  decay=DECAY)[0]
+        assert estimated[0] == 1.0
+        assert estimated[1] == 1.0 - DECAY
 
     def test_entry_local_matches_exact(self, collab_graph, collab_simrank):
         node = int(np.argmax(collab_graph.in_degrees))
         exact = exact_diagonal_entry(collab_graph, node, collab_simrank, decay=DECAY)
-        result = estimate_diagonal_entry_local(collab_graph, node, 4000, decay=DECAY, seed=3)
-        assert result.estimate == pytest.approx(exact, abs=0.03)
-        assert result.chosen_level >= 1
-        assert result.traversed_edges > 0
+        estimate = local_entry(collab_graph, node, 4000, seed=3)
+        assert estimate == pytest.approx(exact, abs=0.03)
+        chosen_level, _, traversed_edges = _exploit_deterministic_batch(
+            collab_graph, DistributionCache(collab_graph), [(node, 4000)],
+            decay=DECAY, max_level=20)[0]
+        assert chosen_level >= 1
+        assert traversed_edges > 0
 
     def test_full_local_estimator_matches_exact(self, collab_graph, collab_simrank):
         exact = exact_diagonal(collab_graph, collab_simrank, decay=DECAY)
@@ -136,8 +151,7 @@ class TestLocalExploitation:
             basic = estimate_diagonal_basic(
                 collab_graph, np.eye(1, collab_graph.num_nodes, node).ravel() * pairs,
                 decay=DECAY, seed=seed)[node]
-            local = estimate_diagonal_entry_local(collab_graph, node, pairs,
-                                                  decay=DECAY, seed=seed).estimate
+            local = local_entry(collab_graph, node, pairs, seed=seed)
             basic_errors.append(abs(basic - exact[node]))
             local_errors.append(abs(local - exact[node]))
         assert np.mean(local_errors) <= np.mean(basic_errors) + 0.02

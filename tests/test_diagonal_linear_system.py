@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.diagonal.exact import exact_diagonal
-from repro.diagonal.linear_system import (
+from repro.graph.digraph import DiGraph
+from specs.exact_diagonal import exact_diagonal
+from specs.linear_system import (
     linearized_diagonal_residual,
     solve_diagonal_linear_system,
 )
-from repro.graph.digraph import DiGraph
 
 DECAY = 0.6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExactSimConfig
-from repro.core.exactsim import ExactSim, exact_single_source, exact_top_k
+from repro.core.exactsim import ExactSim
 from repro.core.result import SingleSourceResult, TopKResult
 from repro.metrics.accuracy import max_error, precision_at_k
 
@@ -141,14 +141,16 @@ class TestStatsAndInterfaces:
         assert 3 not in top.nodes
 
     def test_convenience_functions(self, collab_graph, collab_simrank):
-        result = exact_single_source(collab_graph, 1, epsilon=1e-2, seed=7,
-                                     max_total_samples=50_000)
+        """The optimized and basic presets answer through one engine API."""
+        result = ExactSim(collab_graph, ExactSimConfig.optimized_config(
+            epsilon=1e-2, seed=7, max_total_samples=50_000)).single_source(1)
         assert isinstance(result, SingleSourceResult)
         assert max_error(result.scores, collab_simrank[1]) <= 1e-2
-        basic = exact_single_source(collab_graph, 1, epsilon=1e-1, optimized=False, seed=7,
-                                    max_total_samples=20_000)
+        basic = ExactSim(collab_graph, ExactSimConfig.basic(
+            epsilon=1e-1, seed=7, max_total_samples=20_000)).single_source(1)
         assert basic.algorithm == "exactsim-basic"
-        top = exact_top_k(collab_graph, 1, k=5, epsilon=1e-2, seed=7)
+        top = ExactSim(collab_graph, ExactSimConfig(
+            epsilon=1e-2, seed=7, max_total_samples=2_000_000)).top_k(1, k=5)
         assert top.k == 5
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines.parsim import ParSim
@@ -50,26 +49,6 @@ class TestOperatorCache:
         context = GraphContext(directed_graph)
         with pytest.raises(ValueError, match="different graph"):
             ParSim(collab_graph, context=context)
-
-
-class TestViewsAndAccounting:
-    def test_array_views_delegate_to_graph(self, toy_graph):
-        context = GraphContext(toy_graph)
-        assert context.num_nodes == toy_graph.num_nodes
-        assert np.array_equal(context.in_indptr, toy_graph.in_indptr)
-        assert np.array_equal(context.out_indices, toy_graph.out_indices)
-        assert np.array_equal(context.in_degrees, toy_graph.in_degrees)
-
-    def test_memory_bytes_grows_with_cached_operators(self, collab_graph):
-        context = GraphContext(collab_graph)
-        base = context.memory_bytes()
-        operator = context.operator(0.6)
-        operator.matrix  # force the sparse build
-        assert context.memory_bytes() > base
-
-    def test_walk_engine_not_cached(self, collab_graph):
-        context = GraphContext(collab_graph)
-        assert context.walk_engine(seed=1) is not context.walk_engine(seed=1)
 
 
 class TestSharedCacheLifetime:

@@ -12,7 +12,6 @@ from repro import (
     PowerMethod,
     PRSim,
     ProbeSim,
-    exact_single_source,
 )
 from repro.experiments.figures import fig_error_vs_query_time
 from repro.experiments.harness import ExperimentSettings, select_query_nodes
@@ -31,8 +30,8 @@ class TestEndToEndSmallDatasets:
         graph = load_dataset(key)
         oracle = PowerMethod(graph, decay=DECAY).preprocess()
         source = int(select_query_nodes(graph, 1, seed=1)[0])
-        result = exact_single_source(graph, source, epsilon=1e-2, seed=5,
-                                     max_total_samples=100_000)
+        result = ExactSim(graph, ExactSimConfig(
+            epsilon=1e-2, seed=5, max_total_samples=100_000)).single_source(source)
         assert max_error(result.scores, oracle.matrix[source]) <= 1e-2
         assert precision_at_k(result.scores, oracle.matrix[source], 50,
                               exclude=source) >= 0.95
@@ -40,8 +39,9 @@ class TestEndToEndSmallDatasets:
     def test_all_registered_small_datasets_load_and_answer_queries(self):
         for key in ("GQ", "HT", "WV", "HP"):
             graph = load_dataset(key)
-            result = exact_single_source(graph, int(select_query_nodes(graph, 1, seed=2)[0]),
-                                         epsilon=5e-2, seed=2, max_total_samples=20_000)
+            source = int(select_query_nodes(graph, 1, seed=2)[0])
+            result = ExactSim(graph, ExactSimConfig(
+                epsilon=5e-2, seed=2, max_total_samples=20_000)).single_source(source)
             assert result.scores.shape == (graph.num_nodes,)
             assert np.all(result.scores >= 0.0)
 

@@ -1,7 +1,7 @@
 """Equivalence suite: vectorized CSR frontier kernels vs dict-based reference.
 
 Every kernel in ``repro.kernels.frontier`` must reproduce the seed's
-pure-Python loops (preserved in ``repro.kernels.reference``) to 1e-12 on
+pure-Python loops (preserved in ``specs.frontier``) to 1e-12 on
 random power-law graphs — including dangling nodes (which power-law directed
 graphs produce naturally) and self-loops (injected explicitly).  Property
 tests are hypothesis-driven; a few deterministic cases pin the edge cases
@@ -24,14 +24,14 @@ from repro.kernels.frontier import (
     propagate_transpose,
     push_frontier,
 )
-from repro.kernels.reference import (
+from repro.kernels.sparsevec import SparseVector
+from repro.ppr.push import forward_push_hop_ppr, forward_push_hop_ppr_batch
+from specs.frontier import (
     _reference_forward_push_hop_ppr,
     _reference_propagate_distribution,
     _reference_propagate_transpose,
     _reference_push_frontier,
 )
-from repro.kernels.sparsevec import SparseVector
-from repro.ppr.push import forward_push_hop_ppr, forward_push_hop_ppr_batch
 
 DECAY = 0.6
 SQRT_C = float(np.sqrt(DECAY))

@@ -11,7 +11,7 @@ schedule it replaced:
   ``tests/test_kernels.py``);
 * the batched Algorithm 3 exploration
   (:func:`repro.diagonal.local._exploit_deterministic_batch`) matches the
-  sequential spec (:mod:`repro.diagonal.reference`): identical ℓ(k),
+  sequential spec (:mod:`specs.algorithm3`): identical ℓ(k),
   identical budget-window accounting (so the adaptive level choice can never
   drift) and deterministic mass to 1e-12 — with or without a shared cache;
 * PRSim's batched hub index build matches the per-hub reference walk bit for
@@ -28,18 +28,20 @@ from repro.diagonal.local import (
     BudgetWindow,
     DistributionCache,
     _exploit_deterministic_batch,
-    estimate_diagonal_entry_local,
-    first_meeting_probabilities,
-)
-from repro.diagonal.reference import (
-    exploit_deterministic_reference,
-    z_level_reference,
+    estimate_diagonal_local_batch,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import power_law_graph
 from repro.kernels.frontier import propagate_distribution
 from repro.kernels.multiprop import MultiPropagation
 from repro.kernels.sparsevec import SparseVector
+from repro.randomwalk.engine import SqrtCWalkEngine
+from specs.algorithm3 import (
+    exploit_deterministic_reference,
+    first_meeting_probabilities,
+    z_level_reference,
+)
+from specs.probes import build_hub_vectors_reference
 
 DECAY = 0.6
 
@@ -203,14 +205,31 @@ class TestBatchedExploitEquivalence:
         assert repeat[0] == first and repeat[1] == first
 
     def test_entry_local_rides_batched_exploration(self, walk_graph):
+        """The production estimate of a heavy node is built on the spec's
+        ℓ(k) and mass: its tail walks skip exactly ℓ(k) non-stop steps, and
+        D(k, k) = 1 − mass − c^ℓ(k) · met / R."""
         node = int(np.argmax(walk_graph.in_degrees))
-        result = estimate_diagonal_entry_local(walk_graph, node, 400,
-                                               decay=DECAY, seed=3)
-        chosen, mass, traversed = exploit_deterministic_reference(
+        chosen, mass, _ = exploit_deterministic_reference(
             walk_graph, node, 400, decay=DECAY, max_level=20)
-        assert result.chosen_level == chosen
-        assert result.traversed_edges == traversed
-        assert result.deterministic_mass == pytest.approx(mass, abs=1e-12)
+        calls = []
+
+        class RecordingEngine(SqrtCWalkEngine):
+            def pair_meet_counts(self, start_nodes, pair_counts, **options):
+                met = super().pair_meet_counts(start_nodes, pair_counts,
+                                               **options)
+                calls.append((start_nodes, options["skip_steps"], met))
+                return met
+
+        allocation = np.zeros(walk_graph.num_nodes, dtype=np.int64)
+        allocation[node] = 400
+        diagonal = estimate_diagonal_local_batch(
+            walk_graph, [allocation], decay=DECAY,
+            engine=RecordingEngine(walk_graph, DECAY, seed=3))[0]
+        (starts, skip_steps, met), = calls
+        assert starts.tolist() == [node]
+        assert np.asarray(skip_steps).tolist() == [chosen]
+        expected = 1.0 - mass - DECAY ** chosen * met[0] / 400
+        assert diagonal[node] == pytest.approx(expected, abs=1e-12)
 
     def test_first_meeting_matches_reference_recursion(self, directed_graph):
         node = int(np.argmax(directed_graph.in_degrees))
@@ -341,8 +360,8 @@ class TestPRSimBatchedBuild:
         threshold = (1.0 - prepared._operator.sqrt_c) ** 2 * prepared.epsilon
         batched = prepared._build_hub_vectors(prepared._hubs, iterations,
                                               threshold)
-        reference = prepared._build_hub_vectors_reference(
-            prepared._hubs, iterations, threshold)
+        reference = build_hub_vectors_reference(
+            prepared, prepared._hubs, iterations, threshold)
         for built, expected in zip(batched[:3], reference[:3]):
             assert np.array_equal(built, expected)
         assert np.max(np.abs(batched[3] - reference[3])) <= 1e-12

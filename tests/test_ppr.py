@@ -148,7 +148,7 @@ class TestForwardPush:
 
     def test_estimates_dict_view_matches_reference(self, collab_graph):
         """The backward-compat dict views carry the seed implementation's content."""
-        from repro.kernels.reference import _reference_forward_push_hop_ppr
+        from specs.frontier import _reference_forward_push_hop_ppr
         push = forward_push_hop_ppr(collab_graph, 3, 5, r_max=1e-3, decay=DECAY)
         expected_levels, _, _ = _reference_forward_push_hop_ppr(
             collab_graph, 3, 5, 1e-3, decay=DECAY)

@@ -9,11 +9,11 @@ from repro.baselines.power_method import simrank_matrix
 from repro.core.result import SingleSourceResult
 from repro.core.sampling import allocate_proportional, allocate_squared
 from repro.core.sparse import sparse_truncation_threshold, sparsify_vector
-from repro.diagonal.exact import exact_diagonal
 from repro.graph.digraph import DiGraph
 from repro.graph.transition import reverse_transition_matrix
 from repro.metrics.accuracy import max_error, precision_at_k, top_k_nodes
 from repro.ppr.hop_ppr import hop_ppr_vectors
+from specs.exact_diagonal import exact_diagonal
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

@@ -21,7 +21,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import power_law_graph
 from repro.randomwalk.aggregate import group_sum, multinomial_split
 from repro.randomwalk.engine import SqrtCWalkEngine
-from repro.randomwalk.reference import ReferenceWalkEngine
+from specs.walks import ReferenceWalkEngine
 
 DECAY = 0.6
 

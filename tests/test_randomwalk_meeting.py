@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.diagonal.exact import exact_diagonal_entry
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.randomwalk.meeting import (
     estimate_diagonal_entry,
     estimate_meeting_probability,
     estimate_tail_meeting_probability,
 )
+from specs.algorithm3 import first_meeting_probabilities
+from specs.exact_diagonal import exact_diagonal_entry
 
 DECAY = 0.6
 
@@ -87,7 +88,6 @@ class TestTailEstimate:
 
     def test_deterministic_plus_tail_consistency(self, collab_graph, collab_simrank):
         """Σ_{ℓ≤L} Z_ℓ (deterministic) + tail estimate ≈ 1 − D(k,k)."""
-        from repro.diagonal.local import first_meeting_probabilities
         node = int(np.argmax(collab_graph.in_degrees))
         levels = first_meeting_probabilities(collab_graph, node, 3, decay=DECAY)
         deterministic = sum(sum(level.values()) for level in levels)

@@ -412,6 +412,86 @@ class TestPlannerPlumbing:
         assert observed > 0.0
 
 
+class TestOverrideInstances:
+    """A per-query ε gets its own instance: it never loads, saves or
+    re-saves the persisted index of the configured one, and at most
+    ``OVERRIDE_INSTANCES`` of them stay alive."""
+
+    def test_override_is_not_answered_from_the_persisted_index(
+            self, service_graph, tmp_path):
+        configured = registry.create("sling", service_graph,
+                                     CONFIGS["sling"]).preprocess()
+        configured.save_index(tmp_path / f"{service_graph.name}.sling.npz")
+        planner = make_planner(service_graph, index_dir=tmp_path)
+        outcome = planner.execute(
+            SinglePairQuery(5, 9, method="sling", epsilon=1e-3))
+        fresh = registry.create("sling", service_graph,
+                                {**CONFIGS["sling"], "epsilon": 1e-3})
+        assert outcome.result.stats["epsilon"] == 1e-3
+        assert outcome.result.score == fresh.single_pair(5, 9).score
+        assert planner.stats()["index_loads"] == 0.0
+        assert planner.instance("sling").prepared      # the configured loads
+        assert planner.stats()["index_loads"] == 1.0
+
+    def test_override_build_is_never_saved(self, service_graph, tmp_path):
+        planner = make_planner(service_graph, index_dir=tmp_path,
+                               save_indices=True)
+        path = tmp_path / f"{service_graph.name}.sling.npz"
+        planner.execute(SinglePairQuery(5, 9, method="sling", epsilon=1e-3))
+        assert not path.exists()
+        planner.execute(SinglePairQuery(5, 9, method="sling"))
+        saved = registry.create("sling", service_graph, CONFIGS["sling"])
+        saved.load_index(path)
+        assert saved.epsilon == CONFIGS["sling"]["epsilon"]
+
+    def test_swap_resaves_only_the_configured_index(self, tmp_path):
+        from repro.graph.generators import preferential_attachment_graph
+        from repro.graph.updates import EdgeBatch, UpdateLog
+
+        graph = preferential_attachment_graph(120, 3, directed=False, seed=11)
+        planner = QueryPlanner(graph, context=GraphContext(graph),
+                               method_configs=CONFIGS, index_dir=tmp_path,
+                               save_indices=True,
+                               wal=UpdateLog(tmp_path / "updates.wal"))
+        planner.execute(SinglePairQuery(5, 9, method="sling"))
+        planner.execute(SinglePairQuery(5, 9, method="sling", epsilon=1e-3))
+        planner.apply_updates(EdgeBatch.from_wire(
+            {"type": "update", "insert": [[1, 100]], "delete": []}))
+        report = planner.complete_repairs()
+        assert report["wal"]["indices_persisted"] == 1
+        saved = registry.create("sling", planner.graph, CONFIGS["sling"])
+        saved.load_index(tmp_path / f"{graph.name}.sling.npz")
+        assert saved.epsilon == CONFIGS["sling"]["epsilon"]
+
+    def test_override_instances_are_capped(self, service_graph):
+        import gc
+        import weakref
+
+        from repro.service.planner import OVERRIDE_INSTANCES
+
+        planner = make_planner(service_graph, cache_entries=0)
+        epsilons = [10.0 ** (-1.0 - i / 10.0) for i in range(20)]
+        held = [weakref.ref(planner.instance("linearization"))]
+        answers = []
+        for epsilon in epsilons:
+            query = SingleSourceQuery(5, method="linearization", epsilon=epsilon)
+            answers.append(planner.execute(query).result.scores)
+            held.append(weakref.ref(
+                planner.instance("linearization", {"epsilon": epsilon})))
+        gc.collect()
+        assert sum(ref() is not None for ref in held) <= OVERRIDE_INSTANCES + 1
+        assert held[1]() is None                       # the first ε is evicted
+        again = planner.execute(
+            SingleSourceQuery(5, method="linearization", epsilon=epsilons[0]))
+        assert np.array_equal(again.result.scores, answers[0])
+
+    def test_override_equal_to_the_configured_config_shares_it(
+            self, service_graph):
+        planner = make_planner(service_graph)
+        same = {"epsilon": CONFIGS["sling"]["epsilon"]}
+        assert planner.instance("sling", same) is planner.instance("sling")
+
+
 # --------------------------------------------------------------------------- #
 # adaptive refinement through the planner
 # --------------------------------------------------------------------------- #

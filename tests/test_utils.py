@@ -152,6 +152,9 @@ class TestValidation:
         assert check_positive(1.0, "x") == 1.0
         with pytest.raises(ValueError):
             check_positive(0.0, "x")
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                check_positive(value, "x")
         assert check_non_negative(0.0, "x") == 0.0
         with pytest.raises(ValueError):
             check_non_negative(-1.0, "x")
