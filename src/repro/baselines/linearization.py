@@ -230,6 +230,9 @@ class LinearizationSimRank(SimRankAlgorithm):
                         self._operator.matrix_t, current)
                     current += scaled_diagonal * hops[depth - level]
                 np.clip(current, 0.0, 1.0, out=current)
+                # S(i, i) = 1 by definition; the linearized sum reaches it
+                # only with the exact D.
+                current[chunk, np.arange(len(chunk))] = 1.0
                 columns.extend(current[:, position].copy()
                                for position in range(len(chunk)))
         share = timer.elapsed / len(source_ids)

@@ -50,7 +50,8 @@ from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.deadline import active_deadline
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
-from repro.utils.validation import check_node_index, check_positive
+from repro.utils.validation import (check_node_index, check_positive,
+                                    check_positive_int)
 
 
 class SLING(SimRankAlgorithm):
@@ -70,7 +71,7 @@ class SLING(SimRankAlgorithm):
         self.epsilon = check_positive(epsilon, "epsilon")
         if samples_per_node is None:
             samples_per_node = min(int(np.ceil(1.0 / max(self.epsilon, 1e-6))), 10_000)
-        self.samples_per_node = int(samples_per_node)
+        self.samples_per_node = check_positive_int(samples_per_node, "samples_per_node")
         self._seed = seed
         self._diagonal: Optional[np.ndarray] = None
         # _hop_matrices[ℓ] is a CSR matrix H_ℓ with H_ℓ[k, j] ≈ (√c Pᵀ)^ℓ[k, j],

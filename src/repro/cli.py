@@ -357,13 +357,18 @@ def _command_answer(args: argparse.Namespace) -> int:
             name: _method_config(args, name,
                                  accepted_params_only=(name != method))
             for name in registry.available()}
+        # The planner builds methods lazily, so construct the default one
+        # now (no index load, no build): a config it rejects exits 2 here
+        # instead of failing every line.
+        registry.create(method, graph, method_configs[method],
+                        context=GraphContext.shared(graph))
         # In pool mode the supervisor owns the WAL (durable append before
         # ack + ordered broadcast); worker planners must not re-append.
         planner_factory = _planner_factory(
             args, graph, method, method_configs,
             wal=wal if not args.workers else None)
         planner_factory()               # fail fast on a bad configuration
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.batch_size < 1:
@@ -693,7 +698,7 @@ def _command_query(args: argparse.Namespace) -> int:
         method = _resolve_method(args)
         algorithm = registry.create(method, graph, _method_config(args, method),
                                     context=GraphContext.shared(graph))
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -735,7 +740,7 @@ def _command_index_build(args: argparse.Namespace) -> int:
             return 2
         algorithm = registry.create(method, graph, _method_config(args, method),
                                     context=GraphContext.shared(graph))
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     algorithm.preprocess()
@@ -753,7 +758,8 @@ def _command_index_load(args: argparse.Namespace) -> int:
         algorithm = registry.create(method, graph, _method_config(args, method),
                                     context=GraphContext.shared(graph))
         algorithm.load_index(args.path)
-    except (ValueError, IndexPersistenceError, FileNotFoundError) as error:
+    except (TypeError, ValueError, IndexPersistenceError,
+            FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(f"# loaded {method} index on {graph.name}: {algorithm.index_bytes()} bytes "

@@ -7,7 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import (check_integer, check_positive,
+                                    check_probability)
 
 #: The paper's exactness target: additive error at most 1e-7 (float precision).
 EPSILON_EXACT = 1e-7
@@ -68,12 +69,16 @@ class ExactSimConfig:
         check_positive(self.epsilon, "epsilon")
         check_probability(self.decay, "decay", inclusive_low=False, inclusive_high=False)
         check_positive(self.failure_constant, "failure_constant")
-        if self.max_total_samples is not None and self.max_total_samples < 1:
-            raise ValueError("max_total_samples must be positive or None")
-        if self.max_walk_steps < 1:
-            raise ValueError("max_walk_steps must be at least 1")
-        if self.max_exploit_level < 1:
-            raise ValueError("max_exploit_level must be at least 1")
+        # Counts and caps: integral (3.0 becomes 3, 2.5 and True raise) and
+        # at least 1.  The dataclass is frozen, hence object.__setattr__.
+        counts = ["max_walk_steps", "max_exploit_level"]
+        if self.max_total_samples is not None:
+            counts.append("max_total_samples")
+        for name in counts:
+            count = check_integer(getattr(self, name), name)
+            if count < 1:
+                raise ValueError(f"'{name}' must be at least 1, got {count}")
+            object.__setattr__(self, name, count)
 
     # ------------------------------------------------------------------ #
     # derived quantities

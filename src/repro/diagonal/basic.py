@@ -8,10 +8,12 @@ single in-neighbour and harmless for nodes the allocation deems irrelevant to
 the query (their π_i(k) is zero, so they never enter the estimator of
 Theorem 1).
 
-The whole allocation is simulated in one count-aggregated engine call: each
-sampled node is one origin carrying its pair count, so the simulation cost is
-bounded by the distinct occupied pair states instead of the realised sample
-total.  :func:`estimate_diagonal_basic_batch` extends the same single call
+The whole allocation is simulated in one pair-walk engine call: each sampled
+node is one origin carrying its pair count, and the kernel collapses pairs in
+equal states while many share one, so early steps cost the distinct occupied
+pair states, not the realised sample total (see
+:mod:`repro.randomwalk.aggregate` for when it switches to one slot per
+pair).  :func:`estimate_diagonal_basic_batch` extends the same single call
 across every source of an ExactSim ``single_source_batch``.
 """
 

@@ -15,10 +15,13 @@ distributions:
   in-degree ``d`` is one ``Multinomial(m, 1/d, …, 1/d)`` draw over the CSR
   slice instead of ``m`` categorical draws (READS/SLING-style walk pooling).
 
-Per step the cost is bounded by the number of *distinct occupied states*
-(plus the touched CSR slices), not by the number of simulated walks — the
-decisive regime for ExactSim's single-source sampling where ``num_walks``
-dwarfs the reachable neighbourhood.
+Per aggregated step the cost is bounded by the number of *distinct occupied
+states* (plus the touched CSR slices), not by the number of simulated walks —
+the decisive regime for ExactSim's single-source sampling where
+``num_walks`` dwarfs the reachable neighbourhood.  It stops paying once the
+walks spread thinner than the states: a regroup that merges ~1 pair per
+state is a sort bought for nothing, which is why pair walks switch phase
+(below).
 
 All kernels draw from a caller-supplied :class:`numpy.random.Generator`, so
 identical seeds reproduce identical results bit for bit.
@@ -35,6 +38,19 @@ most :data:`PAIR_CHUNK` pairs is exactly the caller's serial stream.  Chunks
 run on the kernel thread pool (:func:`repro.kernels.parallel.run_blocks`),
 one per thread at a time, so :data:`PAIR_CHUNK`, the thread count and the
 graph bound the peak walk state before any work starts.
+
+Two phases per chunk
+--------------------
+A chunk starts count-aggregated: pairs in the same ``(origin, u, v)`` state
+are one row with a count, moved by binomial and multinomial draws and merged
+again by a sort.  The walks spread out quickly (on GQ's Linearization build
+the regrouped states hold 148 pairs each after step 1, 3.6 after step 2,
+1.3 after step 3 and at most 1.06 later), so once they average fewer than
+:data:`PER_PAIR_BELOW` pairs the chunk is expanded with ``np.repeat`` to one
+slot per pair and finished by a sort-free loop whose step costs O(live
+pairs).  Both phases draw from the chunk's own stream, check the deadline
+every step and keep the prefix, ``max_steps`` and dangling-node rules, and
+the expansion holds at most :data:`PAIR_CHUNK` pairs.
 """
 
 from __future__ import annotations
@@ -52,6 +68,13 @@ _EMPTY_INT = np.empty(0, dtype=np.int64)
 #: chunks collapse fewer equal pair states; at 2**19 a 5e5-pair single-source
 #: diagonal fits one chunk and loses its second thread.
 PAIR_CHUNK = 1 << 18
+
+#: Pairs per occupied state below which a chunk of :func:`pair_meet_counts`
+#: stops count-aggregating and walks one slot per pair.  Chosen from a
+#: one-thread sweep on GQ (Linearization build and an 8-source ExactSim
+#: batch): 2, 4 and 8 left sorts that merge little, 12 to 32 tied, 64 and
+#: "always" expand chunks whose states still merge many pairs.
+PER_PAIR_BELOW = 16
 
 
 def group_sum(counts: np.ndarray, *keys: np.ndarray
@@ -245,17 +268,19 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
     the stopping coin, meetings inside the prefix disqualify the pair, and
     only meetings strictly after the prefix are counted.
 
-    Pair states are ``(origin, u, v)`` triples with a multiplicity; identical
-    states collapse, so the per-step cost is bounded by the number of distinct
-    occupied pair states (never more than the number of live pairs).  A pair
-    whose meeting is still possible survives a post-prefix step with
-    probability ``c = (√c)²`` (both coins), and the two neighbour choices are
-    realised as two independent multinomial splits (first over ``u``'s
-    in-edges, then over ``v``'s).  Pairs where either walk reaches a dangling
-    node can never meet again and are dropped.
+    A pair whose meeting is still possible survives a post-prefix step with
+    probability ``c = (√c)²`` (both coins), and each walk moves to a uniform
+    in-neighbour.  Pairs where either walk reaches a dangling node can never
+    meet again and are dropped.
 
-    Each chunk of at most :data:`PAIR_CHUNK` pairs runs this step loop on its
-    own stream (see the module docstring); met counts sum per origin.
+    Each chunk of at most :data:`PAIR_CHUNK` pairs runs on its own stream
+    (see the module docstring); met counts sum per origin.  While a chunk's
+    ``(origin, u, v)`` states hold :data:`PER_PAIR_BELOW` or more pairs on
+    average, identical states collapse into one counted row: the coins are
+    binomial draws, the moves two multinomial splits (first over ``u``'s
+    in-edges, then over ``v``'s), and a sort merges the moved rows, so a step
+    costs O(distinct states).  Below that the chunk finishes one slot per
+    pair, one uniform per coin and per move, at O(live pairs) per step.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
@@ -280,6 +305,12 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
         origin, u, v, m = origin[live], u[live], v[live], m[live]
         for step in range(1, max_steps + 1):
             if m.size == 0:
+                break
+            if m.sum() < PER_PAIR_BELOW * m.size:
+                _walk_per_pair(streams[index], indptr, indices, in_degrees,
+                               decay, skip, met, step, max_steps,
+                               np.repeat(origin, m),
+                               np.repeat(np.stack((u, v)), m, axis=1))
                 break
             checkpoint(CHECKPOINT_WALK_BATCH)
             origin, u, v, m = _pair_step(streams[index], indptr, indices,
@@ -329,6 +360,51 @@ def _pair_step(rng: np.random.Generator, indptr: np.ndarray,
     origin, v, u, m = origin[rows], v[rows], dest_u, split
     rows, dest_v, split = multinomial_split(rng, indptr, indices, v, m)
     return origin[rows], u[rows], dest_v, split
+
+
+def _walk_per_pair(rng: np.random.Generator, indptr: np.ndarray,
+                   indices: np.ndarray, in_degrees: np.ndarray, decay: float,
+                   skip_steps: np.ndarray, met: np.ndarray, first_step: int,
+                   max_steps: int, origin: np.ndarray, walks: np.ndarray
+                   ) -> None:
+    """Finish a chunk's walks one array slot per pair, from ``first_step`` on.
+
+    ``origin[p]`` is pair ``p``'s origin and ``walks[:, p]`` the nodes of its
+    two walks.  A step moves every walk by one uniform in-neighbour offset,
+    adds the post-prefix meetings into ``met`` and compacts once, dropping
+    the pairs that met, reached a dangling node or lose the next step's
+    survival coin (one uniform per pair, drawn outside the prefix only).  No
+    sort runs: states this thin would merge almost nothing.
+    """
+    last_prefix = int(skip_steps.max(initial=0))
+
+    def survivors(step: int, origin: np.ndarray, walks: np.ndarray
+                  ) -> np.ndarray:
+        """Pairs with no walk at a dangling node that survive ``step``'s coin."""
+        alive = (in_degrees.take(walks) > 0).all(axis=0)
+        if step > last_prefix:
+            return alive & (rng.random(alive.size) < decay)
+        flipping = np.flatnonzero(alive & (skip_steps.take(origin) < step))
+        alive[flipping] = rng.random(flipping.size) < decay
+        return alive
+
+    keep = survivors(first_step, origin, walks)
+    for step in range(first_step, max_steps + 1):
+        rows = np.flatnonzero(keep)
+        if rows.size == 0:
+            return
+        origin, walks = origin.take(rows), walks.take(rows, axis=1)
+        checkpoint(CHECKPOINT_WALK_BATCH)
+        flat = walks.reshape(-1)
+        offsets = (rng.random(flat.size) * in_degrees.take(flat)).astype(np.int64)
+        walks = indices.take(indptr.take(flat) + offsets).reshape(2, -1)
+        same = walks[0] == walks[1]
+        counted = (same if step > last_prefix
+                   else same & (skip_steps.take(origin) < step))
+        met += np.bincount(origin[counted], minlength=met.size)
+        if step == max_steps:
+            return
+        keep = ~same & survivors(step + 1, origin, walks)
 
 
 def _regroup(split: np.ndarray, origin: np.ndarray, u: np.ndarray, v: np.ndarray

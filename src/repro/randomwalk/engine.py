@@ -24,7 +24,12 @@ instead of the batch width:
   draws by the kernels in :mod:`repro.randomwalk.aggregate`.  The per-step
   cost is bounded by the number of *distinct occupied states*, which makes
   the single-source ``num_walks ≫ |reachable set|`` regimes of ExactSim's
-  phase 2 and the diagonal estimators orders of magnitude cheaper.
+  phase 2 and the diagonal estimators orders of magnitude cheaper.  Pair
+  states spread out within a few steps (about one pair per ``(origin, u,
+  v)`` state from step 3 on GQ), so a pair walk finishes one slot per pair
+  once its states average fewer than
+  :data:`~repro.randomwalk.aggregate.PER_PAIR_BELOW` pairs; from there a
+  step costs the live pairs and no sort.
 
 The pre-compaction full-width engine survives in ``tests/specs/walks.py``
 — the executable specification the statistical-equivalence tests pin this
@@ -205,6 +210,7 @@ class SqrtCWalkEngine:
         skip = np.broadcast_to(np.asarray(skip_steps, dtype=np.int64), first.shape)
         if np.any(skip < 0):
             raise ValueError("skip_steps must be non-negative")
+        max_steps = check_positive_int(max_steps, "max_steps")
         return pair_meet_counts(self.rng, self._indptr, self._indices,
                                 self._in_degrees, self.decay, first, second,
                                 counts, max_steps=max_steps,

@@ -11,9 +11,11 @@ These implement the sampling primitives of the paper:
   then behave as fresh √c-walks; the fraction of pairs that meet *after* the
   prefix, multiplied by ``c^skip_steps``, estimates Σ_{ℓ>ℓ(k)} Z_ℓ(k).
 
-All three ride the count-aggregated pair kernel: one engine call simulates
-the whole pair budget with per-state binomial/multinomial draws, so the cost
-is bounded by the distinct occupied pair states instead of the pair count.
+All three ride the pair kernel of :mod:`repro.randomwalk.aggregate`: one
+engine call simulates the whole pair budget, count-aggregated while many
+pairs share a state (cost per step bounded by the distinct occupied pair
+states) and one slot per pair once they spread out (cost per step bounded by
+the live pairs, at most ``PAIR_CHUNK`` per chunk).
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.graph.generators import (
     ring_graph,
     star_graph,
 )
+from repro.randomwalk import aggregate
 
 DECAY = 0.6
 
@@ -64,3 +67,20 @@ def collab_simrank(collab_graph) -> np.ndarray:
 @pytest.fixture(scope="session")
 def directed_simrank(directed_graph) -> np.ndarray:
     return simrank_matrix(directed_graph, decay=DECAY)
+
+
+@pytest.fixture
+def per_pair_switches(monkeypatch):
+    """Record ``(first_step, pairs)`` each time a pair-walk chunk leaves
+    count aggregation for the one-slot-per-pair phase."""
+    original = aggregate._walk_per_pair
+    signature = inspect.signature(original)
+    switches = []
+
+    def recording(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        switches.append((arguments["first_step"], arguments["origin"].size))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "_walk_per_pair", recording)
+    return switches

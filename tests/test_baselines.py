@@ -24,6 +24,16 @@ class TestEpsilonValidation:
             cls(collab_graph, epsilon=epsilon)
 
 
+class TestSampleCountValidation:
+    @pytest.mark.parametrize("cls", [SLING, LinearizationSimRank])
+    def test_constructor_rejects_bad_samples_per_node(self, cls, collab_graph):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples_per_node"):
+                cls(collab_graph, samples_per_node=samples)
+        with pytest.raises(TypeError, match="samples_per_node"):
+            cls(collab_graph, samples_per_node=2.5)
+
+
 class TestPowerMethod:
     def test_diagonal_is_one(self, collab_simrank):
         assert np.allclose(np.diag(collab_simrank), 1.0)
@@ -118,6 +128,16 @@ class TestLinearization:
             errors.append(max_error(algorithm.single_source(source).scores,
                                     collab_simrank[source]))
         assert errors[1] <= errors[0]
+
+    @pytest.mark.parametrize("seed", [7, 8, 10])
+    def test_source_score_is_one(self, collab_graph, seed):
+        """S(i, i) = 1 by definition.  The linearized sum reaches it only
+        with the exact D: at 60 pairs per node the raw S(7, 7) of this graph
+        lands on either side of 1 depending on the seed, and the clip to
+        [0, 1] only mends the high side."""
+        algorithm = LinearizationSimRank(collab_graph, samples_per_node=60,
+                                         seed=seed)
+        assert algorithm.single_source(7).scores[7] == 1.0
 
     def test_default_samples_derived_from_epsilon(self, collab_graph):
         algorithm = LinearizationSimRank(collab_graph, epsilon=1e-1, seed=1)

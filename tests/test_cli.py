@@ -106,6 +106,47 @@ class TestEpsilonValidation:
         assert captured.out == ""
 
 
+class TestWalkCountValidation:
+    """Walk counts and caps that are not positive integers, and keys the
+    default method does not accept, are refused at start-up (exit 2, no
+    traceback, nothing served)."""
+
+    @pytest.mark.parametrize("command, name", [
+        (["query", "--source", "1", "--param", "max_walk_steps=2.5"],
+         "max_walk_steps"),
+        (["query", "--source", "1", "--param", "max_total_samples=2.5"],
+         "max_total_samples"),
+        (["query", "--source", "1", "--param", "max_exploit_level=1.5"],
+         "max_exploit_level"),
+        (["query", "--source", "1", "--method", "sling",
+          "--param", "samples_per_node=0"], "samples_per_node"),
+        (["query", "--source", "1", "--method", "linearization",
+          "--param", "samples_per_node=2.5"], "samples_per_node"),
+        (["answer", "--method", "exactsim", "--param", "max_walk_steps=2.5"],
+         "max_walk_steps"),
+        (["answer", "--method", "exactsim", "--param", "max_walk_steps=0"],
+         "max_walk_steps"),
+        (["answer", "--method", "sling", "--param", "max_walk_steps=3"],
+         "max_walk_steps"),
+        (["index", "build", "--method", "sling",
+          "--param", "samples_per_node=2.5"], "samples_per_node"),
+    ])
+    def test_bad_count_exits_2(self, command, name, tmp_path, capsys):
+        graph = preferential_attachment_graph(40, 2, directed=False, seed=3)
+        write_edge_list(graph, tmp_path / "graph.txt")
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"type": "single_pair", "source": 1, "target": 2}\n')
+        argv = command + ["--edge-list", str(tmp_path / "graph.txt")]
+        if command[0] == "answer":
+            argv += ["--queries", str(queries)]
+        if command[0] == "index":
+            argv += ["--index-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
+
+
 class TestExperimentCommand:
     def test_table2(self, capsys):
         assert main(["experiment", "table2"]) == 0

@@ -53,6 +53,19 @@ class TestConfig:
             ExactSimConfig(max_walk_steps=0)
         with pytest.raises(ValueError):
             ExactSimConfig(max_exploit_level=0)
+        for name in ("max_total_samples", "max_walk_steps", "max_exploit_level"):
+            for value in (2.5, -3, float("nan"), True):
+                with pytest.raises(ValueError, match=name):
+                    ExactSimConfig(**{name: value})
+
+    def test_integral_float_caps_become_ints(self):
+        config = ExactSimConfig(max_total_samples=1e5, max_walk_steps=3.0,
+                                max_exploit_level=np.int64(2))
+        assert (config.max_total_samples, config.max_walk_steps,
+                config.max_exploit_level) == (100_000, 3, 2)
+        assert all(type(value) is int for value in (
+            config.max_total_samples, config.max_walk_steps,
+            config.max_exploit_level))
 
     def test_num_iterations_formula(self):
         config = ExactSimConfig(epsilon=1e-4, use_sparse_linearization=False)

@@ -262,7 +262,8 @@ def _meet_counts(graph, nodes, pairs, threads, seed=7):
 
 
 def test_chunked_pair_meet_counts_thread_invariant(random_graph,
-                                                   small_chunks):
+                                                   small_chunks,
+                                                   per_pair_switches):
     nodes, pairs = _pair_origins(random_graph)
     ends = np.cumsum(pairs)
     boundaries = np.arange(SMALL_CHUNK, ends[-1], SMALL_CHUNK)
@@ -270,6 +271,10 @@ def test_chunked_pair_meet_counts_thread_invariant(random_graph,
     met = {threads: _meet_counts(random_graph, nodes, pairs, threads)
            for threads in THREAD_COUNTS}
     assert min(small_chunks) >= 3
+    # Chunks crossed into the one-slot-per-pair phase, which holds at most
+    # one chunk's pairs.
+    assert per_pair_switches
+    assert max(size for _, size in per_pair_switches) <= SMALL_CHUNK
     for threads in THREAD_COUNTS[1:]:
         assert np.array_equal(met[threads], met[1])
 

@@ -21,6 +21,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import power_law_graph
 from repro.randomwalk.aggregate import group_sum, multinomial_split
 from repro.randomwalk.engine import SqrtCWalkEngine
+from specs.exact_diagonal import exact_diagonal
 from specs.walks import ReferenceWalkEngine
 
 DECAY = 0.6
@@ -203,6 +204,60 @@ class TestStatisticalEquivalence:
         assert met_agg == pytest.approx(met_ref, abs=0.01)
 
 
+def _exact_meet_fraction(graph, simrank, nodes, skips):
+    """The expected fraction of pairs from each of ``nodes`` that meet after
+    its ``skip``-step non-stop prefix (one entry of ``skips`` per node), from
+    the exact D.
+
+    1 − D(k) sums, over t ≥ 1, the probability that two √c-walks from k
+    first meet at step t.  For t ≤ skip that is c^t·f_t, where f_t is the
+    first-meeting mass of two non-stop walks (pushed through the pair chain
+    below).  A first meeting after the prefix needs both walks to survive it
+    (c^skip), and then happens with the fraction the kernel counts.  Hence
+    fraction = (1 − D(k) − Σ_{t ≤ skip} c^t·f_t) / c^skip.
+    """
+    n = graph.num_nodes
+    move = np.zeros((n, n))             # move[x, y]: x steps to in-neighbour y
+    for x in range(n):
+        ins = graph.in_neighbors(x)
+        np.add.at(move[x], ins, 1.0 / max(ins.size, 1))
+    diagonal = exact_diagonal(graph, simrank, decay=DECAY)
+    fractions = []
+    for k, skip in zip(nodes, skips):
+        mass = np.zeros((n, n))
+        mass[k, k] = 1.0
+        prefix = 0.0
+        for t in range(1, skip + 1):
+            mass = move.T @ mass @ move
+            prefix += DECAY ** t * np.trace(mass)
+            np.fill_diagonal(mass, 0.0)
+        fractions.append((1.0 - diagonal[k] - prefix) / DECAY ** skip)
+    return np.array(fractions)
+
+
+class TestPerPairPhase:
+    @pytest.mark.parametrize("skip", [0, 2, 5, (0, 2, 5, 1, 4, 6)],
+                             ids=["0", "2", "5", "mixed"])
+    def test_meet_fraction_matches_exact_diagonal(
+            self, directed_graph, directed_simrank, per_pair_switches, skip):
+        """A budget that crosses from count aggregation to one slot per pair
+        (at step 2 or later, so both phases run; inside the prefix for skip
+        5) meets as often as the exact process: each origin within 5σ of
+        its binomial fraction."""
+        nodes = np.flatnonzero(directed_graph.in_degrees >= 2)[:6]
+        skips = np.broadcast_to(np.asarray(skip), nodes.shape)
+        pairs = 40_000
+        met = SqrtCWalkEngine(directed_graph, DECAY, seed=21).pair_meet_counts(
+            nodes, np.full(nodes.size, pairs), skip_steps=skips)
+        assert per_pair_switches and min(
+            step for step, _ in per_pair_switches) >= 2
+        expected = _exact_meet_fraction(directed_graph, directed_simrank,
+                                        nodes, skips)
+        bound = 5.0 * np.sqrt(expected * (1.0 - expected) / pairs)
+        assert np.all(np.abs(met / pairs - expected) <= bound), \
+            (met / pairs, expected, bound)
+
+
 class TestDeterminism:
     def test_compacted_trajectories_deterministic(self, walk_graph):
         first = SqrtCWalkEngine(walk_graph, DECAY, seed=42).walks_from(1, 257, max_steps=9)
@@ -237,7 +292,7 @@ class TestDeterminism:
              [-1, -1, -1, -1, -1, -1]], dtype=np.int64)
         met = engine.pair_meet_counts(np.array([2, 1]), np.array([50, 40]),
                                       max_steps=6)
-        expected_met = np.array([18, 15], dtype=np.int64)
+        expected_met = np.array([18, 16], dtype=np.int64)
         hint = ("regenerate with: SqrtCWalkEngine(graph, 0.6, seed=2020); "
                 "walks_from(2, 6, max_steps=4).positions; "
                 "pair_meet_counts([2, 1], [50, 40], max_steps=6)")
@@ -297,6 +352,17 @@ class TestEdgeCases:
         assert mixed[1] / 20_000 == pytest.approx(split_runs[1] / 20_000, abs=0.01)
         # A positive prefix only reports strictly-later meetings.
         assert mixed[1] <= mixed[0]
+
+    def test_max_steps_must_be_a_positive_integer(self, walk_graph):
+        # Zero steps would report no meetings, which reads as D = 1.
+        engine = SqrtCWalkEngine(walk_graph, DECAY, seed=6)
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="max_steps"):
+                engine.pair_meet_counts(np.array([1]), np.array([10]),
+                                        max_steps=steps)
+        with pytest.raises(TypeError, match="max_steps"):
+            engine.pair_meet_counts(np.array([1]), np.array([10]),
+                                    max_steps=2.5)
 
     def test_zero_count_origins_report_zero(self, walk_graph):
         engine = SqrtCWalkEngine(walk_graph, DECAY, seed=6)
