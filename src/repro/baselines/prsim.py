@@ -19,12 +19,13 @@ threshold and the per-hub D samples, reproducing the preprocessing-time /
 index-size / accuracy trade-off of Figures 3, 4, 7 and 8.
 
 Index construction is batched: *all* hubs' reverse hop vectors advance
-level-synchronously as the columns of one dense (num_nodes × hubs) state —
-one ``Pᵀ``-times-dense product per level for the whole hub set
-(:func:`repro.kernels.parallel.parallel_spmm`; exact hub frontiers saturate
-toward the reachable set within a few levels, exactly the regime where the
-dense product beats any frontier-proportional scatter), with the per-level
-snapshot pruning applied as a single mask over the stacked state.  The
+level-synchronously as the columns of dense (num_nodes × hubs) states —
+one ``Pᵀ``-times-dense product per level per chunk of at most 64 MB
+(:func:`repro.kernels.parallel.dense_lane_levels`, the kernel SLING's hop
+matrices share; exact hub frontiers saturate toward the reachable set
+within a few levels, exactly the regime where the dense product beats any
+frontier-proportional scatter), with the per-level snapshot pruning
+applied as a single mask over each chunk's state.  The
 per-hub sequential walk survives in ``tests/specs/probes.py`` (the
 executable spec ``tests/test_multiprop.py`` pins the batched build
 against: identical supports, values ≤ 1e-12).
@@ -49,7 +50,7 @@ from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certifie
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.frontier import propagate_batch_transpose
-from repro.kernels.parallel import parallel_spmm
+from repro.kernels.parallel import dense_lane_levels
 from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.ppr.pagerank import pagerank
 from repro.randomwalk.engine import SqrtCWalkEngine
@@ -103,51 +104,37 @@ class PRSim(SimRankAlgorithm):
     # ------------------------------------------------------------------ #
     # preprocessing
     # ------------------------------------------------------------------ #
-    #: Cap on the dense lane state of one build chunk (bytes); 64 MB keeps
-    #: the per-chunk (num_nodes × lanes) matrix cache- and RAM-friendly.
-    _DENSE_LANE_BYTES = 64 << 20
-
     def _build_hub_vectors(self, hubs: np.ndarray, iterations: int,
                            threshold: float) -> HubIndex:
         """All hubs' truncated reverse hop vectors, level-synchronously.
 
         The exact (unpruned) hub walks saturate toward the reachable set
         within a few levels, which is precisely the regime where a dense
-        state wins: a chunk of hubs is carried as the unit columns of one
-        (num_nodes × hubs) matrix, advanced by a single ``Pᵀ``-times-dense
-        product per level, with the per-level snapshot pruning applied as
-        one mask over the whole chunk.  Supports match the sequential
-        per-hub walk (``tests/specs/probes.py``) exactly and values to
-        ≤1e-12 (the
-        matrix product multiplies by the edge weight before adding, where
-        the frontier kernel sums first and divides once); the equivalence
-        suite pins both.
+        state wins: :func:`repro.kernels.parallel.dense_lane_levels` carries
+        the hubs as the unit columns of (num_nodes × hubs) chunks advanced
+        by one ``Pᵀ``-times-dense product per level, and each level's
+        snapshot pruning is one mask over the chunk.  Supports match the
+        sequential per-hub walk (``tests/specs/probes.py``) exactly and
+        values to ≤1e-12 (the matrix product multiplies by the edge weight
+        before adding, where the frontier kernel sums first and divides
+        once); the equivalence suite pins both.
         """
-        sqrt_c = self._operator.sqrt_c
-        matrix_t = self._operator.matrix_t
-        num_nodes = self.graph.num_nodes
-        chunk_lanes = max(1, self._DENSE_LANE_BYTES // (8 * max(num_nodes, 1)))
+        residual = 1.0 - self._operator.sqrt_c
         position_parts: List[np.ndarray] = []
         level_parts: List[np.ndarray] = []
         col_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
-        for chunk_start in range(0, hubs.shape[0], chunk_lanes):
-            chunk = hubs[chunk_start:chunk_start + chunk_lanes]
-            state = np.zeros((num_nodes, chunk.shape[0]), dtype=np.float64)
-            state[chunk, np.arange(chunk.shape[0])] = 1.0
-            for level in range(iterations + 1):
-                # Pruned snapshot in (hub, node) order; the state itself
-                # propagates exactly.
-                scaled = (1.0 - sqrt_c) * state.T
-                rows, cols = np.nonzero(scaled >= threshold)
-                position_parts.append(rows.astype(np.int64) + chunk_start)
-                level_parts.append(np.full(rows.shape[0], level, dtype=np.int64))
-                col_parts.append(cols.astype(np.int64))
-                val_parts.append(scaled[rows, cols])
-                if level == iterations:
-                    break
-                state = parallel_spmm(matrix_t, state)
-                state *= sqrt_c
+        for chunk_start, level, state in dense_lane_levels(
+                self._operator.matrix_t, hubs, iterations,
+                self._operator.sqrt_c):
+            # Pruned snapshot in (hub, node) order; the state itself
+            # propagates exactly.
+            scaled = residual * state.T
+            rows, cols = np.nonzero(scaled >= threshold)
+            position_parts.append(rows.astype(np.int64) + chunk_start)
+            level_parts.append(np.full(rows.shape[0], level, dtype=np.int64))
+            col_parts.append(cols.astype(np.int64))
+            val_parts.append(scaled[rows, cols])
         positions = np.concatenate(position_parts)
         levels = np.concatenate(level_parts)
         cols = np.concatenate(col_parts)
@@ -215,6 +202,10 @@ class PRSim(SimRankAlgorithm):
         hubs = np.asarray(payload["hubs"], dtype=np.int64)
         iterations = self.num_iterations()
         num_nodes = self.graph.num_nodes
+        if hubs.size and (hubs.min() < 0 or hubs.max() >= num_nodes):
+            raise IndexPersistenceError("hub ids lie outside the graph")
+        if np.unique(hubs).size != hubs.size:
+            raise IndexPersistenceError("hub ids repeat")
 
         positions = np.asarray(payload["hub_positions"], dtype=np.int64)
         levels = np.asarray(payload["hub_levels"], dtype=np.int64)

@@ -15,12 +15,15 @@ this reproduces SLING's position in the index-size/accuracy trade-off
 
 The implementation shares the library's substrates; the ``epsilon`` knob
 controls the truncation threshold and the per-node D samples, as in the
-original system.  The reverse hop-probability matrices are the one
-propagation that deliberately does *not* run on the sparse frontier kernels:
-with every node a source and no per-step truncation the batch is dense, and
-scipy's C-level sparse matmul beats any frontier-proportional kernel there
-(measured 5-25× on the registered datasets) — the kernels win exactly where
-frontiers are sparse, which is the other baselines' probes.
+original system.  With every node a source and no per-step truncation the
+reverse hop-probability propagation is dense within a few levels (GQ's
+running matrix holds all n² entries from level 6 on), so it runs on the
+dense-lane kernel PRSim's hub build shares
+(:func:`repro.kernels.parallel.dense_lane_levels`): every node is a unit
+lane of a (num_nodes × lanes) state advanced by one ``P``-times-dense
+product per level, in chunks of at most 64 MB.  It builds in a third of
+the time of a scipy sparse × sparse product on GQ and a quarter on DB;
+that product is the executable spec in ``tests/specs/hop_matrices.py``.
 """
 
 from __future__ import annotations
@@ -45,13 +48,29 @@ from repro.core.result import (
 from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
-from repro.kernels.parallel import parallel_spmm
+from repro.kernels.parallel import dense_lane_levels, parallel_spmm
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.deadline import active_deadline
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 from repro.utils.validation import (check_node_index, check_positive,
                                     check_positive_int)
+
+
+def _pruned_rows(state: np.ndarray, threshold: float) -> sparse.csr_matrix:
+    """The lanes of ``state`` as CSR rows, keeping entries ≥ ``threshold``.
+
+    One transpose copy makes the lane-major scan contiguous, which halves
+    the cost of the mask over a strided view, and leaves each row's column
+    indices sorted.  The temporaries die with the call, before the next
+    level's product allocates.
+    """
+    rows = np.ascontiguousarray(state.T)
+    keep = rows >= threshold
+    flat = np.flatnonzero(keep)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    return sparse.csr_matrix(
+        (rows.ravel()[flat], flat % rows.shape[1], indptr), shape=rows.shape)
 
 
 class SLING(SimRankAlgorithm):
@@ -95,21 +114,21 @@ class SLING(SimRankAlgorithm):
 
         iterations = self.num_iterations()
         threshold = (1.0 - self._operator.sqrt_c) * self.epsilon
-        sqrt_c = self._operator.sqrt_c
-        # Dense all-sources propagation: scipy's C matmul is the right
-        # kernel here (see the module docstring); only the stored
-        # snapshots are pruned, and the final expansion is skipped.
-        current = sparse.identity(self.graph.num_nodes, format="csr",
-                                  dtype=np.float64)
-        matrices: List[sparse.csr_matrix] = []
-        for level in range(iterations + 1):
-            pruned = current.copy()
-            pruned.data[pruned.data < threshold] = 0.0
-            pruned.eliminate_zeros()
-            matrices.append(pruned)
-            if level < iterations:
-                current = (sqrt_c * (current @ self._operator.matrix_t)).tocsr()
-        self._hop_matrices = matrices
+        num_nodes = self.graph.num_nodes
+        # Row k of H_ℓ is (√c P)^ℓ e_k, so every node is a unit lane of the
+        # shared dense kernel.  Each chunk's pruned lanes are a block of CSR
+        # rows, and a level's blocks stack in chunk order; only the stored
+        # snapshots are pruned.
+        blocks: List[List[sparse.csr_matrix]] = [
+            [] for _ in range(iterations + 1)]
+        for _, level, state in dense_lane_levels(
+                self._operator.matrix, np.arange(num_nodes), iterations,
+                self._operator.sqrt_c):
+            blocks[level].append(_pruned_rows(state, threshold))
+        self._hop_matrices = [
+            level_blocks[0] if len(level_blocks) == 1
+            else sparse.vstack(level_blocks, format="csr")
+            for level_blocks in blocks]
         self._colmax = None
 
     def _on_graph_rebound(self) -> None:
@@ -142,12 +161,22 @@ class SLING(SimRankAlgorithm):
         # ε drives the query-time iteration count; adopt the build's value.
         self.epsilon = float(payload["epsilon"])
         self.samples_per_node = int(payload["samples_per_node"])
+        num_levels = int(payload["num_levels"])
+        if num_levels != self.num_iterations() + 1:
+            raise IndexPersistenceError(
+                f"index holds {num_levels} hop levels; ε = {self.epsilon} "
+                f"builds {self.num_iterations() + 1}")
         matrices: List[sparse.csr_matrix] = []
-        for level in range(int(payload["num_levels"])):
-            matrices.append(sparse.csr_matrix(
+        for level in range(num_levels):
+            matrix = sparse.csr_matrix(
                 (payload[f"hop{level}_data"], payload[f"hop{level}_indices"],
                  payload[f"hop{level}_indptr"]),
-                shape=(num_nodes, num_nodes)))
+                shape=(num_nodes, num_nodes))
+            # Column indices in [0, n) and a non-decreasing indptr: numpy
+            # would wrap a negative index and serve a wrong score.  A
+            # ValueError here reaches the caller as IndexPersistenceError.
+            matrix.check_format(full_check=True)
+            matrices.append(matrix)
         self._diagonal = diagonal
         self._hop_matrices = matrices
         self._colmax = None

@@ -26,7 +26,9 @@ Layout:
   Algorithm 3 prefetch of :mod:`repro.diagonal.local`);
 * :mod:`repro.kernels.parallel` — the thread pool behind the two threaded
   paths: column-blocked ``parallel_spmm`` and the chunked pair walks of
-  :mod:`repro.randomwalk.aggregate`, both bit-identical at any thread count.
+  :mod:`repro.randomwalk.aggregate`, both bit-identical at any thread count;
+  plus ``dense_lane_levels``, the chunked dense-lane propagation of the
+  PRSim and SLING index builds, which runs on ``parallel_spmm``.
 
 The original dict-based loops are kept with the tests, in
 ``tests/specs/frontier.py``, as executable specifications for the

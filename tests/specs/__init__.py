@@ -16,7 +16,9 @@ no caller of the library needs them, and they live here instead of in
 * :mod:`specs.walks` — the full-width, per-walk √c-walk engine behind
   :mod:`repro.randomwalk.engine`;
 * :mod:`specs.probes` — PRSim's per-hub reverse walks and ProbeSim's
-  per-node probes.
+  per-node probes;
+* :mod:`specs.hop_matrices` — SLING's hop matrices by sparse × sparse
+  products.
 
 ``tests/`` is on ``sys.path`` under pytest, so tests import these as
 ``from specs.walks import ReferenceWalkEngine``.  A script outside

@@ -2,10 +2,12 @@
 
 The determinism contract of the two threaded kernel paths is one rule:
 answers are bit-identical at every thread count.  Column-blocked
-``parallel_spmm`` (and PRSim's hub build, which runs on it) never changes a
-per-element summation order; a chunked pair walk draws from a stream fixed
-by the chunk's position in the input, and a call of at most ``PAIR_CHUNK``
-pairs is one chunk on the caller's own stream.
+``parallel_spmm`` (and the PRSim and SLING index builds of
+``dense_lane_levels``, which run on it) never changes a per-element
+summation order, and neither does the kernel's lane chunking; a chunked
+pair walk draws from a stream fixed by the chunk's position in the input,
+and a call of at most ``PAIR_CHUNK`` pairs is one chunk on the caller's
+own stream.
 
 Plus the pool-level machinery the substrate feeds: the shared-memory graph
 segment lifecycle (adopt, destroy, no leak across chaos kills), respawn
@@ -120,23 +122,62 @@ def test_parallel_spmm_single_column_and_vector(random_graph):
 
 def test_dense_lane_propagation_thread_invariant(random_graph,
                                                  forced_parallel):
-    """PRSim's hub build: unit columns propagated by parallel_spmm."""
+    """PRSim's hub build and SLING's hop matrices: unit columns propagated
+    by parallel_spmm."""
     from repro.baselines.prsim import PRSim
+    from repro.baselines.sling import SLING
 
     prsim = PRSim(random_graph, epsilon=1e-2, hub_fraction=0.1, seed=5)
     hubs = np.argsort(-random_graph.in_degrees)[:16].astype(np.int64)
     threshold = (1.0 - prsim._operator.sqrt_c) ** 2 * prsim.epsilon
-    builds = {}
+    builds, hops = {}, {}
     for threads in THREAD_COUNTS:
         parallel.set_num_threads(threads)
         try:
             builds[threads] = prsim._build_hub_vectors(
                 hubs, prsim.num_iterations(), threshold)
+            hops[threads] = SLING(random_graph, epsilon=1e-2,
+                                  seed=5).preprocess()._hop_matrices
         finally:
             parallel.set_num_threads(parallel.default_num_threads())
     for threads in THREAD_COUNTS[1:]:
         for a, b in zip(builds[threads], builds[1]):
             assert np.array_equal(a, b)
+        assert len(hops[threads]) == len(hops[1])
+        for a, b in zip(hops[threads], hops[1]):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+
+
+def test_dense_lane_chunks_match_one_chunk(directed_graph, monkeypatch):
+    """A lane budget of 7 lanes splits both index builds into chunks with a
+    short last one (PRSim's 15 hubs into 7 + 7 + 1, SLING's 100 nodes into
+    14 × 7 + 2); every stored array equals the one-chunk build's."""
+    from repro.baselines.prsim import PRSim
+    from repro.baselines.sling import SLING
+
+    def build():
+        sling = SLING(directed_graph, epsilon=1e-2, seed=3).preprocess()
+        prsim = PRSim(directed_graph, epsilon=1e-2, hub_fraction=0.15,
+                      seed=11).preprocess()
+        return sling, prsim
+
+    sling_one, prsim_one = build()
+    monkeypatch.setattr(parallel, "DENSE_LANE_BYTES",
+                        8 * directed_graph.num_nodes * 7)
+    starts = {chunk_start for chunk_start, _, _ in parallel.dense_lane_levels(
+        prsim_one._operator.matrix_t, prsim_one._hubs, 1, 0.5)}
+    assert starts == {0, 7, 14} and prsim_one._hubs.shape[0] == 15
+    sling_chunked, prsim_chunked = build()
+
+    assert len(sling_chunked._hop_matrices) == len(sling_one._hop_matrices)
+    for a, b in zip(sling_chunked._hop_matrices, sling_one._hop_matrices):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(prsim_chunked._hub_flat, prsim_one._hub_flat):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("wide", [False, True])

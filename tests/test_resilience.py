@@ -10,9 +10,11 @@ Four pillars, mirroring the serving layer's failure taxonomy:
 * **circuit breaker** — closed → open → half-open → closed transitions with
   exponential backoff, driven by an injected clock;
 * **crash-safe persistence** — corrupt/truncated/bit-flipped index files
-  surface as :class:`IndexPersistenceError` naming the path, an interrupted
-  save leaves the previous index bit-identical, and the planner degrades a
-  bad auto-load to a logged rebuild;
+  surface as :class:`IndexPersistenceError` naming the path, intact files
+  holding an index no build makes (a column or hub id out of range, a
+  decreasing ``indptr``, a missing hop level) fail the load the same way,
+  an interrupted save leaves the previous index bit-identical, and the
+  planner degrades a bad auto-load to a logged rebuild;
 * **fault-injected serving** — deterministic fault plans drive the
   fallback route list (native → derived → cheapest other method), and a
   10k-line adversarial JSONL stream runs end-to-end with zero process
@@ -494,6 +496,35 @@ class TestCrashSafePersistence:
             algorithm.save_index(path)
         assert path.read_bytes() == before       # bit-identical survivor
         assert list(tmp_path.glob(".*tmp*")) == []   # no tmp litter
+
+    @pytest.mark.parametrize("case", [
+        "sling-negative-column", "sling-decreasing-indptr", "sling-column-n",
+        "sling-missing-level", "prsim-negative-hub", "prsim-duplicate-hub",
+        "prsim-hub-n"])
+    def test_malformed_index_is_rejected(self, graph, tmp_path, case):
+        """An edit that leaves a well-formed container (the checksums are
+        taken after it) holding an index no build makes fails the load."""
+        method = case.split("-")[0]
+        built = registry.create(method, graph, CONFIGS[method]).preprocess()
+        hop = built._hop_matrices[1] if method == "sling" else None
+        if case == "sling-negative-column":
+            hop.indices[0] = -1
+        elif case == "sling-decreasing-indptr":
+            hop.indptr[1] = hop.indptr[2] + 1
+        elif case == "sling-column-n":
+            hop.indices[0] = graph.num_nodes
+        elif case == "sling-missing-level":
+            built._hop_matrices.pop()
+        elif case == "prsim-negative-hub":
+            built._hubs[0] = -1
+        elif case == "prsim-duplicate-hub":
+            built._hubs[1] = built._hubs[0]
+        else:
+            built._hubs[0] = graph.num_nodes
+        path = built.save_index(tmp_path / "index.npz")
+        fresh = registry.create(method, graph, CONFIGS[method])
+        with pytest.raises(IndexPersistenceError):
+            fresh.load_index(path)
 
     def test_planner_degrades_bad_autoload_to_rebuild(self, graph, tmp_path,
                                                       caplog):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.sling import SLING
 from repro.metrics.accuracy import max_error, precision_at_k
+from specs.hop_matrices import sling_hop_matrices
 
 DECAY = 0.6
 
@@ -56,3 +57,21 @@ class TestSLING:
     def test_source_score_is_one(self, collab_graph):
         algorithm = SLING(collab_graph, epsilon=1e-1, seed=1)
         assert algorithm.single_source(2).scores[2] == 1.0
+
+
+@pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("graph_name",
+                         ["toy_graph", "collab_graph", "directed_graph"])
+def test_hop_matrices_match_sparse_spec(request, graph_name, epsilon):
+    """The dense-lane build against the sparse × sparse loop it replaced:
+    per level, identical supports and values within 1e-15 (the two
+    products add the same terms in different orders)."""
+    graph = request.getfixturevalue(graph_name)
+    algorithm = SLING(graph, decay=DECAY, epsilon=epsilon, seed=3).preprocess()
+    reference = sling_hop_matrices(algorithm)
+    assert len(algorithm._hop_matrices) == len(reference)
+    for built, expected in zip(algorithm._hop_matrices, reference):
+        expected = expected.sorted_indices()
+        assert np.array_equal(built.indptr, expected.indptr)
+        assert np.array_equal(built.indices, expected.indices)
+        assert np.max(np.abs(built.data - expected.data), initial=0.0) <= 1e-15
