@@ -79,6 +79,11 @@ class IndexPersistenceError(RuntimeError):
     """Raised when an index cannot be saved or loaded."""
 
 
+def truncation_depth(epsilon: float, decay: float) -> int:
+    """⌈log(2/ε) / log(1/c)⌉: the hop depth whose tail c^ℓ is at most ε/2."""
+    return int(np.ceil(np.log(2.0 / epsilon) / np.log(1.0 / decay)))
+
+
 #: Chunk size of the streamed checksum walk (bytes).  Large enough that the
 #: per-chunk Python overhead vanishes, small enough that verifying a
 #: memory-mapped multi-GB array never holds more than one chunk resident.
@@ -598,6 +603,7 @@ class SimRankAlgorithm(abc.ABC):
 __all__ = [
     "SimRankAlgorithm",
     "IndexPersistenceError",
+    "truncation_depth",
     "INDEX_FORMAT_VERSION",
     "QUERY_SINGLE_SOURCE",
     "QUERY_SINGLE_PAIR",

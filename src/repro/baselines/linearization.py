@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  SimRankAlgorithm)
+                                  SimRankAlgorithm, truncation_depth)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
@@ -59,7 +59,7 @@ class LinearizationSimRank(SimRankAlgorithm):
         self._diagonal: Optional[np.ndarray] = None
 
     def num_iterations(self) -> int:
-        return int(np.ceil(np.log(2.0 / self.epsilon) / np.log(1.0 / self.decay)))
+        return truncation_depth(self.epsilon, self.decay)
 
     # ------------------------------------------------------------------ #
     # preprocessing: estimate D everywhere

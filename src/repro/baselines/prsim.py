@@ -45,7 +45,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  SimRankAlgorithm)
+                                  SimRankAlgorithm, truncation_depth)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
@@ -99,7 +99,7 @@ class PRSim(SimRankAlgorithm):
         self._hub_by_level: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def num_iterations(self) -> int:
-        return int(np.ceil(np.log(2.0 / self.epsilon) / np.log(1.0 / self.decay)))
+        return truncation_depth(self.epsilon, self.decay)
 
     # ------------------------------------------------------------------ #
     # preprocessing
@@ -196,11 +196,13 @@ class PRSim(SimRankAlgorithm):
         if diagonal.shape != (self.graph.num_nodes,):
             raise IndexPersistenceError("diagonal has incompatible length")
         # ε and the hub set are properties of the stored index: the query-time
-        # iteration depth and thresholds must match the build, so adopt them.
-        self.epsilon = float(payload["epsilon"])
-        self.hub_fraction = float(payload["hub_fraction"])
+        # iteration depth and thresholds must match the build, so adopt them,
+        # but only once the whole payload has passed: a refused file leaves
+        # this instance's config as it was.
+        epsilon = check_positive(payload["epsilon"], "epsilon")
+        hub_fraction = float(payload["hub_fraction"])
         hubs = np.asarray(payload["hubs"], dtype=np.int64)
-        iterations = self.num_iterations()
+        iterations = truncation_depth(epsilon, self.decay)
         num_nodes = self.graph.num_nodes
         if hubs.size and (hubs.min() < 0 or hubs.max() >= num_nodes):
             raise IndexPersistenceError("hub ids lie outside the graph")
@@ -225,6 +227,8 @@ class PRSim(SimRankAlgorithm):
         # only kind save_index writes) bit-identical, and repairs any
         # externally produced ordering.
         order = np.lexsort((cols, levels, positions))
+        self.epsilon = epsilon
+        self.hub_fraction = hub_fraction
         self._hubs = hubs
         self._hub_flat = (positions[order], levels[order],
                           cols[order], vals[order])

@@ -28,7 +28,7 @@ that product is the executable spec in ``tests/specs/hop_matrices.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -38,6 +38,7 @@ from repro.baselines.base import (
     QUERY_TOP_K,
     IndexPersistenceError,
     SimRankAlgorithm,
+    truncation_depth,
 )
 from repro.core.result import (
     SinglePairResult,
@@ -78,9 +79,10 @@ class SLING(SimRankAlgorithm):
 
     name = "sling"
     index_based = True
-    #: Pairs read two stored rows per level (no mat-vec at all); top-k stops
-    #: accumulating levels once the k-th score gap exceeds the remaining
-    #: c^ℓ tail (see :meth:`single_pair` / :meth:`top_k`).
+    #: Pairs intersect the two nodes' stored rows of every level in one
+    #: sorted pass (no mat-vec at all); top-k stops accumulating levels once
+    #: the k-th score gap exceeds the remaining c^ℓ tail (see
+    #: :meth:`single_pair` / :meth:`top_k`).
     native_capabilities = frozenset({QUERY_SINGLE_PAIR, QUERY_TOP_K})
 
     def __init__(self, graph: DiGraph, *, decay: float = 0.6, epsilon: float = 1e-2,
@@ -96,13 +98,15 @@ class SLING(SimRankAlgorithm):
         # _hop_matrices[ℓ] is a CSR matrix H_ℓ with H_ℓ[k, j] ≈ (√c Pᵀ)^ℓ[k, j],
         # i.e. row k holds the level-ℓ reverse hop probabilities of node k.
         self._hop_matrices: List[sparse.csr_matrix] = []
-        # Per-level column maxima (query-time tail bounds); rebuilt lazily
-        # whenever the hop matrices change.
+        # Per-level column maxima (query-time tail bounds) and the
+        # (n + 1) × L table of every level's row starts (pair gathers);
+        # rebuilt lazily whenever the hop matrices change.
         self._colmax: Optional[List[np.ndarray]] = None
+        self._row_starts: Optional[np.ndarray] = None
         self._on_graph_rebound()
 
     def num_iterations(self) -> int:
-        return int(np.ceil(np.log(2.0 / self.epsilon) / np.log(1.0 / self.decay)))
+        return truncation_depth(self.epsilon, self.decay)
 
     # ------------------------------------------------------------------ #
     # preprocessing
@@ -130,11 +134,13 @@ class SLING(SimRankAlgorithm):
             else sparse.vstack(level_blocks, format="csr")
             for level_blocks in blocks]
         self._colmax = None
+        self._row_starts = None
 
     def _on_graph_rebound(self) -> None:
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
         self._operator = self._operator_for_graph()
         self._colmax = None
+        self._row_starts = None
 
     # ------------------------------------------------------------------ #
     # persistence: diagonal + one CSR triple per hop level
@@ -158,14 +164,17 @@ class SLING(SimRankAlgorithm):
         num_nodes = self.graph.num_nodes
         if diagonal.shape != (num_nodes,):
             raise IndexPersistenceError("diagonal has incompatible length")
-        # ε drives the query-time iteration count; adopt the build's value.
-        self.epsilon = float(payload["epsilon"])
-        self.samples_per_node = int(payload["samples_per_node"])
+        # ε drives the query-time iteration count, so the build's value is
+        # adopted, but only once the whole payload has passed: a refused
+        # file leaves this instance's config as it was.
+        epsilon = check_positive(payload["epsilon"], "epsilon")
+        samples_per_node = int(payload["samples_per_node"])
         num_levels = int(payload["num_levels"])
-        if num_levels != self.num_iterations() + 1:
+        expected = max(truncation_depth(epsilon, self.decay) + 1, 0)
+        if num_levels != expected:
             raise IndexPersistenceError(
-                f"index holds {num_levels} hop levels; ε = {self.epsilon} "
-                f"builds {self.num_iterations() + 1}")
+                f"index holds {num_levels} hop levels; ε = {epsilon} "
+                f"builds {expected}")
         matrices: List[sparse.csr_matrix] = []
         for level in range(num_levels):
             matrix = sparse.csr_matrix(
@@ -176,10 +185,18 @@ class SLING(SimRankAlgorithm):
             # would wrap a negative index and serve a wrong score.  A
             # ValueError here reaches the caller as IndexPersistenceError.
             matrix.check_format(full_check=True)
+            # single_pair's sorted-key intersection needs every row's
+            # columns strictly ascending, as the build stores them.
+            if not matrix.has_canonical_format:
+                raise IndexPersistenceError(
+                    f"hop level {level} holds an unsorted or repeated column")
             matrices.append(matrix)
+        self.epsilon = epsilon
+        self.samples_per_node = samples_per_node
         self._diagonal = diagonal
         self._hop_matrices = matrices
         self._colmax = None
+        self._row_starts = None
 
     # ------------------------------------------------------------------ #
     # query
@@ -188,12 +205,14 @@ class SLING(SimRankAlgorithm):
         return self.single_source_batch([source])[0]
 
     def single_pair(self, source: int, target: int) -> SinglePairResult:
-        """S(source, target) from the stored index: two row gathers per level.
+        """S(source, target) from the stored index: one sorted intersection.
 
         The identity S(i, j) = Σ_ℓ Σ_k H_ℓ[i, k]·D(k, k)·H_ℓ[j, k] touches
-        only the two stored rows of each hop matrix — no ``H_ℓ @ v`` product
-        over the whole graph — so a pair costs the intersection of two
-        sparse supports per level.
+        only the two nodes' stored rows — no ``H_ℓ @ v`` product over the
+        whole graph.  Keyed ℓ·n + k, a node's rows of all levels form one
+        ascending list (levels ascend, and every stored row's columns ascend
+        strictly), so one binary-search pass finds the shared (level,
+        column) keys of every level at once.
         """
         source = check_node_index(source, self.graph.num_nodes, "source")
         target = check_node_index(target, self.graph.num_nodes, "target")
@@ -201,31 +220,53 @@ class SLING(SimRankAlgorithm):
         assert self._diagonal is not None
         timer = Timer()
         with timer:
-            if source == target:
-                score = 1.0
-            else:
-                score = 0.0
-                for hop_matrix in self._hop_matrices:
-                    row_i = slice(hop_matrix.indptr[source],
-                                  hop_matrix.indptr[source + 1])
-                    row_j = slice(hop_matrix.indptr[target],
-                                  hop_matrix.indptr[target + 1])
-                    if row_i.start == row_i.stop or row_j.start == row_j.stop:
-                        continue
-                    shared, idx_i, idx_j = np.intersect1d(
-                        hop_matrix.indices[row_i], hop_matrix.indices[row_j],
-                        assume_unique=True, return_indices=True)
-                    if shared.size == 0:
-                        continue
-                    score += float(np.sum(
-                        hop_matrix.data[row_i][idx_i] * self._diagonal[shared]
-                        * hop_matrix.data[row_j][idx_j]))
-                score = float(np.clip(score, 0.0, 1.0))
+            score = 1.0 if source == target else 0.0
+            if source != target and self._hop_matrices:
+                keys_i, values_i = self._keyed_row(source)
+                keys_j, values_j = self._keyed_row(target)
+                if keys_i.size > keys_j.size:
+                    keys_i, values_i, keys_j, values_j = (
+                        keys_j, values_j, keys_i, values_i)
+                if keys_i.size:
+                    # Search the shorter list in the longer; a key past the
+                    # end is pointed at the last key, which it cannot equal.
+                    at = np.minimum(np.searchsorted(keys_j, keys_i),
+                                    keys_j.size - 1)
+                    shared = keys_j[at] == keys_i
+                    columns = keys_i[shared] % self.graph.num_nodes
+                    score = float(np.clip(np.dot(
+                        values_i[shared] * self._diagonal[columns],
+                        values_j[at[shared]]), 0.0, 1.0))
         return SinglePairResult(source=source, target=target, score=score,
                                 algorithm=self.name, query_seconds=timer.elapsed,
                                 preprocessing_seconds=self.preprocessing_seconds,
                                 stats={"native_single_pair": 1.0,
                                        "epsilon": self.epsilon})
+
+    def _keyed_row(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The node's stored rows of every level as one list keyed ℓ·n + k.
+
+        Returns the ascending keys and the values H_ℓ[node, k] beside them.
+        The (n + 1) × L table of row starts bounds the row on every level
+        from one lookup; it is stacked from the levels' ``indptr`` arrays
+        once per index.
+        """
+        if self._row_starts is None:
+            starts = np.empty((self.graph.num_nodes + 1, len(self._hop_matrices)),
+                              dtype=np.int64)
+            for level, matrix in enumerate(self._hop_matrices):
+                starts[:, level] = matrix.indptr
+            self._row_starts = starts
+        lows, highs = self._row_starts[node], self._row_starts[node + 1]
+        rows = list(zip(self._hop_matrices, lows.tolist(), highs.tolist()))
+        columns = np.concatenate([matrix.indices[low:high]
+                                  for matrix, low, high in rows])
+        values = np.concatenate([matrix.data[low:high]
+                                 for matrix, low, high in rows])
+        keys = np.repeat(np.arange(len(rows), dtype=np.int64)
+                         * self.graph.num_nodes, highs - lows)
+        keys += columns
+        return keys, values
 
     def _level_column_maxima(self) -> List[np.ndarray]:
         """Per-level column maxima of the hop matrices (cached per index).

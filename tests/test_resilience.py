@@ -499,8 +499,8 @@ class TestCrashSafePersistence:
 
     @pytest.mark.parametrize("case", [
         "sling-negative-column", "sling-decreasing-indptr", "sling-column-n",
-        "sling-missing-level", "prsim-negative-hub", "prsim-duplicate-hub",
-        "prsim-hub-n"])
+        "sling-missing-level", "sling-repeated-column", "sling-unsorted-row",
+        "prsim-negative-hub", "prsim-duplicate-hub", "prsim-hub-n"])
     def test_malformed_index_is_rejected(self, graph, tmp_path, case):
         """An edit that leaves a well-formed container (the checksums are
         taken after it) holding an index no build makes fails the load."""
@@ -515,6 +515,12 @@ class TestCrashSafePersistence:
             hop.indices[0] = graph.num_nodes
         elif case == "sling-missing-level":
             built._hop_matrices.pop()
+        elif case == "sling-repeated-column":
+            start = hop.indptr[np.flatnonzero(np.diff(hop.indptr) >= 2)[0]]
+            hop.indices[start + 1] = hop.indices[start]
+        elif case == "sling-unsorted-row":
+            start = hop.indptr[np.flatnonzero(np.diff(hop.indptr) >= 2)[0]]
+            hop.indices[[start, start + 1]] = hop.indices[[start + 1, start]]
         elif case == "prsim-negative-hub":
             built._hubs[0] = -1
         elif case == "prsim-duplicate-hub":
@@ -525,6 +531,33 @@ class TestCrashSafePersistence:
         fresh = registry.create(method, graph, CONFIGS[method])
         with pytest.raises(IndexPersistenceError):
             fresh.load_index(path)
+
+    @pytest.mark.parametrize("method, file_config, own_config", [
+        ("sling", {"epsilon": 1e-2}, {"epsilon": 1e-1}),
+        ("prsim", {"epsilon": 1e-2, "hub_fraction": 0.2},
+         {"epsilon": 1e-1, "hub_fraction": 0.05})])
+    def test_refused_load_keeps_the_instance_config(self, graph, tmp_path, method,
+                                                    file_config, own_config):
+        """A refused file's ε, and the knobs stored beside it, never reach the
+        instance: the rebuild that follows is a fresh build at its own config."""
+        built = registry.create(method, graph, {**file_config, "seed": 7}).preprocess()
+        if method == "sling":
+            built._hop_matrices[1].indices[0] = -1
+        else:
+            built._hubs[1] = built._hubs[0]
+        path = built.save_index(tmp_path / "index.npz")
+        loading = registry.create(method, graph, {**own_config, "seed": 7})
+        with pytest.raises(IndexPersistenceError):
+            loading.load_index(path)
+        fresh = registry.create(method, graph, {**own_config, "seed": 7}).preprocess()
+        knob = "samples_per_node" if method == "sling" else "hub_fraction"
+        assert loading.epsilon == fresh.epsilon
+        assert getattr(loading, knob) == getattr(fresh, knob)
+        rebuilt = loading.preprocess()._index_payload()
+        expected = fresh._index_payload()
+        assert rebuilt.keys() == expected.keys()
+        for key, array in expected.items():
+            assert np.array_equal(rebuilt[key], array), key
 
     def test_planner_degrades_bad_autoload_to_rebuild(self, graph, tmp_path,
                                                       caplog):

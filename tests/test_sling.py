@@ -75,3 +75,33 @@ def test_hop_matrices_match_sparse_spec(request, graph_name, epsilon):
         assert np.array_equal(built.indptr, expected.indptr)
         assert np.array_equal(built.indices, expected.indices)
         assert np.max(np.abs(built.data - expected.data), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("epsilon", [1e-1, 1e-3])
+@pytest.mark.parametrize("graph_name",
+                         ["toy_graph", "directed_graph", "collab_graph"])
+def test_native_pair_matches_single_source_on_every_pair(request, graph_name,
+                                                         epsilon):
+    """The one-pass keyed intersection against the per-level products of
+    ``single_source``, on every (i, j): a dangling node (toy node 0), nodes
+    without in-neighbours and rows left empty at deep levels (directed)."""
+    graph = request.getfixturevalue(graph_name)
+    algorithm = SLING(graph, decay=DECAY, epsilon=epsilon, seed=3).preprocess()
+    nodes = range(graph.num_nodes)
+    for source in nodes:
+        native = [algorithm.single_pair(source, target).score for target in nodes]
+        np.testing.assert_allclose(native, algorithm.single_source(source).scores,
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [5.0, 100.0])
+def test_index_without_levels(collab_graph, tmp_path, epsilon):
+    """ε ≥ 2/c builds no hop level: pairs answer 0 off the diagonal and 1 on
+    it, and the file such an index saves loads back."""
+    built = SLING(collab_graph, decay=DECAY, epsilon=epsilon, seed=3).preprocess()
+    assert built._hop_matrices == []
+    loaded = SLING(collab_graph, decay=DECAY, epsilon=epsilon, seed=3).load_index(
+        built.save_index(tmp_path / "index.npz"))
+    for algorithm in (built, loaded):
+        assert algorithm.single_pair(4, 9).score == 0.0
+        assert algorithm.single_pair(4, 4).score == 1.0
