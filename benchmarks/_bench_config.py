@@ -41,10 +41,10 @@ LARGE_GRIDS = {
 SMALL_SETTINGS = ExperimentSettings(num_queries=2, top_k=50, time_budget_seconds=120, seed=2020)
 LARGE_SETTINGS = ExperimentSettings(num_queries=1, top_k=50, time_budget_seconds=180, seed=2020)
 
-# Methods included on large graphs: PRSim's query-time probing is the one
-# component whose Python constant factor exceeds the bench budget, exactly as
-# some baselines exceed the paper's 24-hour budget on the real large graphs.
-LARGE_METHODS = ("exactsim", "parsim", "mc", "linearization")
+# Methods included on large graphs.  PRSim joined once its probes and hub
+# index read stopped dominating: on DB at ε = 1e-1 it builds in ~1.1 s and
+# answers in ~1.8 ms, far inside LARGE_SETTINGS' time budget.
+LARGE_METHODS = ("exactsim", "parsim", "mc", "linearization", "prsim")
 
 
 def emit(title: str, body: str) -> None:

@@ -8,10 +8,7 @@ from repro.experiments.reporting import format_series_table
 
 from _bench_config import LARGE_DATASETS, LARGE_GRIDS, LARGE_SETTINGS, emit
 
-# PRSim's hub-index preprocessing is excluded by default for the same reason
-# the paper drops methods that exceed its 24-hour budget: the Python constant
-# factor of its per-hub reverse propagation exceeds the bench budget.
-INDEX_METHODS = ("mc", "linearization")
+INDEX_METHODS = ("mc", "linearization", "prsim")
 
 
 @pytest.mark.parametrize("dataset", LARGE_DATASETS)

@@ -9,7 +9,7 @@ from repro.graph.datasets import load_dataset
 
 from _bench_config import LARGE_DATASETS, LARGE_GRIDS, LARGE_SETTINGS, emit
 
-INDEX_METHODS = ("mc", "linearization")
+INDEX_METHODS = ("mc", "linearization", "prsim")
 
 
 @pytest.mark.parametrize("dataset", LARGE_DATASETS)

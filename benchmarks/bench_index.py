@@ -19,8 +19,9 @@ Three workloads per dataset:
 
 * ``prsim_hub_vectors`` — the hub half of ``PRSim._build_index``: the
   per-hub sequential frontier walk (:func:`specs.probes.
-  build_hub_vectors_reference`) vs the dense batched build.  Identical
-  supports, values ≤ 1e-12.
+  build_hub_vectors_reference`) vs the dense batched build.  Compared in
+  the flat file layout of ``PRSim._index_payload()``: identical supports,
+  values ≤ 1e-12, and a bit-identical payload round trip (asserted).
 * ``heavy_node_exploit`` — the deterministic heavy-node phase of
   ``estimate_diagonal_local_batch``: a shared-cache loop of the sequential
   recursion (:func:`specs.algorithm3.exploit_deterministic_reference`)
@@ -56,7 +57,6 @@ from repro.algorithms import registry
 from repro.baselines.prsim import PRSim
 from repro.diagonal.local import DistributionCache, _exploit_deterministic_batch
 from repro.graph.datasets import load_dataset
-from repro.ppr.pagerank import pagerank
 from specs.algorithm3 import exploit_deterministic_reference
 from specs.probes import build_hub_vectors_reference
 
@@ -74,30 +74,42 @@ def _best(fn, repeats):
 
 
 def _prsim_hub_vectors_workload(graph, epsilon, hub_fraction, repeats):
-    prsim = PRSim(graph, epsilon=epsilon, hub_fraction=hub_fraction, seed=SEED)
+    prsim = PRSim(graph, epsilon=epsilon, hub_fraction=hub_fraction,
+                  seed=SEED).preprocess()
     iterations = prsim.num_iterations()
     threshold = (1.0 - prsim._operator.sqrt_c) ** 2 * epsilon
-    rank = pagerank(graph)
-    num_hubs = max(1, int(np.ceil(hub_fraction * graph.num_nodes)))
-    hubs = np.argsort(-rank)[:num_hubs].astype(np.int64)
-    prsim._operator.matrix_t          # warm the shared transition matrices
+    hubs = prsim._hubs
 
     reference = _best(
         lambda: build_hub_vectors_reference(prsim, hubs, iterations, threshold),
         repeats)
     batched = _best(
         lambda: prsim._build_hub_vectors(hubs, iterations, threshold), repeats)
+    # Compare in the flat file layout: the per-level CSR index read back
+    # through _index_payload(), and that payload's round trip.
     sequential_flat = build_hub_vectors_reference(prsim, hubs, iterations,
                                                   threshold)
-    batched_flat = prsim._build_hub_vectors(hubs, iterations, threshold)
+    payload = prsim._index_payload()
+    batched_flat = tuple(payload[key] for key in (
+        "hub_positions", "hub_levels", "hub_cols", "hub_vals"))
     supports_equal = all(np.array_equal(a, b) for a, b in
                          zip(sequential_flat[:3], batched_flat[:3]))
     value_gap = float(np.max(np.abs(sequential_flat[3] - batched_flat[3]))) \
         if supports_equal and sequential_flat[3].size else float("nan")
+    restored = PRSim(graph, epsilon=epsilon, hub_fraction=hub_fraction,
+                     seed=SEED)
+    restored._restore_index(payload)
+    round_trip = restored._index_payload()
+    round_trip_equal = all(np.array_equal(round_trip[key], array)
+                           for key, array in payload.items())
+    assert supports_equal, "hub index supports drifted from the per-hub walk"
+    assert not value_gap > 1e-12, f"hub index values drifted by {value_gap}"
+    assert round_trip_equal, "hub index payload does not round-trip"
     return {"reference_s": reference, "batched_s": batched,
-            "speedup": reference / batched, "num_hubs": int(num_hubs),
+            "speedup": reference / batched, "num_hubs": int(hubs.shape[0]),
             "iterations": int(iterations), "epsilon": epsilon,
-            "supports_equal": supports_equal, "max_value_gap": value_gap}
+            "supports_equal": supports_equal, "max_value_gap": value_gap,
+            "round_trip_equal": round_trip_equal}
 
 
 def _heavy_node_workload(graph, num_pairs, num_nodes, repeats):

@@ -79,6 +79,16 @@ class IndexPersistenceError(RuntimeError):
     """Raised when an index cannot be saved or loaded."""
 
 
+def check_unit_interval(values: np.ndarray, name: str) -> None:
+    """Refuse a stored array unless every entry is finite and in [0, 1].
+
+    Diagonals and stored hop probabilities are such values in every build;
+    a NaN or inf would reach the wire as invalid JSON.
+    """
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise IndexPersistenceError(f"{name} holds a value outside [0, 1]")
+
+
 def truncation_depth(epsilon: float, decay: float) -> int:
     """⌈log(2/ε) / log(1/c)⌉: the hop depth whose tail c^ℓ is at most ε/2."""
     return int(np.ceil(np.log(2.0 / epsilon) / np.log(1.0 / decay)))
@@ -603,6 +613,7 @@ class SimRankAlgorithm(abc.ABC):
 __all__ = [
     "SimRankAlgorithm",
     "IndexPersistenceError",
+    "check_unit_interval",
     "truncation_depth",
     "INDEX_FORMAT_VERSION",
     "QUERY_SINGLE_SOURCE",

@@ -19,7 +19,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  SimRankAlgorithm, truncation_depth)
+                                  SimRankAlgorithm, check_unit_interval,
+                                  truncation_depth)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
@@ -85,8 +86,11 @@ class LinearizationSimRank(SimRankAlgorithm):
         diagonal = np.asarray(payload["diagonal"], dtype=np.float64)
         if diagonal.shape != (self.graph.num_nodes,):
             raise IndexPersistenceError("diagonal has incompatible length")
+        check_unit_interval(diagonal, "diagonal")
+        samples_per_node = check_positive_int(
+            np.asarray(payload["samples_per_node"]).item(), "samples_per_node")
         self._diagonal = diagonal
-        self.samples_per_node = int(payload["samples_per_node"])
+        self.samples_per_node = samples_per_node
 
     # ------------------------------------------------------------------ #
     # query: same back-substitution as ExactSim, with the global D

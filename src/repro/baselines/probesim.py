@@ -14,13 +14,14 @@ the visited node — to the score vector.  ``num_walks`` controls the variance
 and is the method's accuracy knob (the paper's query-time O(n log n/ε²) term
 comes precisely from this sampling).
 
-All probes of one step are issued *simultaneously*: the candidate meeting
-nodes of a step become the rows of one COO batch that the batched transpose
-kernel (:func:`repro.kernels.propagate_batch_transpose`, the ``Pᵀ``
-direction) expands through shared CSR slices — the same batching PRSim's
-query-time on-the-fly phase uses — so the per-step cost is one
-gather/scatter pass over the union of all probe frontiers instead of one
-kernel call per meeting node.
+All probes of one step are issued *simultaneously* through
+:func:`repro.kernels.frontier.accumulate_probes`, the probe kernel PRSim's
+on-the-fly phase shares: the step's meeting nodes are the lanes of one
+batch, advanced as COO triplets through shared CSR slices (the ``Pᵀ``
+direction) while the batch is sparse and as dense (num_nodes × lanes)
+chunks once its entries fill a fixed share of them.  Both regimes add the
+same floats in the same order, so the answer does not depend on where the
+batch switches.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.diagonal.parsim_approx import parsim_diagonal
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
-from repro.kernels.frontier import propagate_batch_transpose
+from repro.kernels.frontier import accumulate_probes
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
@@ -84,47 +85,17 @@ class ProbeSim(SimRankAlgorithm):
             scores = np.zeros(self.graph.num_nodes, dtype=np.float64)
             scale = 1.0 / ((1.0 - self._operator.sqrt_c) * self.num_walks)
             for step, (meeting_nodes, counts) in enumerate(levels):
-                self._accumulate_probe_batch(scores, meeting_nodes, step,
-                                             counts, scale)
+                # counts[r] walks occupy meeting_nodes[r] at this step.
+                weights = (scale * (1.0 - self._operator.sqrt_c) * counts
+                           * self._diagonal[meeting_nodes])
+                accumulate_probes(self._operator, meeting_nodes, weights, step,
+                                  self.probe_threshold, scores)
             np.clip(scores, 0.0, 1.0, out=scores)
             scores[source] = 1.0
         return SingleSourceResult(source=source, scores=scores, algorithm=self.name,
                                   query_seconds=timer.elapsed,
                                   stats={"num_walks": float(self.num_walks),
                                          "max_steps": float(self.max_steps)})
-
-    def _accumulate_probe_batch(self, scores: np.ndarray, meeting_nodes: np.ndarray,
-                                level: int, counts: np.ndarray, scale: float) -> None:
-        """Add the depth-``level`` probes of all ``meeting_nodes`` at once.
-
-        ``counts[r]`` is the number of walks occupying ``meeting_nodes[r]``
-        at this step (the aggregated frontier's multiplicities).  The COO
-        batch (meeting-node row, node, mass) expands through shared CSR
-        slices once per step; the ``probe_threshold`` mask after every step
-        is semantically identical to the per-probe ``filtered`` pruning of
-        the sequential implementation.
-        """
-        if meeting_nodes.size == 0:
-            return
-        sqrt_c = self._operator.sqrt_c
-        num_nodes = self.graph.num_nodes
-        rows = np.arange(meeting_nodes.shape[0], dtype=np.int64)
-        cols = meeting_nodes.astype(np.int64, copy=False)
-        vals = np.ones(meeting_nodes.shape[0], dtype=np.float64)
-        for _ in range(level):
-            if rows.size == 0:
-                return
-            rows, cols, vals, _ = propagate_batch_transpose(
-                self.graph.out_indptr, self.graph.out_indices,
-                self.graph.in_degrees, rows, cols, vals, num_nodes=num_nodes)
-            vals *= sqrt_c
-            if self.probe_threshold > 0.0:
-                keep = vals >= self.probe_threshold
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        weights = (scale * (1.0 - sqrt_c) * counts *
-                   self._diagonal[meeting_nodes])
-        scores += np.bincount(cols, weights=vals * weights[rows],
-                              minlength=num_nodes)
 
     def single_pair(self, source: int, target: int) -> SinglePairResult:
         """Estimate S(source, target) with pair-local probing work only.

@@ -21,36 +21,38 @@ index-size / accuracy trade-off of Figures 3, 4, 7 and 8.
 Index construction is batched: *all* hubs' reverse hop vectors advance
 level-synchronously as the columns of dense (num_nodes × hubs) states —
 one ``Pᵀ``-times-dense product per level per chunk of at most 64 MB
-(:func:`repro.kernels.parallel.dense_lane_levels`, the kernel SLING's hop
+(:func:`repro.kernels.parallel.pruned_lane_levels`, the kernel SLING's hop
 matrices share; exact hub frontiers saturate toward the reachable set
 within a few levels, exactly the regime where the dense product beats any
-frontier-proportional scatter), with the per-level snapshot pruning
-applied as a single mask over each chunk's state.  The
-per-hub sequential walk survives in ``tests/specs/probes.py`` (the
-executable spec ``tests/test_multiprop.py`` pins the batched build
-against: identical supports, values ≤ 1e-12).
-The index itself lives as flat COO triplets ``(hub position, level, column,
-value)`` sorted by (position, level, column): queries accumulate the whole
-hub contribution with one weighted ``np.bincount`` over the flat arrays, and
-persistence is a direct array round trip (no per-hub/per-level loops).
+frontier-proportional scatter).  Each level's pruned snapshot is stored as
+one CSR matrix G_ℓ with a row per hub, so a query reads the hub part of
+level ℓ as one ``G_ℓᵀ @ w_ℓ`` product.  The per-hub sequential walk survives
+in ``tests/specs/probes.py`` (the executable spec ``tests/test_multiprop.py``
+pins the batched build against: identical supports, values ≤ 1e-12).
+On disk the index is flat COO triplets ``(hub position, level, column,
+value)`` sorted by (position, level, column), converted to and from the
+per-level matrices on save and load.
 At query time the on-the-fly probes of *all* candidate meeting nodes of a
-level are likewise pushed simultaneously through shared CSR slices
-(:func:`repro.kernels.propagate_batch_transpose`).
+level run as one batch of :func:`repro.kernels.frontier.accumulate_probes`,
+the probe kernel ProbeSim shares: COO steps while the batch is sparse,
+dense lanes once it fills.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  SimRankAlgorithm, truncation_depth)
+                                  SimRankAlgorithm, check_unit_interval,
+                                  truncation_depth)
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
-from repro.kernels.frontier import propagate_batch_transpose
-from repro.kernels.parallel import dense_lane_levels
+from repro.kernels.frontier import accumulate_probes
+from repro.kernels.parallel import pruned_lane_levels
 from repro.ppr.hop_ppr import hop_ppr_vectors
 from repro.ppr.pagerank import pagerank
 from repro.randomwalk.engine import SqrtCWalkEngine
@@ -59,15 +61,6 @@ from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 from repro.utils.validation import (check_node_index, check_positive,
                                     check_probability)
-
-#: The flat hub index: (positions, levels, columns, values) sorted by
-#: (position, level, column).  ``positions`` indexes into the hub array.
-HubIndex = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-_EMPTY_INDEX: HubIndex = (np.empty(0, dtype=np.int64),
-                          np.empty(0, dtype=np.int64),
-                          np.empty(0, dtype=np.int64),
-                          np.empty(0, dtype=np.float64))
 
 
 class PRSim(SimRankAlgorithm):
@@ -90,13 +83,14 @@ class PRSim(SimRankAlgorithm):
         self._seed = seed
         self._on_graph_rebound()
         self._hubs: Optional[np.ndarray] = None
-        self._hub_flat: HubIndex = _EMPTY_INDEX
+        # _hub_levels[ℓ] is G_ℓᵀ, an (n × hubs) CSC matrix whose column p
+        # holds π_j^ℓ(hubs[p]) over the nodes j where it is ≥ the index
+        # threshold: its arrays are the CSR arrays of the hubs × n G_ℓ.
+        self._hub_levels: List[sparse.csc_matrix] = []
         self._diagonal: Optional[np.ndarray] = None
-        # Per-(hub, level) index maxima and by-level entry grouping
-        # (query-time acceleration structures); rebuilt lazily whenever the
-        # hub index changes.
+        # Per-(hub, level) index maxima (top-k tail bounds); rebuilt lazily
+        # whenever the hub index changes.
         self._hubmax: Optional[np.ndarray] = None
-        self._hub_by_level: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def num_iterations(self) -> int:
         return truncation_depth(self.epsilon, self.decay)
@@ -105,44 +99,25 @@ class PRSim(SimRankAlgorithm):
     # preprocessing
     # ------------------------------------------------------------------ #
     def _build_hub_vectors(self, hubs: np.ndarray, iterations: int,
-                           threshold: float) -> HubIndex:
-        """All hubs' truncated reverse hop vectors, level-synchronously.
+                           threshold: float) -> List[sparse.csc_matrix]:
+        """All hubs' truncated reverse hop vectors, as one G_ℓᵀ per level.
 
         The exact (unpruned) hub walks saturate toward the reachable set
         within a few levels, which is precisely the regime where a dense
-        state wins: :func:`repro.kernels.parallel.dense_lane_levels` carries
-        the hubs as the unit columns of (num_nodes × hubs) chunks advanced
-        by one ``Pᵀ``-times-dense product per level, and each level's
-        snapshot pruning is one mask over the chunk.  Supports match the
-        sequential per-hub walk (``tests/specs/probes.py``) exactly and
-        values to ≤1e-12 (the matrix product multiplies by the edge weight
-        before adding, where the frontier kernel sums first and divides
-        once); the equivalence suite pins both.
+        state wins: :func:`repro.kernels.parallel.pruned_lane_levels`
+        carries the hubs as the unit columns of (num_nodes × hubs) chunks
+        advanced by one ``Pᵀ``-times-dense product per level, and stores
+        each level's (1 − √c)-scaled snapshot, pruned below ``threshold``,
+        as one CSR row per hub.  Supports match the sequential per-hub walk
+        (``tests/specs/probes.py``) exactly and values to ≤1e-12 (the matrix
+        product multiplies by the edge weight before adding, where the
+        frontier kernel sums first and divides once); the equivalence suite
+        pins both.
         """
-        residual = 1.0 - self._operator.sqrt_c
-        position_parts: List[np.ndarray] = []
-        level_parts: List[np.ndarray] = []
-        col_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        for chunk_start, level, state in dense_lane_levels(
-                self._operator.matrix_t, hubs, iterations,
-                self._operator.sqrt_c):
-            # Pruned snapshot in (hub, node) order; the state itself
-            # propagates exactly.
-            scaled = residual * state.T
-            rows, cols = np.nonzero(scaled >= threshold)
-            position_parts.append(rows.astype(np.int64) + chunk_start)
-            level_parts.append(np.full(rows.shape[0], level, dtype=np.int64))
-            col_parts.append(cols.astype(np.int64))
-            val_parts.append(scaled[rows, cols])
-        positions = np.concatenate(position_parts)
-        levels = np.concatenate(level_parts)
-        cols = np.concatenate(col_parts)
-        vals = np.concatenate(val_parts)
-        # Canonical (position, level, column) order: queries and persistence
-        # both read the flat arrays in this order.
-        order = np.lexsort((cols, levels, positions))
-        return positions[order], levels[order], cols[order], vals[order]
+        sqrt_c = self._operator.sqrt_c
+        return [level.T for level in pruned_lane_levels(
+            self._operator.matrix_t, hubs, iterations, sqrt_c, threshold,
+            snapshot_scale=1.0 - sqrt_c)]
 
     def _build_index(self) -> None:
         num_nodes = self.graph.num_nodes
@@ -155,7 +130,7 @@ class PRSim(SimRankAlgorithm):
         diagonal = np.full(num_nodes, 1.0 - self.decay, dtype=np.float64)
         diagonal[self.graph.in_degrees == 0] = 1.0
         samples = max(16, min(int(np.ceil(1.0 / self.epsilon)), 5_000))
-        hub_flat = self._build_hub_vectors(hubs, iterations, threshold)
+        hub_levels = self._build_hub_vectors(hubs, iterations, threshold)
         # All hubs' D(k, k) estimates ride one count-aggregated engine call:
         # every hub is an origin carrying the full per-hub pair budget, so the
         # MC cost no longer scales with the hub count times the sample count.
@@ -165,10 +140,9 @@ class PRSim(SimRankAlgorithm):
                 sampled, np.full(sampled.shape[0], samples, dtype=np.int64))
             diagonal[sampled] = 1.0 - met / float(samples)
         self._hubs = hubs
-        self._hub_flat = hub_flat
+        self._hub_levels = hub_levels
         self._diagonal = diagonal
         self._hubmax = None
-        self._hub_by_level = None
 
     def _on_graph_rebound(self) -> None:
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
@@ -178,8 +152,20 @@ class PRSim(SimRankAlgorithm):
     # persistence: hubs + diagonal + the hub index as flat COO triplets
     # ------------------------------------------------------------------ #
     def _index_payload(self) -> Dict[str, np.ndarray]:
+        """The hub index as flat COO sorted by (hub position, level, column).
+
+        Stacking the levels' G_ℓ and reading their rows in (position, level)
+        order yields the triplets in that order without a sort.
+        """
         assert self._hubs is not None and self._diagonal is not None
-        positions, levels, cols, vals = self._hub_flat
+        num_levels, num_hubs = len(self._hub_levels), self._hubs.shape[0]
+        by_position = np.arange(num_levels * num_hubs).reshape(
+            num_levels, num_hubs).T.ravel()
+        stacked = sparse.vstack([level.T for level in self._hub_levels],
+                                format="csr")[by_position]
+        keys = np.repeat(np.arange(num_levels * num_hubs, dtype=np.int64),
+                         np.diff(stacked.indptr))
+        positions, levels = np.divmod(keys, num_levels)
         return {
             "hubs": self._hubs,
             "diagonal": self._diagonal,
@@ -187,23 +173,25 @@ class PRSim(SimRankAlgorithm):
             "hub_fraction": np.float64(self.hub_fraction),
             "hub_positions": positions,
             "hub_levels": levels,
-            "hub_cols": cols,
-            "hub_vals": vals,
+            "hub_cols": stacked.indices.astype(np.int64),
+            "hub_vals": stacked.data,
         }
 
     def _restore_index(self, payload: Mapping[str, np.ndarray]) -> None:
+        num_nodes = self.graph.num_nodes
         diagonal = np.asarray(payload["diagonal"], dtype=np.float64)
-        if diagonal.shape != (self.graph.num_nodes,):
+        if diagonal.shape != (num_nodes,):
             raise IndexPersistenceError("diagonal has incompatible length")
+        check_unit_interval(diagonal, "diagonal")
         # ε and the hub set are properties of the stored index: the query-time
         # iteration depth and thresholds must match the build, so adopt them,
         # but only once the whole payload has passed: a refused file leaves
         # this instance's config as it was.
         epsilon = check_positive(payload["epsilon"], "epsilon")
-        hub_fraction = float(payload["hub_fraction"])
+        hub_fraction = check_probability(payload["hub_fraction"],
+                                         "hub_fraction", inclusive_low=False)
         hubs = np.asarray(payload["hubs"], dtype=np.int64)
         iterations = truncation_depth(epsilon, self.decay)
-        num_nodes = self.graph.num_nodes
         if hubs.size and (hubs.min() < 0 or hubs.max() >= num_nodes):
             raise IndexPersistenceError("hub ids lie outside the graph")
         if np.unique(hubs).size != hubs.size:
@@ -223,18 +211,23 @@ class PRSim(SimRankAlgorithm):
                 "hub index references levels beyond the ε iteration depth")
         if cols.size and (cols.min() < 0 or cols.max() >= num_nodes):
             raise IndexPersistenceError("hub index references unknown nodes")
-        # Re-canonicalise: a stable lexsort leaves a canonical payload (the
-        # only kind save_index writes) bit-identical, and repairs any
-        # externally produced ordering.
-        order = np.lexsort((cols, levels, positions))
+        check_unit_interval(vals, "hub index value")
+        # One CSR matrix with a row per (level, position) takes the triplets
+        # in any order; its row blocks are the levels' G_ℓ.
+        num_hubs = hubs.shape[0]
+        stacked = sparse.csr_matrix(
+            (vals, (levels * num_hubs + positions, cols)),
+            shape=((iterations + 1) * num_hubs, num_nodes))
+        if stacked.nnz != vals.size:
+            raise IndexPersistenceError("hub index repeats an entry")
         self.epsilon = epsilon
         self.hub_fraction = hub_fraction
         self._hubs = hubs
-        self._hub_flat = (positions[order], levels[order],
-                          cols[order], vals[order])
+        self._hub_levels = [
+            stacked[level * num_hubs:(level + 1) * num_hubs].T
+            for level in range(iterations + 1)]
         self._diagonal = diagonal
         self._hubmax = None
-        self._hub_by_level = None
 
     # ------------------------------------------------------------------ #
     # query
@@ -254,19 +247,13 @@ class PRSim(SimRankAlgorithm):
 
             is_hub = np.zeros(num_nodes, dtype=bool)
             is_hub[self._hubs] = True
-            # Hub contribution in one batched pass over the flat COO index:
-            # every stored entry's weight is scale·D(hub)·π_source^level(hub),
-            # gathered per (position, level) and scatter-added per column.
-            positions, levels, cols, vals = self._hub_flat
-            if cols.size:
-                hub_mass = np.empty((self._hubs.shape[0], iterations + 1),
-                                    dtype=np.float64)
-                for level in range(iterations + 1):
-                    hub_mass[:, level] = hop_ppr.hop_dense(level)[self._hubs]
-                entry_weights = (scale * self._diagonal[self._hubs])[positions] \
-                    * hub_mass[positions, levels]
-                scores += np.bincount(cols, weights=vals * entry_weights,
-                                      minlength=num_nodes)
+            # Hub contribution: one G_ℓᵀ @ w_ℓ per level, where hub p's
+            # weight is scale·D(hub)·π_source^ℓ(hub).
+            hub_diagonal = scale * self._diagonal[self._hubs]
+            for level, hub_level in enumerate(self._hub_levels):
+                if hub_level.nnz:
+                    scores += hub_level @ (
+                        hub_diagonal * hop_ppr.hop_dense(level)[self._hubs])
 
             # Non-hub contribution: on-the-fly reverse propagation at a coarser
             # threshold, restricted to nodes the source actually reaches.  All
@@ -294,11 +281,7 @@ class PRSim(SimRankAlgorithm):
                                                  * self._diagonal[mask])))
                     break
                 hop_vector = hop_ppr.hop_dense(level)
-                candidates = np.flatnonzero((hop_vector > coarse_threshold) & ~is_hub)
-                if candidates.size == 0:
-                    continue
-                self._accumulate_reverse_batch(scores, candidates, level,
-                                               hop_vector, coarse_threshold, scale)
+                self._accumulate_probes(scores, level, hop_vector, is_hub)
             np.clip(scores, 0.0, 1.0, out=scores)
             scores[source] = 1.0
         stats = {"epsilon": self.epsilon,
@@ -314,38 +297,18 @@ class PRSim(SimRankAlgorithm):
                                   preprocessing_seconds=self.preprocessing_seconds,
                                   stats=stats)
 
-    def _hub_level_maxima(self, iterations: int) -> np.ndarray:
+    def _hub_level_maxima(self) -> np.ndarray:
         """Max stored index value per (hub position, level), cached per index.
 
         ``hubmax[p, ℓ] = max_j π_j^ℓ(hub_p)`` bounds how much any node's
         score can gain from hub p on level ℓ; one O(nnz) pass per index
         serves every subsequent top-k query's tail bounds.
         """
-        if self._hubmax is None or self._hubmax.shape[1] != iterations + 1:
-            assert self._hubs is not None
-            positions, levels, _, vals = self._hub_flat
-            hubmax = np.zeros((self._hubs.shape[0], iterations + 1),
-                              dtype=np.float64)
-            if vals.size:
-                np.maximum.at(hubmax, (positions, levels), vals)
-            self._hubmax = hubmax
+        if self._hubmax is None:
+            self._hubmax = np.stack(
+                [level.max(axis=0).toarray().ravel()
+                 for level in self._hub_levels], axis=1)
         return self._hubmax
-
-    def _hub_entries_by_level(self, iterations: int
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat-index entry order grouped by level, cached per index.
-
-        The flat order is (position, level, column), so per-level access
-        needs a regrouping; one stable argsort per index serves every
-        subsequent top-k query's per-level slices.
-        """
-        if self._hub_by_level is None \
-                or self._hub_by_level[1].shape[0] != iterations + 2:
-            _, levels, _, _ = self._hub_flat
-            order = np.argsort(levels, kind="stable")
-            bounds = np.searchsorted(levels[order], np.arange(iterations + 2))
-            self._hub_by_level = (order, bounds)
-        return self._hub_by_level
 
     def top_k(self, source: int, k: int = 500) -> TopKResult:
         """Top-k with per-level early stopping under an exact suffix tail.
@@ -379,9 +342,7 @@ class PRSim(SimRankAlgorithm):
             coarse_threshold = residual * self.epsilon
             is_hub = np.zeros(num_nodes, dtype=bool)
             is_hub[self._hubs] = True
-            positions, level_tags, cols, vals = self._hub_flat
-            by_level, level_bounds = self._hub_entries_by_level(iterations)
-            hubmax = self._hub_level_maxima(iterations)
+            hubmax = self._hub_level_maxima()
 
             hops: List[np.ndarray] = []
             walk = np.zeros(num_nodes, dtype=np.float64)
@@ -415,21 +376,11 @@ class PRSim(SimRankAlgorithm):
                     degraded = True
                     break
                 hop_vector = hops[level]
-                lo, hi = level_bounds[level], level_bounds[level + 1]
-                if hi > lo:
-                    entries = by_level[lo:hi]
-                    hub_nodes = self._hubs[positions[entries]]
-                    entry_weights = (scale * self._diagonal[hub_nodes]
-                                     * hop_vector[hub_nodes])
-                    scores += np.bincount(cols[entries],
-                                          weights=vals[entries] * entry_weights,
-                                          minlength=num_nodes)
-                candidates = np.flatnonzero((hop_vector > coarse_threshold)
-                                            & ~is_hub)
-                if candidates.size:
-                    self._accumulate_reverse_batch(scores, candidates, level,
-                                                   hop_vector, coarse_threshold,
-                                                   scale)
+                hub_level = self._hub_levels[level]
+                if hub_level.nnz:
+                    scores += hub_level @ (scale * diag_hubs
+                                           * hop_vector[self._hubs])
+                self._accumulate_probes(scores, level, hop_vector, is_hub)
                 if level < iterations and tails[level + 1] < 1.0 \
                         and top_k_set_certified(
                             scores, k, float(tails[level + 1]), exclude=source):
@@ -449,43 +400,34 @@ class PRSim(SimRankAlgorithm):
             answer.stats["certified_bound"] = float(tails[levels_used])
         return answer
 
-    def _accumulate_reverse_batch(self, scores: np.ndarray, candidates: np.ndarray,
-                                  level: int, hop_vector: np.ndarray,
-                                  threshold: float, scale: float) -> None:
-        """Add Σ_k scale·D(k,k)·π_i^level(k)·π_·^level(k) over ``candidates``.
+    def _accumulate_probes(self, scores: np.ndarray, level: int,
+                           hop_vector: np.ndarray, is_hub: np.ndarray) -> None:
+        """Add Σ_k scale·D(k,k)·π_i^level(k)·π_·^level(k) over the level's
+        non-hub nodes k with π_i^level(k) above the coarse threshold.
 
-        One batched frontier walk replaces the seed's per-candidate dense
-        propagation: the COO batch (candidate row, node, mass) is expanded
-        through shared CSR slices once per step, with the truncation applied
-        as a boolean mask after every step — semantically identical to the
-        per-candidate ``current[current < threshold] = 0`` pruning.
+        Each candidate's reverse walk runs ``level`` steps of
+        :func:`repro.kernels.frontier.accumulate_probes`, pruned below the
+        same coarse threshold after every step.
         """
         assert self._diagonal is not None
-        sqrt_c = self._operator.sqrt_c
-        num_nodes = self.graph.num_nodes
-        rows = np.arange(candidates.shape[0], dtype=np.int64)
-        cols = candidates.astype(np.int64, copy=False)
-        vals = np.ones(candidates.shape[0], dtype=np.float64)
-        for _ in range(level):
-            if rows.size == 0:
-                return
-            rows, cols, vals, _ = propagate_batch_transpose(
-                self.graph.out_indptr, self.graph.out_indices,
-                self.graph.in_degrees, rows, cols, vals, num_nodes=num_nodes)
-            vals *= sqrt_c
-            keep = vals >= threshold
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        weights = (scale * (1.0 - sqrt_c) * self._diagonal[candidates] *
-                   hop_vector[candidates])
-        scores += np.bincount(cols, weights=vals * weights[rows],
-                              minlength=num_nodes)
+        residual = 1.0 - self._operator.sqrt_c
+        threshold = residual * self.epsilon
+        candidates = np.flatnonzero((hop_vector > threshold) & ~is_hub)
+        if candidates.size == 0:
+            return
+        scale = 1.0 / residual ** 2
+        weights = (scale * residual * self._diagonal[candidates]
+                   * hop_vector[candidates])
+        accumulate_probes(self._operator, candidates, weights, level,
+                          threshold, scores)
 
     def index_bytes(self) -> int:
         total = int(self._diagonal.nbytes) if self._diagonal is not None else 0
         if self._hubs is not None:
             total += int(self._hubs.nbytes)
-        for array in self._hub_flat:
-            total += int(array.nbytes)
+        for level in self._hub_levels:
+            total += int(level.data.nbytes + level.indices.nbytes
+                         + level.indptr.nbytes)
         return total
 
 

@@ -19,7 +19,7 @@ original system.  With every node a source and no per-step truncation the
 reverse hop-probability propagation is dense within a few levels (GQ's
 running matrix holds all n² entries from level 6 on), so it runs on the
 dense-lane kernel PRSim's hub build shares
-(:func:`repro.kernels.parallel.dense_lane_levels`): every node is a unit
+(:func:`repro.kernels.parallel.pruned_lane_levels`): every node is a unit
 lane of a (num_nodes × lanes) state advanced by one ``P``-times-dense
 product per level, in chunks of at most 64 MB.  It builds in a third of
 the time of a scipy sparse × sparse product on GQ and a quarter on DB;
@@ -38,6 +38,7 @@ from repro.baselines.base import (
     QUERY_TOP_K,
     IndexPersistenceError,
     SimRankAlgorithm,
+    check_unit_interval,
     truncation_depth,
 )
 from repro.core.result import (
@@ -49,29 +50,13 @@ from repro.core.result import (
 from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
-from repro.kernels.parallel import dense_lane_levels, parallel_spmm
+from repro.kernels.parallel import parallel_spmm, pruned_lane_levels
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.deadline import active_deadline
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
 from repro.utils.validation import (check_node_index, check_positive,
                                     check_positive_int)
-
-
-def _pruned_rows(state: np.ndarray, threshold: float) -> sparse.csr_matrix:
-    """The lanes of ``state`` as CSR rows, keeping entries ≥ ``threshold``.
-
-    One transpose copy makes the lane-major scan contiguous, which halves
-    the cost of the mask over a strided view, and leaves each row's column
-    indices sorted.  The temporaries die with the call, before the next
-    level's product allocates.
-    """
-    rows = np.ascontiguousarray(state.T)
-    keep = rows >= threshold
-    flat = np.flatnonzero(keep)
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-    return sparse.csr_matrix(
-        (rows.ravel()[flat], flat % rows.shape[1], indptr), shape=rows.shape)
 
 
 class SLING(SimRankAlgorithm):
@@ -116,23 +101,12 @@ class SLING(SimRankAlgorithm):
         self._diagonal = estimate_diagonal_basic(
             self.graph, allocation, decay=self.decay, engine=self._engine)
 
-        iterations = self.num_iterations()
-        threshold = (1.0 - self._operator.sqrt_c) * self.epsilon
-        num_nodes = self.graph.num_nodes
         # Row k of H_ℓ is (√c P)^ℓ e_k, so every node is a unit lane of the
-        # shared dense kernel.  Each chunk's pruned lanes are a block of CSR
-        # rows, and a level's blocks stack in chunk order; only the stored
-        # snapshots are pruned.
-        blocks: List[List[sparse.csr_matrix]] = [
-            [] for _ in range(iterations + 1)]
-        for _, level, state in dense_lane_levels(
-                self._operator.matrix, np.arange(num_nodes), iterations,
-                self._operator.sqrt_c):
-            blocks[level].append(_pruned_rows(state, threshold))
-        self._hop_matrices = [
-            level_blocks[0] if len(level_blocks) == 1
-            else sparse.vstack(level_blocks, format="csr")
-            for level_blocks in blocks]
+        # shared dense kernel.
+        self._hop_matrices = pruned_lane_levels(
+            self._operator.matrix, np.arange(self.graph.num_nodes),
+            self.num_iterations(), self._operator.sqrt_c,
+            (1.0 - self._operator.sqrt_c) * self.epsilon)
         self._colmax = None
         self._row_starts = None
 
@@ -164,11 +138,13 @@ class SLING(SimRankAlgorithm):
         num_nodes = self.graph.num_nodes
         if diagonal.shape != (num_nodes,):
             raise IndexPersistenceError("diagonal has incompatible length")
+        check_unit_interval(diagonal, "diagonal")
         # ε drives the query-time iteration count, so the build's value is
         # adopted, but only once the whole payload has passed: a refused
         # file leaves this instance's config as it was.
         epsilon = check_positive(payload["epsilon"], "epsilon")
-        samples_per_node = int(payload["samples_per_node"])
+        samples_per_node = check_positive_int(
+            np.asarray(payload["samples_per_node"]).item(), "samples_per_node")
         num_levels = int(payload["num_levels"])
         expected = max(truncation_depth(epsilon, self.decay) + 1, 0)
         if num_levels != expected:
@@ -190,6 +166,7 @@ class SLING(SimRankAlgorithm):
             if not matrix.has_canonical_format:
                 raise IndexPersistenceError(
                     f"hop level {level} holds an unsorted or repeated column")
+            check_unit_interval(matrix.data, f"hop level {level}")
             matrices.append(matrix)
         self.epsilon = epsilon
         self.samples_per_node = samples_per_node

@@ -59,6 +59,7 @@ class TransitionOperator:
     decay: float = 0.6
     _forward: Optional[sparse.csr_matrix] = None
     _backward: Optional[sparse.csr_matrix] = None
+    _adjacency: Optional[sparse.csr_matrix] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.decay < 1.0:
@@ -83,6 +84,19 @@ class TransitionOperator:
             self._backward = self.matrix.T.tocsr()
         return self._backward
 
+    @property
+    def in_adjacency(self) -> sparse.csr_matrix:
+        """The unweighted in-adjacency: row ``j`` holds a 1 per edge
+        ``k → j``, in the graph's ascending in-CSR order (built lazily,
+        cached).  The probe kernel's dense steps multiply by it."""
+        if self._adjacency is None:
+            num_nodes = self.graph.num_nodes
+            self._adjacency = sparse.csr_matrix(
+                (np.ones(self.graph.in_indices.shape[0], dtype=np.float64),
+                 self.graph.in_indices, self.graph.in_indptr),
+                shape=(num_nodes, num_nodes))
+        return self._adjacency
+
     # ------------------------------------------------------------------ #
     # operators
     # ------------------------------------------------------------------ #
@@ -104,7 +118,7 @@ class TransitionOperator:
 
     def memory_bytes(self) -> int:
         total = 0
-        for matrix in (self._forward, self._backward):
+        for matrix in (self._forward, self._backward, self._adjacency):
             if matrix is not None:
                 total += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
         return int(total)

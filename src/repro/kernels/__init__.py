@@ -16,9 +16,10 @@ Layout:
   (``indices: int64[]``, ``values: float64[]``) the kernels produce/consume;
 * :mod:`repro.kernels.frontier` — the kernels themselves
   (:func:`push_frontier`, :func:`propagate_distribution`,
-  :func:`propagate_batch` and their transpose twins); ProbeSim's and
-  PRSim's probes call the ``propagate_batch*`` kernels directly, the one
-  propagation API of the transpose direction;
+  :func:`propagate_batch` and their transpose twins), plus
+  :func:`accumulate_probes`, the one probe loop of ProbeSim and PRSim: COO
+  steps of :func:`propagate_batch_transpose` while a batch is sparse, dense
+  lanes on ``parallel_spmm`` once it fills;
 * :mod:`repro.kernels.multiprop` — the level-synchronous, forward-only
   :class:`MultiPropagation` engine: B independent reverse-walk
   propagations carried as one stacked COO state, advanced per level through
@@ -28,7 +29,8 @@ Layout:
   paths: column-blocked ``parallel_spmm`` and the chunked pair walks of
   :mod:`repro.randomwalk.aggregate`, both bit-identical at any thread count;
   plus ``dense_lane_levels``, the chunked dense-lane propagation of the
-  PRSim and SLING index builds, which runs on ``parallel_spmm``.
+  PRSim and SLING index builds, which runs on ``parallel_spmm``, and
+  ``pruned_lane_levels``, which stores its levels as CSR matrices.
 
 The original dict-based loops are kept with the tests, in
 ``tests/specs/frontier.py``, as executable specifications for the
@@ -38,6 +40,7 @@ equivalence suite.
 from repro.kernels.frontier import (
     BatchPushLevel,
     PushLevel,
+    accumulate_probes,
     csr_gather,
     propagate_batch,
     propagate_batch_transpose,
@@ -54,6 +57,7 @@ __all__ = [
     "MultiPropagation",
     "PushLevel",
     "SparseVector",
+    "accumulate_probes",
     "dense_lane_limit",
     "csr_gather",
     "propagate_batch",

@@ -22,15 +22,24 @@ same asymptotics as the seed's dict loops with a ~10-100× smaller constant.
 The original loops survive in ``tests/specs/frontier.py`` as executable
 specifications; ``tests/test_kernels.py`` pins the two to each other at
 1e-12 on random power-law graphs with dangling nodes and self-loops.
+
+:func:`accumulate_probes`, the probe loop of ProbeSim and PRSim, leaves
+this discipline once a batch fills a few percent of num_nodes × lanes:
+dense lanes through one sparse-times-dense product are then cheaper, and
+keep the COO steps' bits.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 import numpy as np
 
+from repro.kernels import parallel
 from repro.kernels.sparsevec import SparseVector
+
+if TYPE_CHECKING:
+    from repro.graph.transition import TransitionOperator
 
 # Dense scatter (np.bincount over the full key space) beats the sort-based
 # reduction whenever the key space is not much larger than the number of
@@ -251,9 +260,86 @@ def propagate_batch_transpose(out_indptr: np.ndarray, out_indices: np.ndarray,
             int(counts.sum()))
 
 
+#: A probe batch leaves the COO steps of :func:`accumulate_probes` for dense
+#: lanes once its entries reach this share of num_nodes × lanes.
+DENSE_PROBE_FILL = 0.05
+
+
+def accumulate_probes(operator: "TransitionOperator", nodes: np.ndarray,
+                      weights: np.ndarray, steps: int, threshold: float,
+                      out: np.ndarray) -> None:
+    """Add ``Σ_b weights[b] · (prune ∘ √c Pᵀ)^steps e_{nodes[b]}`` to ``out``.
+
+    Each node is one lane, a reverse probe whose entries below ``threshold``
+    are dropped after every step (none when ``threshold <= 0``).  A batch
+    runs as COO triplets (lane, node, mass) until its entries reach
+    :data:`DENSE_PROBE_FILL` of num_nodes × lanes, then as dense chunks of
+    at most ``DENSE_LANE_BYTES``: one ``parallel_spmm`` with the unweighted
+    in-adjacency, whose rows list the in-neighbours in the ascending order
+    the COO scatter-add meets them and whose 1s multiply exactly, then the
+    same divide by in-degree, ``√c`` scale and prune.  The weighted lanes
+    are added one at a time in lane order, as the final ``np.bincount``
+    adds them, so the answer has the same bits whichever step switches.
+    """
+    lanes = nodes.shape[0]
+    graph = operator.graph
+    num_nodes = graph.num_nodes
+    sqrt_c = operator.sqrt_c
+    rows = np.arange(lanes, dtype=np.int64)
+    cols = nodes.astype(np.int64, copy=False)
+    vals = np.ones(lanes, dtype=np.float64)
+    for step in range(steps):
+        if rows.size == 0:
+            return
+        if rows.size >= DENSE_PROBE_FILL * num_nodes * lanes:
+            _accumulate_dense_probes(operator, rows, cols, vals, weights,
+                                     steps - step, threshold, out)
+            return
+        rows, cols, vals, _ = propagate_batch_transpose(
+            graph.out_indptr, graph.out_indices, graph.in_degrees,
+            rows, cols, vals, num_nodes=num_nodes)
+        vals *= sqrt_c
+        if threshold > 0.0:
+            keep = vals >= threshold
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    out += np.bincount(cols, weights=vals * weights[rows], minlength=num_nodes)
+
+
+def _accumulate_dense_probes(operator: "TransitionOperator", rows: np.ndarray,
+                             cols: np.ndarray, vals: np.ndarray,
+                             weights: np.ndarray, steps: int,
+                             threshold: float, out: np.ndarray) -> None:
+    """The rest of :func:`accumulate_probes` on dense lane chunks."""
+    graph = operator.graph
+    num_nodes = graph.num_nodes
+    sqrt_c = operator.sqrt_c
+    adjacency = operator.in_adjacency
+    # An in-degree-0 node receives nothing, so dividing by 1 keeps its 0.
+    divisor = np.maximum(graph.in_degrees, 1).astype(np.float64)[:, None]
+    lanes = weights.shape[0]
+    per_chunk = max(1, parallel.DENSE_LANE_BYTES // (8 * max(num_nodes, 1)))
+    total = np.zeros(num_nodes, dtype=np.float64)
+    for low in range(0, lanes, per_chunk):
+        high = min(low + per_chunk, lanes)
+        first, last = np.searchsorted(rows, (low, high))
+        state = np.zeros((num_nodes, high - low), dtype=np.float64)
+        state[cols[first:last], rows[first:last] - low] = vals[first:last]
+        for _ in range(steps):
+            state = parallel.parallel_spmm(adjacency, state)
+            state /= divisor
+            state *= sqrt_c
+            if threshold > 0.0:
+                np.multiply(state, state >= threshold, out=state)
+        for lane, weight in zip(state.T, weights[low:high]):
+            total += lane * weight
+    out += total
+
+
 __all__ = [
     "BatchPushLevel",
+    "DENSE_PROBE_FILL",
     "PushLevel",
+    "accumulate_probes",
     "csr_gather",
     "propagate_batch",
     "propagate_batch_transpose",

@@ -5,9 +5,10 @@ threaded kernel paths.  Threads (not processes) suffice because both spend
 their time in C code that releases the GIL:
 
 * ``parallel_spmm`` — column blocks of one CSR×dense product (the
-  per-level products of ExactSim, SLING and Linearization, and both
-  index builds of ``dense_lane_levels``).  A PL200K (200k × 8) product
-  takes 17.5 ms at 2 threads vs 23.5 ms at 1.
+  per-level products of ExactSim, SLING and Linearization, both index
+  builds of ``dense_lane_levels``, and the dense steps of the probe kernel
+  :func:`repro.kernels.frontier.accumulate_probes`).  A PL200K (200k × 8)
+  product takes 17.5 ms at 2 threads vs 23.5 ms at 1.
 * ``pair_meet_counts`` (:mod:`repro.randomwalk.aggregate`) — one chunk of
   at most ``PAIR_CHUNK`` walk pairs per task.
 
@@ -19,6 +20,8 @@ advanced by one ``parallel_spmm`` per level, so its working set is bounded
 at any n.  Exact lane states fill within a few levels, where the dense
 product beats a sparse × sparse one: at one thread on a 2-core box,
 SLING's DB build (ε = 1e-3) went 83 → 20 s and 2.2 → 0.27 GB peak RSS.
+:func:`pruned_lane_levels` stores what both builds keep of it: per level,
+one CSR matrix with a row per lane.
 
 All three are bit-identical at any thread count.  scipy's ``csr_matvecs``
 walks each row's nonzeros in order whichever columns share the call, so a
@@ -44,6 +47,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "DENSE_LANE_BYTES",
@@ -54,6 +58,7 @@ __all__ = [
     "dense_lane_levels",
     "get_num_threads",
     "parallel_spmm",
+    "pruned_lane_levels",
     "run_blocks",
     "set_num_threads",
 ]
@@ -239,3 +244,41 @@ def dense_lane_levels(matrix, starts: np.ndarray, iterations: int,
             if level < iterations:
                 state = parallel_spmm(matrix, state)
                 state *= scale
+
+
+def _pruned_rows(state: np.ndarray, threshold: float,
+                 snapshot_scale: float) -> sparse.csr_matrix:
+    """The lanes of ``snapshot_scale · state`` as CSR rows, keeping entries
+    ≥ ``threshold``.
+
+    One transpose copy makes the lane-major scan contiguous, which halves
+    the cost of the mask over a strided view, and leaves each row's column
+    indices sorted.  The temporaries die with the call, before the next
+    level's product allocates.
+    """
+    rows = np.array(state.T, order="C")
+    if snapshot_scale != 1.0:
+        rows *= snapshot_scale
+    keep = rows >= threshold
+    flat = np.flatnonzero(keep)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    return sparse.csr_matrix(
+        (rows.ravel()[flat], flat % rows.shape[1], indptr), shape=rows.shape)
+
+
+def pruned_lane_levels(matrix, starts: np.ndarray, iterations: int,
+                       scale: float, threshold: float, *,
+                       snapshot_scale: float = 1.0) -> List[sparse.csr_matrix]:
+    """:func:`dense_lane_levels` stored sparsely: one CSR matrix per level.
+
+    Row ``b`` of level ``ℓ`` is lane ``b``'s state times ``snapshot_scale``,
+    keeping the entries ≥ ``threshold``; only the stored snapshots are
+    pruned, the state propagates exactly.  Each chunk's lanes are one block
+    of rows, stacked in chunk order.  SLING's hop matrices and PRSim's hub
+    index are both this call.
+    """
+    blocks: List[List[sparse.csr_matrix]] = [[] for _ in range(iterations + 1)]
+    for _, level, state in dense_lane_levels(matrix, starts, iterations, scale):
+        blocks[level].append(_pruned_rows(state, threshold, snapshot_scale))
+    return [parts[0] if len(parts) == 1 else sparse.vstack(parts, format="csr")
+            for parts in blocks]

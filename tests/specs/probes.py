@@ -1,28 +1,46 @@
-"""Sequential reverse walks of PRSim and ProbeSim — the executable specs.
+"""Sequential reverse walks and flat-COO query paths of PRSim and ProbeSim —
+the executable specs.
 
 PRSim builds its hub index with one dense ``Pᵀ``-times-dense product per
 level for all hubs at once (:meth:`repro.baselines.prsim.PRSim.
-_build_hub_vectors`), and ProbeSim pushes the probes of every meeting node of
-a level through shared CSR slices at once (:meth:`repro.baselines.probesim.
-ProbeSim._accumulate_probe_batch`).  The functions here keep the loops those
-batches replaced — one frontier walk per hub, one probe per node — and take
-the algorithm instance whose operator, graph and thresholds they read.
-``tests/test_multiprop.py`` and ``tests/test_baselines.py`` pin the batched
-paths against them, and ``benchmarks/bench_index.py`` times the hub build
-against them.
+_build_hub_vectors`) and reads it as one ``G_ℓᵀ @ w_ℓ`` product per level;
+both methods push the probes of every candidate node of a level through
+:func:`repro.kernels.frontier.accumulate_probes`, which switches from COO
+steps to dense lanes once a batch fills.  The functions here keep what those
+paths replaced:
+
+* one frontier walk per hub (:func:`build_hub_vectors_reference`) and one
+  probe per node (:func:`probe`);
+* the query paths that read the hub index as flat COO triplets with one
+  weighted ``np.bincount`` and run every probe batch as COO steps
+  (:func:`coo_probe_batch`, :func:`prsim_single_source_reference`,
+  :func:`prsim_top_k_reference`, :func:`probesim_single_source_reference`).
+
+They take the algorithm instance whose operator, graph, index and
+thresholds they read.  ``tests/test_multiprop.py``, ``tests/test_kernels.py``
+and ``tests/test_baselines.py`` pin the batched paths against them, and
+``benchmarks/bench_index.py`` times the hub build against them.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.baselines.prsim import HubIndex, PRSim
+from repro.baselines.prsim import PRSim
 from repro.baselines.probesim import ProbeSim
-from repro.kernels.frontier import propagate_transpose
+from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
+from repro.graph.transition import TransitionOperator
+from repro.kernels.frontier import propagate_batch_transpose, propagate_transpose
 from repro.kernels.sparsevec import SparseVector
+from repro.ppr.hop_ppr import hop_ppr_vectors
+
+#: The flat hub index, PRSim's file layout: (positions, levels, columns,
+#: values) sorted by (position, level, column).  ``positions`` indexes into
+#: the hub array.
+HubIndex = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def reverse_hop_vectors(prsim: PRSim, node: int, iterations: int,
@@ -91,4 +109,179 @@ def probe(probesim: ProbeSim, node: int, level: int) -> SparseVector:
     return frontier.scaled(1.0 - sqrt_c)
 
 
-__all__ = ["build_hub_vectors_reference", "probe", "reverse_hop_vectors"]
+def flat_hub_index(prsim: PRSim) -> HubIndex:
+    """The prepared instance's hub index in its flat file layout."""
+    payload = prsim._index_payload()
+    return (payload["hub_positions"], payload["hub_levels"],
+            payload["hub_cols"], payload["hub_vals"])
+
+
+def coo_probe_batch(operator: TransitionOperator, scores: np.ndarray,
+                    nodes: np.ndarray, weights: np.ndarray, steps: int,
+                    threshold: float) -> None:
+    """Add ``Σ_b weights[b]·(prune ∘ √c Pᵀ)^steps e_{nodes[b]}`` to ``scores``
+    with COO steps only: the probe loop both methods ran before the dense
+    switch (no pruning when ``threshold <= 0``)."""
+    if nodes.size == 0:
+        return
+    sqrt_c = operator.sqrt_c
+    graph = operator.graph
+    num_nodes = graph.num_nodes
+    rows = np.arange(nodes.shape[0], dtype=np.int64)
+    cols = nodes.astype(np.int64, copy=False)
+    vals = np.ones(nodes.shape[0], dtype=np.float64)
+    for _ in range(steps):
+        if rows.size == 0:
+            return
+        rows, cols, vals, _ = propagate_batch_transpose(
+            graph.out_indptr, graph.out_indices, graph.in_degrees,
+            rows, cols, vals, num_nodes=num_nodes)
+        vals *= sqrt_c
+        if threshold > 0.0:
+            keep = vals >= threshold
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    scores += np.bincount(cols, weights=vals * weights[rows],
+                          minlength=num_nodes)
+
+
+def _prsim_probe_level(prsim: PRSim, scores: np.ndarray, level: int,
+                       hop_vector: np.ndarray, is_hub: np.ndarray) -> None:
+    residual = 1.0 - prsim._operator.sqrt_c
+    threshold = residual * prsim.epsilon
+    candidates = np.flatnonzero((hop_vector > threshold) & ~is_hub)
+    scale = 1.0 / residual ** 2
+    weights = (scale * residual * prsim._diagonal[candidates]
+               * hop_vector[candidates])
+    coo_probe_batch(prsim._operator, scores, candidates, weights, level,
+                    threshold)
+
+
+def prsim_single_source_reference(prsim: PRSim, source: int) -> np.ndarray:
+    """PRSim's single-source scores: the whole hub contribution as one
+    weighted ``np.bincount`` over the flat index, then each level's COO
+    probe batch."""
+    prsim.ensure_prepared()
+    num_nodes = prsim.graph.num_nodes
+    iterations = prsim.num_iterations()
+    hop_ppr = hop_ppr_vectors(prsim.graph, source, iterations,
+                              decay=prsim.decay, operator=prsim._operator)
+    scale = 1.0 / (1.0 - prsim._operator.sqrt_c) ** 2
+    hubs = prsim._hubs
+    scores = np.zeros(num_nodes, dtype=np.float64)
+    is_hub = np.zeros(num_nodes, dtype=bool)
+    is_hub[hubs] = True
+    positions, levels, cols, vals = flat_hub_index(prsim)
+    if cols.size:
+        hub_mass = np.empty((hubs.shape[0], iterations + 1), dtype=np.float64)
+        for level in range(iterations + 1):
+            hub_mass[:, level] = hop_ppr.hop_dense(level)[hubs]
+        entry_weights = (scale * prsim._diagonal[hubs])[positions] \
+            * hub_mass[positions, levels]
+        scores += np.bincount(cols, weights=vals * entry_weights,
+                              minlength=num_nodes)
+    for level in range(iterations + 1):
+        _prsim_probe_level(prsim, scores, level, hop_ppr.hop_dense(level),
+                           is_hub)
+    np.clip(scores, 0.0, 1.0, out=scores)
+    scores[source] = 1.0
+    return scores
+
+
+def prsim_top_k_reference(prsim: PRSim, source: int, k: int) -> TopKResult:
+    """PRSim's early-stopped top-k: per level, the level's flat-index
+    entries (grouped by a stable argsort) as one ``np.bincount``, then the
+    level's COO probe batch, until the top-k set is certified."""
+    prsim.ensure_prepared()
+    num_nodes = prsim.graph.num_nodes
+    iterations = prsim.num_iterations()
+    hubs, diagonal = prsim._hubs, prsim._diagonal
+    sqrt_c = prsim._operator.sqrt_c
+    residual = 1.0 - sqrt_c
+    scale = 1.0 / residual ** 2
+    coarse_threshold = residual * prsim.epsilon
+    is_hub = np.zeros(num_nodes, dtype=bool)
+    is_hub[hubs] = True
+    positions, level_tags, cols, vals = flat_hub_index(prsim)
+    by_level = np.argsort(level_tags, kind="stable")
+    level_bounds = np.searchsorted(level_tags[by_level],
+                                   np.arange(iterations + 2))
+    hubmax = np.zeros((hubs.shape[0], iterations + 1), dtype=np.float64)
+    if vals.size:
+        np.maximum.at(hubmax, (positions, level_tags), vals)
+
+    hops: List[np.ndarray] = []
+    walk = np.zeros(num_nodes, dtype=np.float64)
+    walk[source] = 1.0
+    term_bounds = np.empty(iterations + 1, dtype=np.float64)
+    diag_hubs = diagonal[hubs]
+    for level in range(iterations + 1):
+        hop_vector = residual * walk
+        hops.append(hop_vector)
+        hub_part = float(np.sum(hop_vector[hubs] * diag_hubs
+                                * hubmax[:, level]))
+        probe_mask = (hop_vector > coarse_threshold) & ~is_hub
+        probe_part = (residual * sqrt_c ** level
+                      * float(np.sum(hop_vector[probe_mask]
+                                     * diagonal[probe_mask])))
+        term_bounds[level] = scale * (hub_part + probe_part)
+        if level < iterations:
+            walk = prsim._operator.decayed_backward(walk)
+    tails = np.concatenate([np.cumsum(term_bounds[::-1])[::-1], [0.0]])
+
+    levels_used = iterations + 1
+    set_certified = False
+    scores = np.zeros(num_nodes, dtype=np.float64)
+    for level in range(iterations + 1):
+        hop_vector = hops[level]
+        lo, hi = level_bounds[level], level_bounds[level + 1]
+        if hi > lo:
+            entries = by_level[lo:hi]
+            hub_nodes = hubs[positions[entries]]
+            entry_weights = (scale * diagonal[hub_nodes]
+                             * hop_vector[hub_nodes])
+            scores += np.bincount(cols[entries],
+                                  weights=vals[entries] * entry_weights,
+                                  minlength=num_nodes)
+        _prsim_probe_level(prsim, scores, level, hop_vector, is_hub)
+        if level < iterations and tails[level + 1] < 1.0 \
+                and top_k_set_certified(
+                    scores, k, float(tails[level + 1]), exclude=source):
+            levels_used = level + 1
+            set_certified = True
+            break
+    np.clip(scores, 0.0, 1.0, out=scores)
+    scores[source] = 1.0
+    answer = SingleSourceResult(source=source, scores=scores,
+                                algorithm=prsim.name).top_k(k)
+    answer.stats = {"native_top_k": 1.0, "levels_used": float(levels_used),
+                    "levels_total": float(iterations + 1),
+                    "certified": float(set_certified)}
+    return answer
+
+
+def probesim_single_source_reference(probesim: ProbeSim,
+                                     source: int) -> np.ndarray:
+    """ProbeSim's single-source scores with every step's probes as COO
+    steps.  Draws the source walks from the instance's engine, so compare it
+    with a second instance built at the same seed."""
+    levels = probesim._engine.visit_count_steps(
+        np.array([source], dtype=np.int64),
+        np.array([probesim.num_walks], dtype=np.int64),
+        max_steps=probesim.max_steps)
+    scores = np.zeros(probesim.graph.num_nodes, dtype=np.float64)
+    sqrt_c = probesim._operator.sqrt_c
+    scale = 1.0 / ((1.0 - sqrt_c) * probesim.num_walks)
+    for step, (meeting_nodes, counts) in enumerate(levels):
+        weights = (scale * (1.0 - sqrt_c) * counts
+                   * probesim._diagonal[meeting_nodes])
+        coo_probe_batch(probesim._operator, scores, meeting_nodes, weights,
+                        step, probesim.probe_threshold)
+    np.clip(scores, 0.0, 1.0, out=scores)
+    scores[source] = 1.0
+    return scores
+
+
+__all__ = ["HubIndex", "build_hub_vectors_reference", "coo_probe_batch",
+           "flat_hub_index", "probe", "prsim_single_source_reference",
+           "prsim_top_k_reference", "probesim_single_source_reference",
+           "reverse_hop_vectors"]

@@ -10,8 +10,11 @@ from repro.baselines.power_method import PowerMethod, simrank_matrix
 from repro.baselines.probesim import ProbeSim
 from repro.baselines.prsim import PRSim
 from repro.baselines.sling import SLING
+from repro.kernels.frontier import accumulate_probes
 from repro.metrics.accuracy import max_error, precision_at_k
 from specs.probes import probe as probe_spec
+from specs.probes import (probesim_single_source_reference,
+                          prsim_single_source_reference, prsim_top_k_reference)
 
 DECAY = 0.6
 
@@ -246,10 +249,12 @@ class TestProbeSimBatchedProbes:
             rng.integers(1, 5, size=25)
         meeting_nodes = np.flatnonzero(counts)
         scale = 1.0 / ((1.0 - algorithm._operator.sqrt_c) * algorithm.num_walks)
+        weights = (scale * (1.0 - algorithm._operator.sqrt_c)
+                   * counts[meeting_nodes] * algorithm._diagonal[meeting_nodes])
         for level in (0, 1, 3):
             batched = np.zeros(num_nodes, dtype=np.float64)
-            algorithm._accumulate_probe_batch(batched, meeting_nodes, level,
-                                              counts[meeting_nodes], scale)
+            accumulate_probes(algorithm._operator, meeting_nodes, weights,
+                              level, algorithm.probe_threshold, batched)
             sequential = np.zeros(num_nodes, dtype=np.float64)
             for node in meeting_nodes:
                 probe = probe_spec(algorithm, int(node), level)
@@ -261,6 +266,48 @@ class TestProbeSimBatchedProbes:
     def test_batched_probe_empty_meeting_set(self, collab_graph):
         algorithm = ProbeSim(collab_graph, decay=DECAY, num_walks=10, seed=1)
         scores = np.zeros(collab_graph.num_nodes)
-        algorithm._accumulate_probe_batch(scores, np.empty(0, dtype=np.int64), 2,
-                                          np.empty(0, dtype=np.int64), 1.0)
+        accumulate_probes(algorithm._operator, np.empty(0, dtype=np.int64),
+                          np.empty(0, dtype=np.float64), 2,
+                          algorithm.probe_threshold, scores)
         assert not scores.any()
+
+
+class TestQueryPathsMatchFlatSpecs:
+    """PRSim's per-level CSR hub products and both methods' probe kernel
+    against the flat-COO ``np.bincount`` hub pass and the COO-only probe
+    batches they replaced (``specs.probes``): the probes and PRSim's top-k
+    bit for bit; PRSim's single-source sums the hub levels in another
+    order, so within 1e-15 on identical supports."""
+
+    GRAPHS = ("toy_graph", "directed_graph", "collab_graph")
+
+    @pytest.mark.parametrize("graph_name", GRAPHS)
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3])
+    def test_prsim_matches_flat_spec(self, request, graph_name, epsilon):
+        graph = request.getfixturevalue(graph_name)
+        algorithm = PRSim(graph, decay=DECAY, epsilon=epsilon,
+                          hub_fraction=0.1, seed=5).preprocess()
+        for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 12)):
+            top = algorithm.top_k(source, k=10)
+            expected = prsim_top_k_reference(algorithm, source, 10)
+            assert np.array_equal(top.nodes, expected.nodes)
+            assert np.array_equal(top.scores, expected.scores)
+            for key in ("levels_used", "certified"):
+                assert top.stats[key] == expected.stats[key]
+            scores = algorithm.single_source(source).scores
+            reference = prsim_single_source_reference(algorithm, source)
+            assert np.array_equal(scores > 0.0, reference > 0.0)
+            assert np.max(np.abs(scores - reference)) <= 1e-15
+
+    @pytest.mark.parametrize("graph_name", GRAPHS)
+    @pytest.mark.parametrize("probe_threshold", [1e-1, 1e-2, 1e-3, 0.0])
+    def test_probesim_matches_coo_spec(self, request, graph_name,
+                                       probe_threshold):
+        graph = request.getfixturevalue(graph_name)
+        config = dict(decay=DECAY, num_walks=100, max_steps=8,
+                      probe_threshold=probe_threshold, seed=5)
+        for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 8)):
+            scores = ProbeSim(graph, **config).single_source(source).scores
+            reference = probesim_single_source_reference(
+                ProbeSim(graph, **config), source)
+            assert np.array_equal(scores, reference)

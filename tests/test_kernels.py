@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import power_law_graph, preferential_attachment_graph
+from repro.graph.transition import TransitionOperator
+from repro.kernels import frontier, parallel
 from repro.kernels.frontier import (
     csr_gather,
     propagate_batch,
@@ -32,6 +34,7 @@ from specs.frontier import (
     _reference_propagate_transpose,
     _reference_push_frontier,
 )
+from specs.probes import coo_probe_batch
 
 DECAY = 0.6
 SQRT_C = float(np.sqrt(DECAY))
@@ -225,6 +228,86 @@ class TestBatchedPropagate:
             got[out_cols[mask]] = out_vals[mask]
             assert np.max(np.abs(got - _dense(expected, graph.num_nodes)),
                           initial=0.0) < TOLERANCE
+
+
+# --------------------------------------------------------------------------- #
+# probe kernel: COO steps, dense lanes and the switch between them
+# --------------------------------------------------------------------------- #
+def _probe_runs(graph, nodes, weights, steps, threshold, monkeypatch):
+    """The kernel's answer with the dense switch at step 0, never and at the
+    default fill, plus the COO-only spec's."""
+    operator = TransitionOperator(graph, DECAY)
+    runs = {}
+    for label, fill in (("dense", 0.0), ("coo", np.inf),
+                        ("default", frontier.DENSE_PROBE_FILL)):
+        monkeypatch.setattr(frontier, "DENSE_PROBE_FILL", fill)
+        out = np.zeros(graph.num_nodes)
+        frontier.accumulate_probes(operator, nodes, weights, steps, threshold,
+                                   out)
+        runs[label] = out
+    spec = np.zeros(graph.num_nodes)
+    coo_probe_batch(operator, spec, nodes, weights, steps, threshold)
+    runs["spec"] = spec
+    return runs
+
+
+class TestProbeKernel:
+    """Dense lanes add the same floats in the same order as the COO steps,
+    so the switch step never changes a bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=graph_strategy, seed=st.integers(0, 2**16),
+           steps=st.integers(0, 8),
+           threshold=st.sampled_from([0.0, 1e-4, 1e-2, 1e-1]))
+    def test_switch_step_changes_no_bit(self, graph, seed, steps, threshold):
+        rng = np.random.default_rng(seed)
+        lanes = int(rng.integers(1, 2 * graph.num_nodes + 1))
+        nodes = rng.integers(0, graph.num_nodes, size=lanes)   # repeats too
+        weights = rng.uniform(1e-3, 2.0, size=lanes)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            runs = _probe_runs(graph, nodes, weights, steps, threshold,
+                               monkeypatch)
+        for label in ("dense", "coo", "default"):
+            assert np.array_equal(runs[label], runs["spec"]), label
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3])
+    def test_in_degree_zero_and_repeated_edges(self, monkeypatch, threshold):
+        """Node 0 has no in-edge (its dense row divides by 1), nodes 3 and 5
+        no out-edge, and 1 → 2 is stored twice, so its sum adds the same
+        mass twice on both sides."""
+        edges = [(0, 1), (0, 2), (1, 2), (1, 2), (2, 3), (2, 4), (4, 2),
+                 (1, 5), (4, 4)]
+        graph = DiGraph.from_edges(edges, num_nodes=6, name="probe-edges",
+                                   deduplicate=False)
+        assert graph.in_degrees[0] == 0
+        nodes = np.arange(6, dtype=np.int64)
+        weights = np.linspace(0.5, 1.5, 6)
+        for steps in range(6):
+            runs = _probe_runs(graph, nodes, weights, steps, threshold,
+                               monkeypatch)
+            for label in ("dense", "coo", "default"):
+                assert np.array_equal(runs[label], runs["spec"]), (label, steps)
+
+    def test_lane_chunks_change_no_bit(self, monkeypatch):
+        """Three lanes per dense chunk: each chunk continues the running sum
+        in lane order, as one chunk does."""
+        graph = _random_graph(7, 60, with_self_loops=True)
+        rng = np.random.default_rng(3)
+        nodes = rng.integers(0, 60, size=20)
+        weights = rng.uniform(0.1, 1.0, size=20)
+        one_chunk = _probe_runs(graph, nodes, weights, 5, 1e-3, monkeypatch)
+        monkeypatch.setattr(parallel, "DENSE_LANE_BYTES", 8 * 60 * 3)
+        chunked = _probe_runs(graph, nodes, weights, 5, 1e-3, monkeypatch)
+        assert np.array_equal(chunked["dense"], one_chunk["dense"])
+        assert np.array_equal(chunked["dense"], one_chunk["spec"])
+
+    def test_empty_batch_adds_nothing(self):
+        graph = _random_graph(1, 20, with_self_loops=False)
+        out = np.ones(20)
+        frontier.accumulate_probes(TransitionOperator(graph, DECAY),
+                                   np.empty(0, dtype=np.int64),
+                                   np.empty(0), 3, 1e-3, out)
+        assert np.array_equal(out, np.ones(20))
 
 
 # --------------------------------------------------------------------------- #

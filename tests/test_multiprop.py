@@ -14,8 +14,9 @@ schedule it replaced:
   sequential spec (:mod:`specs.algorithm3`): identical ℓ(k),
   identical budget-window accounting (so the adaptive level choice can never
   drift) and deterministic mass to 1e-12 — with or without a shared cache;
-* PRSim's batched hub index build matches the per-hub reference walk bit for
-  bit, and the flat COO payload round-trips bit-identically.
+* PRSim's batched hub index build matches the per-hub reference walk
+  (supports exact, values ≤ 1e-12), and its per-level CSR index round-trips
+  through the flat COO file layout bit-identically.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from specs.algorithm3 import (
     first_meeting_probabilities,
     z_level_reference,
 )
-from specs.probes import build_hub_vectors_reference
+from specs.probes import build_hub_vectors_reference, flat_hub_index
 
 DECAY = 0.6
 
@@ -354,19 +355,26 @@ class TestPRSimBatchedBuild:
         The dense engine's matrix product orders the float additions
         differently from the sum-then-divide kernel, so values agree to
         ~1e-15 per level rather than bit-for-bit; the stored supports (and
-        hence index size and pruning decisions) must be identical.
+        hence index size and pruning decisions) must be identical.  The
+        per-level CSR index is compared in its flat file layout.
         """
         iterations = prepared.num_iterations()
         threshold = (1.0 - prepared._operator.sqrt_c) ** 2 * prepared.epsilon
-        batched = prepared._build_hub_vectors(prepared._hubs, iterations,
-                                              threshold)
+        flat = flat_hub_index(prepared)
         reference = build_hub_vectors_reference(
             prepared, prepared._hubs, iterations, threshold)
-        for built, expected in zip(batched[:3], reference[:3]):
+        for built, expected in zip(flat[:3], reference[:3]):
             assert np.array_equal(built, expected)
-        assert np.max(np.abs(batched[3] - reference[3])) <= 1e-12
-        for stored, built in zip(prepared._hub_flat, batched):
-            assert np.array_equal(stored, built)
+        assert np.max(np.abs(flat[3] - reference[3])) <= 1e-12
+        rebuilt = prepared._build_hub_vectors(prepared._hubs, iterations,
+                                              threshold)
+        assert len(rebuilt) == len(prepared._hub_levels) == iterations + 1
+        for stored, built in zip(prepared._hub_levels, rebuilt):
+            assert stored.shape == (prepared.graph.num_nodes,
+                                    prepared._hubs.shape[0])
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(stored, name),
+                                      getattr(built, name))
 
     def test_flat_payload_roundtrip_bit_identical(self, prepared, directed_graph):
         from repro.baselines.prsim import PRSim
@@ -376,10 +384,15 @@ class TestPRSimBatchedBuild:
                          seed=11)
         restored._restore_index(payload)
         restored._prepared = True
-        for stored, expected in zip(restored._hub_flat, prepared._hub_flat):
-            assert np.array_equal(stored, expected)
-        assert np.array_equal(restored._hubs, prepared._hubs)
-        assert np.array_equal(restored._diagonal, prepared._diagonal)
+        again = restored._index_payload()
+        assert again.keys() == payload.keys()
+        for key, expected in payload.items():
+            assert np.array_equal(again[key], expected), key
+            assert again[key].dtype == expected.dtype, key
+        for stored, expected in zip(restored._hub_levels, prepared._hub_levels):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(stored, name),
+                                      getattr(expected, name))
         before = prepared.single_source(3).scores
         after = restored.single_source(3).scores
         assert np.array_equal(before, after)
@@ -411,11 +424,12 @@ class TestPRSimBatchedBuild:
         restored = PRSim(directed_graph, epsilon=1e-2, hub_fraction=0.15,
                          seed=11)
         restored._restore_index(shuffled)
-        for stored, expected in zip(restored._hub_flat, prepared._hub_flat):
-            assert np.array_equal(stored, expected)
+        for key, expected in payload.items():
+            assert np.array_equal(restored._index_payload()[key], expected), key
 
     def test_hub_pass_matches_dense_accumulation(self, prepared, directed_graph):
-        """The one-bincount hub pass equals the per-(hub, level) dense loop."""
+        """The per-level G_ℓᵀ @ w_ℓ hub pass equals the per-(hub, level)
+        dense loop over the flat index."""
         from repro.ppr.hop_ppr import hop_ppr_vectors
         source = 3
         iterations = prepared.num_iterations()
@@ -423,7 +437,7 @@ class TestPRSimBatchedBuild:
                                   decay=prepared.decay,
                                   operator=prepared._operator)
         scale = 1.0 / (1.0 - prepared._operator.sqrt_c) ** 2
-        positions, levels, cols, vals = prepared._hub_flat
+        positions, levels, cols, vals = flat_hub_index(prepared)
         expected = np.zeros(directed_graph.num_nodes)
         for position, hub in enumerate(prepared._hubs.tolist()):
             for level in range(iterations + 1):
@@ -434,11 +448,9 @@ class TestPRSimBatchedBuild:
                 dense[cols[sel]] = vals[sel]
                 expected += scale * prepared._diagonal[hub] * \
                     hop_ppr.hop_dense(level)[hub] * dense
-        hub_mass = np.empty((prepared._hubs.shape[0], iterations + 1))
-        for level in range(iterations + 1):
-            hub_mass[:, level] = hop_ppr.hop_dense(level)[prepared._hubs]
-        entry_weights = (scale * prepared._diagonal[prepared._hubs])[positions] \
-            * hub_mass[positions, levels]
-        produced = np.bincount(cols, weights=vals * entry_weights,
-                               minlength=directed_graph.num_nodes)
+        produced = np.zeros(directed_graph.num_nodes)
+        hub_diagonal = scale * prepared._diagonal[prepared._hubs]
+        for level, hub_level in enumerate(prepared._hub_levels):
+            produced += hub_level @ (
+                hub_diagonal * hop_ppr.hop_dense(level)[prepared._hubs])
         assert np.max(np.abs(produced - expected)) < 1e-12

@@ -123,7 +123,7 @@ def test_parallel_spmm_single_column_and_vector(random_graph):
 def test_dense_lane_propagation_thread_invariant(random_graph,
                                                  forced_parallel):
     """PRSim's hub build and SLING's hop matrices: unit columns propagated
-    by parallel_spmm."""
+    by parallel_spmm, stored as one sparse matrix per level."""
     from repro.baselines.prsim import PRSim
     from repro.baselines.sling import SLING
 
@@ -141,13 +141,12 @@ def test_dense_lane_propagation_thread_invariant(random_graph,
         finally:
             parallel.set_num_threads(parallel.default_num_threads())
     for threads in THREAD_COUNTS[1:]:
-        for a, b in zip(builds[threads], builds[1]):
-            assert np.array_equal(a, b)
-        assert len(hops[threads]) == len(hops[1])
-        for a, b in zip(hops[threads], hops[1]):
-            assert np.array_equal(a.indptr, b.indptr)
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.data, b.data)
+        for built in (builds, hops):
+            assert len(built[threads]) == len(built[1])
+            for a, b in zip(built[threads], built[1]):
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.data, b.data)
 
 
 def test_dense_lane_chunks_match_one_chunk(directed_graph, monkeypatch):
@@ -176,8 +175,42 @@ def test_dense_lane_chunks_match_one_chunk(directed_graph, monkeypatch):
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
-    for a, b in zip(prsim_chunked._hub_flat, prsim_one._hub_flat):
-        assert np.array_equal(a, b)
+    chunked_payload = prsim_chunked._index_payload()
+    for key, array in prsim_one._index_payload().items():
+        assert np.array_equal(chunked_payload[key], array), key
+
+
+def test_probe_kernel_thread_invariant(random_graph, forced_parallel):
+    """The dense probe steps run on parallel_spmm: PRSim's and ProbeSim's
+    answers, with every probe batch forced dense, are the same at 1, 2 and 4
+    threads, and the same as COO steps only."""
+    from repro.baselines.probesim import ProbeSim
+    from repro.baselines.prsim import PRSim
+    from repro.kernels import frontier
+
+    prsim = PRSim(random_graph, epsilon=1e-2, hub_fraction=0.1,
+                  seed=5).preprocess()
+    sources = (0, 17, 123)
+
+    def answers():
+        out = [prsim.single_source(source).scores for source in sources]
+        out += [prsim.top_k(source, k=10).scores for source in sources]
+        out += [ProbeSim(random_graph, num_walks=50, seed=9)
+                .single_source(source).scores for source in sources]
+        return out
+
+    original = frontier.DENSE_PROBE_FILL
+    try:
+        frontier.DENSE_PROBE_FILL = np.inf
+        expected = answers()
+        frontier.DENSE_PROBE_FILL = 0.0
+        for threads in THREAD_COUNTS:
+            parallel.set_num_threads(threads)
+            for got, want in zip(answers(), expected):
+                assert np.array_equal(got, want)
+    finally:
+        frontier.DENSE_PROBE_FILL = original
+        parallel.set_num_threads(parallel.default_num_threads())
 
 
 @pytest.mark.parametrize("wide", [False, True])

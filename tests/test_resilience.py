@@ -497,16 +497,34 @@ class TestCrashSafePersistence:
         assert path.read_bytes() == before       # bit-identical survivor
         assert list(tmp_path.glob(".*tmp*")) == []   # no tmp litter
 
+    #: Values no build stores: each loads at a file's face value unless the
+    #: restore checks it, then serves NaN or zeros, or breaks the rebuild
+    #: after the next update.
+    BAD_VALUES = {"nan": np.nan, "inf": np.inf, "negative": -5.0,
+                  "above-one": 2.0, "zero": 0.0, "seven": 7.0}
+
     @pytest.mark.parametrize("case", [
         "sling-negative-column", "sling-decreasing-indptr", "sling-column-n",
         "sling-missing-level", "sling-repeated-column", "sling-unsorted-row",
-        "prsim-negative-hub", "prsim-duplicate-hub", "prsim-hub-n"])
+        "prsim-negative-hub", "prsim-duplicate-hub", "prsim-hub-n",
+        "prsim-repeated-entry", "prsim-diagonal-nan", "prsim-diagonal-inf", "prsim-diagonal-negative",
+        "sling-diagonal-nan", "sling-diagonal-inf", "sling-diagonal-negative",
+        "linearization-diagonal-nan", "linearization-diagonal-inf",
+        "linearization-diagonal-negative",
+        "prsim-value-nan", "prsim-value-above-one",
+        "sling-value-nan", "sling-value-negative",
+        "prsim-hub_fraction-nan", "prsim-hub_fraction-zero",
+        "prsim-hub_fraction-seven",
+        "sling-samples_per_node-zero", "sling-samples_per_node-negative",
+        "linearization-samples_per_node-zero",
+        "linearization-samples_per_node-negative"])
     def test_malformed_index_is_rejected(self, graph, tmp_path, case):
         """An edit that leaves a well-formed container (the checksums are
         taken after it) holding an index no build makes fails the load."""
-        method = case.split("-")[0]
+        method, _, fault = case.partition("-")
         built = registry.create(method, graph, CONFIGS[method]).preprocess()
         hop = built._hop_matrices[1] if method == "sling" else None
+        knob, _, bad = fault.partition("-")
         if case == "sling-negative-column":
             hop.indices[0] = -1
         elif case == "sling-decreasing-indptr":
@@ -525,8 +543,23 @@ class TestCrashSafePersistence:
             built._hubs[0] = -1
         elif case == "prsim-duplicate-hub":
             built._hubs[1] = built._hubs[0]
-        else:
+        elif case == "prsim-hub-n":
             built._hubs[0] = graph.num_nodes
+        elif case == "prsim-repeated-entry":
+            # Two entries of one (hub, level, column) would be summed into
+            # one stored value.
+            level = built._hub_levels[1]
+            start = level.indptr[np.flatnonzero(np.diff(level.indptr) >= 2)[0]]
+            level.indices[start + 1] = level.indices[start]
+        elif knob == "diagonal":
+            built._diagonal[0] = self.BAD_VALUES[bad]
+        elif knob == "value":
+            stored = hop if method == "sling" else built._hub_levels[1]
+            stored.data[0] = self.BAD_VALUES[bad]
+        elif knob == "hub_fraction":
+            built.hub_fraction = self.BAD_VALUES[bad]
+        else:
+            built.samples_per_node = {"zero": 0, "negative": -3}[bad]
         path = built.save_index(tmp_path / "index.npz")
         fresh = registry.create(method, graph, CONFIGS[method])
         with pytest.raises(IndexPersistenceError):
