@@ -94,11 +94,10 @@ class ExactSim(SimRankAlgorithm):
         # Heavy-node visit-distribution cache for Algorithm 3, shared across
         # the sources of a batch and across successive queries of this engine
         # (the distributions are deterministic per graph, so reuse is exact).
-        # The byte cap bounds peak memory even mid-batch: the cache evicts
-        # between explorations, which cannot change any result because the
-        # edge budget charges cached levels either way.
-        self._distribution_cache = DistributionCache(
-            self.graph, max_bytes=self._DISTRIBUTION_CACHE_MAX_BYTES)
+        # Its byte cap (repro.diagonal.local.CACHE_MAX_BYTES) bounds peak
+        # memory even mid-batch: it evicts between exploration levels, which
+        # changes no result.
+        self._distribution_cache = DistributionCache(self.graph)
 
     # ------------------------------------------------------------------ #
     # public queries
@@ -250,11 +249,6 @@ class ExactSim(SimRankAlgorithm):
     # ------------------------------------------------------------------ #
     # phases
     # ------------------------------------------------------------------ #
-    #: Cap on the engine-lifetime Algorithm 3 distribution cache; above this
-    #: the cache is dropped after the query (results are unaffected — the
-    #: edge budget charges cached levels — only wall-clock reuse is lost).
-    _DISTRIBUTION_CACHE_MAX_BYTES = 64 * 1024 * 1024
-
     #: Below this node count the batched phase 1 runs as one dense
     #: ``P @ X`` matrix product per level (bit-identical per column to
     #: :func:`hop_ppr_vectors`); above it, the frontier-proportional

@@ -12,8 +12,7 @@ one caller needs.  That caller is the Algorithm 3 prefetch
 materialises the level-ℓ distributions of many start nodes together:
 
 * **per-lane work accounting** — every step reports the CSR entries gathered
-  per lane, so each start keeps its exact Algorithm 3 cost counter E_k even
-  when a thousand starts share levels;
+  per lane;
 * **per-lane termination** — lanes that reached their target depth are
   dropped with :meth:`MultiPropagation.terminate` while the rest advance.
 
@@ -146,8 +145,8 @@ class MultiPropagation:
         """Advance every lane one level; return per-lane edges gathered.
 
         The returned int64 array is the per-lane count of CSR entries
-        gathered — the Algorithm 3 cost counter E_k, charged by the caller
-        to whichever budget window owns the lane.
+        gathered, as :func:`~repro.kernels.frontier.propagate_distribution`
+        counts them.
 
         Each step is a cooperative deadline checkpoint (kind ``level``): with
         an active :class:`repro.utils.deadline.Deadline` installed, an expired

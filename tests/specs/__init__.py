@@ -10,7 +10,8 @@ no caller of the library needs them, and they live here instead of in
 * :mod:`specs.linear_system` — the exact D as the solution of a linear
   system, independent of the SimRank matrix;
 * :mod:`specs.algorithm3` — Algorithm 3's Lemma 4 recursion, one node and
-  one distribution fetch at a time;
+  one distribution fetch at a time, with its own edge-budget window and
+  cache;
 * :mod:`specs.frontier` — the dict-based frontier loops behind
   :mod:`repro.kernels.frontier`;
 * :mod:`specs.walks` — the full-width, per-walk √c-walk engine behind

@@ -10,10 +10,11 @@ schedule it replaced:
   transpose kernels keep their own bit-identity suite in
   ``tests/test_kernels.py``);
 * the batched Algorithm 3 exploration
-  (:func:`repro.diagonal.local._exploit_deterministic_batch`) matches the
-  sequential spec (:mod:`specs.algorithm3`): identical ℓ(k),
-  identical budget-window accounting (so the adaptive level choice can never
-  drift) and deterministic mass to 1e-12 — with or without a shared cache;
+  (:func:`repro.diagonal.local._exploit_deterministic_batch`), which decides
+  ℓ(k) once per level, matches the fetch-by-fetch spec
+  (:mod:`specs.algorithm3`): identical ℓ(k) and deterministic mass to
+  1e-12 — with or without a shared cache, under cache eviction, and at the
+  budgets where simpler level rules drift;
 * PRSim's batched hub index build matches the per-hub reference walk
   (supports exact, values ≤ 1e-12), and its per-level CSR index round-trips
   through the flat COO file layout bit-identically.
@@ -25,8 +26,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.diagonal import local
 from repro.diagonal.local import (
-    BudgetWindow,
     DistributionCache,
     _exploit_deterministic_batch,
     estimate_diagonal_local_batch,
@@ -38,8 +39,11 @@ from repro.kernels.multiprop import MultiPropagation
 from repro.kernels.sparsevec import SparseVector
 from repro.randomwalk.engine import SqrtCWalkEngine
 from specs.algorithm3 import (
+    BudgetWindow,
+    ReferenceCache,
     exploit_deterministic_reference,
     first_meeting_probabilities,
+    level_charges,
     z_level_reference,
 )
 from specs.probes import build_hub_vectors_reference, flat_hub_index
@@ -169,21 +173,18 @@ class TestBatchedExploitEquivalence:
         batch = _exploit_deterministic_batch(
             walk_graph, DistributionCache(walk_graph), requests,
             decay=DECAY, max_level=20)
-        shared_reference = DistributionCache(walk_graph)
-        for (node, num_pairs), (chosen, mass, traversed) in zip(requests, batch):
+        shared_reference = ReferenceCache(walk_graph)
+        for (node, num_pairs), (chosen, mass) in zip(requests, batch):
             for cache in (None, shared_reference):
-                ref_chosen, ref_mass, ref_traversed = \
-                    exploit_deterministic_reference(
-                        walk_graph, node, num_pairs, decay=DECAY,
-                        max_level=20, cache=cache)
+                ref_chosen, ref_mass = exploit_deterministic_reference(
+                    walk_graph, node, num_pairs, decay=DECAY, max_level=20,
+                    cache=cache)
                 assert chosen == ref_chosen, f"ℓ(k) drifted for node {node}"
-                assert traversed == ref_traversed, \
-                    f"budget accounting drifted for node {node}"
                 assert mass == pytest.approx(ref_mass, abs=1e-12)
 
     def test_exhaustion_boundaries_match_reference(self, walk_graph):
-        # Sweep tight budgets across one heavy node so exhaustion fires at
-        # many different points (pre-level check and mid-level raise alike).
+        # Sweep tight budgets across one heavy node so the spec's exhaustion
+        # fires at many different points within a level.
         node = int(np.argmax(walk_graph.in_degrees))
         for num_pairs in range(32, 600, 17):
             batch = _exploit_deterministic_batch(
@@ -192,7 +193,6 @@ class TestBatchedExploitEquivalence:
             reference = exploit_deterministic_reference(
                 walk_graph, node, num_pairs, decay=DECAY, max_level=20)
             assert batch[0] == reference[0]
-            assert batch[2] == reference[2]
             assert batch[1] == pytest.approx(reference[1], abs=1e-12)
 
     def test_repeat_on_warm_cache_is_identical(self, walk_graph):
@@ -210,7 +210,7 @@ class TestBatchedExploitEquivalence:
         ℓ(k) and mass: its tail walks skip exactly ℓ(k) non-stop steps, and
         D(k, k) = 1 − mass − c^ℓ(k) · met / R."""
         node = int(np.argmax(walk_graph.in_degrees))
-        chosen, mass, _ = exploit_deterministic_reference(
+        chosen, mass = exploit_deterministic_reference(
             walk_graph, node, 400, decay=DECAY, max_level=20)
         calls = []
 
@@ -236,7 +236,7 @@ class TestBatchedExploitEquivalence:
         node = int(np.argmax(directed_graph.in_degrees))
         produced = first_meeting_probabilities(directed_graph, node, 5,
                                                decay=DECAY)
-        cache = DistributionCache(directed_graph)
+        cache = ReferenceCache(directed_graph)
         window = BudgetWindow(None)
         z_levels = []
         for level in range(1, 6):
@@ -244,6 +244,58 @@ class TestBatchedExploitEquivalence:
                                               z_levels, DECAY))
         for level_dict, (indices, values) in zip(produced, z_levels):
             assert level_dict == dict(zip(indices.tolist(), values.tolist()))
+
+
+class TestLevelBoundaryRule:
+    """ℓ(k) where simpler level-boundary rules drift from the spec.
+
+    The batch completes level ℓ iff C(ℓ−1) + Σ e_ℓ − e_ℓ(last) < budget.
+    "C(ℓ) ≤ budget" gives up the levels the spec completes by overshooting
+    on its last charge (budget in (C(ℓ) − e_ℓ(last), C(ℓ))), and
+    "C(ℓ−1) < budget" completes the levels the spec abandons on an earlier
+    charge.
+    """
+
+    def test_overshooting_budgets_match_reference(self):
+        graph = power_law_graph(120, 4.0, exponent=2.1, directed=True, seed=7)
+        node = int(np.argmax(graph.in_degrees))
+        charges = level_charges(graph, node, decay=DECAY, max_level=6)
+        spent = np.cumsum([sum(level) for level in charges])
+        overshoot = [(total - level[-1], total)
+                     for total, level in zip(spent[1:], charges[1:])]
+        requests = [(node, num_pairs) for num_pairs in range(32, 720)]
+        batch = _exploit_deterministic_batch(
+            graph, DistributionCache(graph), requests, decay=DECAY,
+            max_level=6)
+        cache = ReferenceCache(graph)
+        hits = 0
+        for (_, num_pairs), (chosen, mass) in zip(requests, batch):
+            budget = 2.0 * num_pairs / np.sqrt(DECAY)
+            hits += any(lo < budget < hi for lo, hi in overshoot)
+            reference = exploit_deterministic_reference(
+                graph, node, num_pairs, decay=DECAY, max_level=6, cache=cache)
+            assert chosen == reference[0], f"ℓ(k) drifted at R = {num_pairs}"
+            assert mass == pytest.approx(reference[1], abs=1e-12)
+        assert hits, "no budget fell where the last charge overshoots"
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=graph_strategy,
+           node_seed=st.integers(min_value=0, max_value=2**16),
+           pair_counts=st.lists(st.integers(min_value=1, max_value=50)
+                                | st.integers(min_value=1, max_value=3000),
+                                min_size=1, max_size=6))
+    def test_random_budgets_match_reference(self, graph, node_seed,
+                                            pair_counts):
+        node = node_seed % graph.num_nodes
+        requests = [(node, num_pairs) for num_pairs in pair_counts]
+        batch = _exploit_deterministic_batch(
+            graph, DistributionCache(graph), requests, decay=DECAY,
+            max_level=8)
+        for (_, num_pairs), (chosen, mass) in zip(requests, batch):
+            reference = exploit_deterministic_reference(
+                graph, node, num_pairs, decay=DECAY, max_level=8)
+            assert chosen == reference[0]
+            assert mass == pytest.approx(reference[1], abs=1e-12)
 
 
 class TestDistributionCacheBatchedPaths:
@@ -256,7 +308,7 @@ class TestDistributionCacheBatchedPaths:
         steps = np.array([3, 1, 4, 2, 3, 1], dtype=np.int64)
         batched = DistributionCache(directed_graph)
         batched.prefetch(starts, steps)
-        sequential = DistributionCache(directed_graph)
+        sequential = ReferenceCache(directed_graph)
         window = BudgetWindow(None)
         for start, target in zip(starts.tolist(), steps.tolist()):
             for level in range(target + 1):
@@ -286,22 +338,25 @@ class TestDistributionCacheBatchedPaths:
         with pytest.raises(KeyError):
             cache.gather_stacked(np.array([0], dtype=np.int64), 1)
 
-    def test_eviction_never_changes_outcomes(self, directed_graph):
+    def test_eviction_never_changes_outcomes(self, directed_graph,
+                                             monkeypatch):
         node = int(np.argmax(directed_graph.in_degrees))
-        tight = DistributionCache(directed_graph, max_bytes=1)   # evict always
-        roomy = DistributionCache(directed_graph)
-        for cache in (tight, roomy):
-            cache._results = _exploit_deterministic_batch(
-                directed_graph, cache, [(node, 256)], decay=DECAY,
-                max_level=20)
-        assert tight._results == roomy._results
+        roomy = _exploit_deterministic_batch(
+            directed_graph, DistributionCache(directed_graph), [(node, 256)],
+            decay=DECAY, max_level=20)
+        monkeypatch.setattr(local, "CACHE_MAX_BYTES", 1)   # evict always
+        tight = _exploit_deterministic_batch(
+            directed_graph, DistributionCache(directed_graph), [(node, 256)],
+            decay=DECAY, max_level=20)
+        assert tight == roomy
 
-    def test_mid_batch_eviction_keeps_windows_exact(self, walk_graph_small):
-        """Eviction between levels must not double-charge or strand windows.
+    def test_mid_batch_eviction_keeps_windows_exact(self, walk_graph_small,
+                                                    monkeypatch):
+        """Eviction between levels changes no ℓ(k) and no mass.
 
-        A window that paid for levels an eviction dropped re-materialises
-        them for free: ℓ(k), masses and traversed-edge accounting must match
-        the never-evicting run for a whole multi-node batch.
+        An evicted level re-materialises before the next one is decided,
+        so a whole multi-node batch under a 1-byte cap matches the run that
+        never evicts.
         """
         heavy = np.argsort(-walk_graph_small.in_degrees)[:25]
         heavy = heavy[walk_graph_small.in_degrees[heavy] > 1]
@@ -310,36 +365,11 @@ class TestDistributionCacheBatchedPaths:
         roomy = _exploit_deterministic_batch(
             walk_graph_small, DistributionCache(walk_graph_small), requests,
             decay=DECAY, max_level=20)
+        monkeypatch.setattr(local, "CACHE_MAX_BYTES", 1)
         tight = _exploit_deterministic_batch(
-            walk_graph_small, DistributionCache(walk_graph_small, max_bytes=1),
-            requests, decay=DECAY, max_level=20)
+            walk_graph_small, DistributionCache(walk_graph_small), requests,
+            decay=DECAY, max_level=20)
         assert roomy == tight
-
-    def test_window_never_pays_twice_across_eviction(self, directed_graph):
-        cache = DistributionCache(directed_graph)
-        node = int(np.argmax(directed_graph.in_degrees))
-        window = BudgetWindow(None)
-        cache.distribution(node, 3, window)
-        paid = window.traversed_edges
-        cache.max_bytes = 1
-        cache._maybe_evict()
-        cache.max_bytes = None
-        # Re-materialising paid levels is free; one unpaid level then charges.
-        cache.distribution(node, 3, window)
-        assert window.traversed_edges == paid
-        before = window.traversed_edges
-        cache.distribution(node, 4, window)
-        assert window.traversed_edges > before
-        # charge() on a paid-but-evicted start must re-materialise so the
-        # stacked gather finds the level.
-        other = BudgetWindow(None)
-        cache.distribution(node, 2, other)
-        cache.max_bytes = 1
-        cache._maybe_evict()
-        cache.max_bytes = None
-        cache.charge(other, np.array([node], dtype=np.int64), 2)
-        lengths, _, _ = cache.gather_stacked(np.array([node], dtype=np.int64), 2)
-        assert lengths.shape == (1,)
 
 
 class TestPRSimBatchedBuild:

@@ -22,7 +22,6 @@ from repro.core.result import (
     TopKResult,
     top_k_set_certified,
 )
-from repro.diagonal.local import SparseDepthRecord
 from repro.graph.context import GraphContext
 from repro.service import (
     QueryPlanner,
@@ -570,53 +569,6 @@ class TestWireFormat:
             stats, payload = wire(roomy, query)
             assert stats["samples_capped"] == 0.0
             assert "samples_capped" not in payload
-
-
-# --------------------------------------------------------------------------- #
-# sparse budget-window depth record (satellite)
-# --------------------------------------------------------------------------- #
-class TestSparseDepthRecord:
-    def test_scalar_get_set(self):
-        record = SparseDepthRecord()
-        assert record.get(5) == 0
-        record.set(5, 3)
-        record.set(9, 1)
-        assert record.get(5) == 3 and record.get(9) == 1 and record.get(7) == 0
-        assert record.touched == 2
-
-    def test_vectorized_matches_dense_reference(self):
-        rng = np.random.default_rng(3)
-        record = SparseDepthRecord()
-        dense = np.zeros(1000, dtype=np.int64)
-        for _ in range(50):
-            nodes = rng.choice(1000, size=rng.integers(1, 30), replace=False)
-            nodes = nodes.astype(np.int64)
-            depth = int(rng.integers(1, 8))
-            if rng.random() < 0.5:
-                record.set_many(nodes, depth)
-                dense[nodes] = depth
-            else:
-                probe = rng.choice(1000, size=20, replace=False).astype(np.int64)
-                assert np.array_equal(record.get_many(probe), dense[probe])
-        probe = np.arange(1000, dtype=np.int64)
-        assert np.array_equal(record.get_many(probe), dense)
-
-    def test_memory_scales_with_touched_nodes(self):
-        record = SparseDepthRecord()
-        record.set_many(np.arange(10, dtype=np.int64), 2)
-        record.get_many(np.arange(10, dtype=np.int64))   # builds the view
-        # A window that touched 10 nodes must not cost anywhere near the
-        # 4-bytes-per-graph-node dense record on a million-node graph.
-        assert record.memory_bytes() < 10_000
-
-    def test_budget_window_uses_sparse_record(self, toy_graph):
-        from repro.diagonal.local import BudgetWindow, DistributionCache
-
-        cache = DistributionCache(toy_graph)
-        window = BudgetWindow(1_000.0)
-        cache.distribution(2, 2, window)
-        assert window._depths.touched <= toy_graph.num_nodes
-        assert window._depths.get(2) == 2
 
 
 # --------------------------------------------------------------------------- #
