@@ -271,7 +271,9 @@ def parallel_smoke():
     ``parallel_spmm`` with parallelism forced on (``MIN_PARALLEL_WORK`` = 1,
     so the column blocks engage at any thread count above one), and runs a
     DB pair walk of more than ``2 * PAIR_CHUNK`` pairs (at least three
-    chunks).  Each runs once at the *environment-configured* thread count
+    chunks) whose origins carry Algorithm 3's per-origin non-stop prefixes
+    (origin position mod 8 steps, so the tails' path runs, ℓ = 0
+    included).  Each runs once at the *environment-configured* thread count
     (``REPRO_NUM_THREADS``) and once at a forced 4 threads; the smoke
     asserts the two agree (and the products equal the serial chain), then
     prints one crc32 over the configured-thread outputs.  The CI job runs
@@ -296,10 +298,11 @@ def parallel_smoke():
     nodes = np.flatnonzero(graph.in_degrees > 1).astype(np.int64)
     pairs = np.full(nodes.size, 2 * PAIR_CHUNK // nodes.size + 1,
                     dtype=np.int64)
+    skips = np.arange(nodes.size, dtype=np.int64) % 8
 
     def _pair_walks():
         return SqrtCWalkEngine(graph, DECAY, seed=SCALING_SEED) \
-            .pair_meet_counts(nodes, pairs)
+            .pair_meet_counts(nodes, pairs, skip_steps=skips)
 
     serial = _propagate(threads=1)
     saved = parallel.MIN_PARALLEL_WORK

@@ -147,6 +147,8 @@ class ExactSim(SimRankAlgorithm):
         for position, source in enumerate(source_ids):
             hop_ppr = hop_pprs[position]
             scores = score_columns[position]
+            # S(i, i) = 1 by definition; the estimate only comes close.
+            scores[source] = 1.0
             stats = dict(per_source_stats[position])
             stats["iterations"] = float(num_iterations)
             stats["ppr_squared_norm"] = hop_ppr.squared_norm

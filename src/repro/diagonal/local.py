@@ -66,7 +66,11 @@ whether that level was just propagated or found in the cache.
 The sampling side rides the count-aggregated walk engine: lightly sampled
 nodes form one batched pair-meeting call, and the Algorithm 3 tail estimates
 of all heavy nodes are issued as a second batched call with per-origin
-non-stop prefixes.
+non-stop prefixes.  Of a heavy node's R(k) tail pairs only the ~c·R(k) that
+survive their first post-prefix coin walk the ℓ(k)-step prefix: the kernel
+draws that coin up front (:mod:`repro.randomwalk.aggregate`), which moves
+the draws but not the distribution of the met count, so c^ℓ(k)·met/R(k)
+and its Bernstein bound stay as they are.
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 MIN_PAIRS_FOR_EXPLOITATION = 32
 
 #: A :class:`DistributionCache` holding more than this many bytes of
-#: distributions drops all of them, between exploration levels.  Dropping
-#: changes no ℓ(k) or mass, only what is propagated again.
+#: distributions and level stacks drops all of them, between exploration
+#: levels.  Dropping changes no ℓ(k) or mass, only what is propagated again.
 CACHE_MAX_BYTES = 64 * 1024 * 1024
 
 
@@ -134,7 +138,7 @@ class DistributionCache:
         self._target_scratch = np.full(graph.num_nodes, -1, dtype=np.int64)
 
     def _maybe_evict(self) -> None:
-        """Drop every distribution once the cache outgrows :data:`CACHE_MAX_BYTES`.
+        """Drop everything once the cache outgrows :data:`CACHE_MAX_BYTES`.
 
         Called once per exploration level, after the level's costs are read
         off the stacks and before its distributions are materialised, so
@@ -255,6 +259,11 @@ class DistributionCache:
             start_ids, indptr = _EMPTY_I, np.zeros(1, dtype=np.int64)
             cat_indices, cat_values, costs = _EMPTY_I, _EMPTY_F, _EMPTY_I
         stack = _LevelStack(start_ids, indptr, cat_indices, cat_values, costs)
+        # A stack copies its depth's distributions, so it counts against
+        # CACHE_MAX_BYTES too, in place of the stale stack it replaces.
+        if cached is not None:
+            self._cached_bytes -= sum(array.nbytes for array in cached[1])
+        self._cached_bytes += sum(array.nbytes for array in stack)
         self._stacks[steps] = (len(entries), stack)
         return stack
 
@@ -310,11 +319,13 @@ class DistributionCache:
         return lengths, stack.indices[flat], stack.values[flat]
 
     def memory_bytes(self) -> int:
-        """Bytes held by every cached distribution (the cache grows with use)."""
+        """Bytes held by every cached distribution and level stack (the cache
+        grows with use)."""
         return self._cached_bytes
 
     def clear(self) -> None:
-        """Drop every cached distribution; they re-materialise on request."""
+        """Drop every cached distribution and level stack; they
+        re-materialise on request."""
         self._cache = {}
         self._avail[:] = -1
         self._by_depth = {}

@@ -51,6 +51,24 @@ slot per pair and finished by a sort-free loop whose step costs O(live
 pairs).  Both phases draw from the chunk's own stream, check the deadline
 every step and keep the prefix, ``max_steps`` and dangling-node rules, and
 the expansion holds at most :data:`PAIR_CHUNK` pairs.
+
+The first post-prefix coin comes first
+--------------------------------------
+A pair with a non-stop prefix of ``s`` steps (Algorithm 3's ℓ(k); 0 for
+plain Algorithm 2) flips no coin during the prefix, flips its first one
+(both walks survive: probability c) at step ``s + 1`` and is counted only
+if it meets after the prefix.  The 1 − c of pairs that lose that coin can
+never be counted, so walking them through the prefix buys nothing.  A
+chunk therefore draws every origin's step-``s + 1`` coin when it starts,
+one ``Binomial(m, c)`` per origin, and walks only the survivors: they move
+through steps 1 … s + 1 without a coin, flip one per step from ``s + 2``
+on, and count meetings from ``s + 1`` on; a meeting inside the prefix
+still disqualifies the pair.  The coins are independent of the moves, so
+this is binomial thinning: each origin's met count has the same
+distribution as when the coin is flipped at step ``s + 1``, and only the
+order of the draws moves.  At ``s = 0`` the up-front draw is the one step
+1 made before, so a chunk whose survivors still start count-aggregated
+keeps its stream bit for bit.
 """
 
 from __future__ import annotations
@@ -271,7 +289,11 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
     A pair whose meeting is still possible survives a post-prefix step with
     probability ``c = (√c)²`` (both coins), and each walk moves to a uniform
     in-neighbour.  Pairs where either walk reaches a dangling node can never
-    meet again and are dropped.
+    meet again and are dropped.  The first post-prefix coin of every pair
+    (step ``skip_steps[p] + 1``) is drawn before the pair moves at all, one
+    ``Binomial(counts, c)`` per origin, and only its survivors walk: the
+    coins are independent of the moves, so this binomial thinning leaves
+    every met count's distribution as it is (module docstring).
 
     Each chunk of at most :data:`PAIR_CHUNK` pairs runs on its own stream
     (see the module docstring); met counts sum per origin.  While a chunk's
@@ -301,6 +323,9 @@ def pair_meet_counts(rng: np.random.Generator, indptr: np.ndarray,
         u, v, skip = first[lo:hi], second[lo:hi], skip_steps[lo:hi]
         met = np.zeros(hi - lo, dtype=np.int64)
         origin = np.arange(hi - lo, dtype=np.int64)
+        # Step skip + 1's coin, drawn before any move: only its survivors
+        # walk (binomial thinning; see the module docstring).
+        m = streams[index].binomial(m, decay)
         live = m > 0
         origin, u, v, m = origin[live], u[live], v[live], m[live]
         for step in range(1, max_steps + 1):
@@ -343,9 +368,10 @@ def _pair_step(rng: np.random.Generator, indptr: np.ndarray,
 
     Returns the moved (still unaggregated) ``(origin, u, v, m)`` arrays.
     """
-    # Survival: both coins at once (probability c) outside the prefix.
+    # Survival: both coins at once (probability c) from step skip + 2 on;
+    # step skip + 1's coin was drawn when the chunk started.
     survivors = m.copy()
-    flipping = skip_steps[origin] < step
+    flipping = skip_steps[origin] + 1 < step
     if flipping.any():
         survivors[flipping] = rng.binomial(m[flipping], decay)
     keep = (survivors > 0) & (in_degrees[u] > 0) & (in_degrees[v] > 0)
@@ -373,8 +399,9 @@ def _walk_per_pair(rng: np.random.Generator, indptr: np.ndarray,
     two walks.  A step moves every walk by one uniform in-neighbour offset,
     adds the post-prefix meetings into ``met`` and compacts once, dropping
     the pairs that met, reached a dangling node or lose the next step's
-    survival coin (one uniform per pair, drawn outside the prefix only).  No
-    sort runs: states this thin would merge almost nothing.
+    survival coin (one uniform per pair, drawn from step ``skip + 2`` on:
+    step ``skip + 1``'s coin was drawn when the chunk started).  No sort
+    runs: states this thin would merge almost nothing.
     """
     last_prefix = int(skip_steps.max(initial=0))
 
@@ -382,9 +409,9 @@ def _walk_per_pair(rng: np.random.Generator, indptr: np.ndarray,
                   ) -> np.ndarray:
         """Pairs with no walk at a dangling node that survive ``step``'s coin."""
         alive = (in_degrees.take(walks) > 0).all(axis=0)
-        if step > last_prefix:
+        if step > last_prefix + 1:
             return alive & (rng.random(alive.size) < decay)
-        flipping = np.flatnonzero(alive & (skip_steps.take(origin) < step))
+        flipping = np.flatnonzero(alive & (skip_steps.take(origin) + 1 < step))
         alive[flipping] = rng.random(flipping.size) < decay
         return alive
 

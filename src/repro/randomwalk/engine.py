@@ -178,11 +178,15 @@ class SqrtCWalkEngine:
         the result counts the pairs that meet at some step ≥ 1 (strictly
         after the per-origin non-stop prefix when ``skip_steps`` is set —
         pairs meeting inside the prefix are disqualified, matching the
-        Algorithm 3 tail-estimator semantics).  One aggregated simulation
-        serves all origins at once, in chunks of at most
-        :data:`~repro.randomwalk.aggregate.PAIR_CHUNK` pairs on the kernel
-        thread pool: the counts are bit-identical at any thread count, and
-        a call of at most that many pairs draws only from :attr:`rng`.
+        Algorithm 3 tail-estimator semantics).  Each pair's first
+        post-prefix coin is drawn before it moves, and only the pairs that
+        survive it walk the prefix: binomial thinning, so the counts keep
+        their distribution (:mod:`repro.randomwalk.aggregate`).  One
+        aggregated simulation serves all origins at once, in chunks of at
+        most :data:`~repro.randomwalk.aggregate.PAIR_CHUNK` pairs on the
+        kernel thread pool: the counts are bit-identical at any thread
+        count, and a call of at most that many pairs draws only from
+        :attr:`rng`.
         """
         starts = np.asarray(start_nodes, dtype=np.int64)
         return self.pair_meet_counts_from(starts, starts, pair_counts,

@@ -89,7 +89,10 @@ def estimate_tail_meeting_probability(graph: DiGraph, node: int, num_pairs: int,
     ``skip_steps`` steps; afterwards both behave as ordinary √c-walks.  The
     probability that such a pair meets after the prefix equals
     (1 / c^skip_steps) · Σ_{ℓ > skip_steps} Z_ℓ(node), so the Monte-Carlo
-    fraction is scaled back by ``c^skip_steps``.
+    fraction is scaled back by ``c^skip_steps``.  The kernel flips each
+    pair's first post-prefix coin before walking it, so only about
+    c·``num_pairs`` pairs walk the prefix; the fraction keeps its
+    distribution, since the coin is independent of the moves.
     """
     node = check_node_index(node, graph.num_nodes)
     num_pairs = check_positive_int(num_pairs, "num_pairs")

@@ -64,6 +64,14 @@ class TestAccuracy:
         assert np.all(result.scores <= 1.0)
         assert result.scores[0] == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("variant", [ExactSimConfig, ExactSimConfig.basic],
+                             ids=["exactsim", "exactsim-basic"])
+    def test_source_score_is_one(self, directed_graph, variant):
+        """S(i, i) = 1 by definition.  Back-substitution only comes close:
+        both variants estimate S(3, 3) on this graph just below 1."""
+        config = variant(epsilon=1e-2, decay=DECAY, seed=5)
+        assert ExactSim(directed_graph, config).single_source(3).scores[3] == 1.0
+
 
 class TestVariants:
     def test_optimized_not_worse_than_basic_at_same_cap(self, collab_graph, collab_simrank):

@@ -338,6 +338,43 @@ class TestDistributionCacheBatchedPaths:
         with pytest.raises(KeyError):
             cache.gather_stacked(np.array([0], dtype=np.int64), 1)
 
+    def test_memory_bytes_counts_distributions_and_stacks(
+            self, directed_graph, monkeypatch):
+        """A level stack is a second copy of its depth's distributions, so
+        ``memory_bytes()`` (what :data:`local.CACHE_MAX_BYTES` caps) counts
+        both, a rebuilt stack in place of the one it replaces, and a cap
+        that only the stacks cross evicts."""
+        hubs = np.sort(np.argsort(-directed_graph.in_degrees)[:8]).astype(np.int64)
+        cache = DistributionCache(directed_graph)
+
+        def distribution_bytes(starts, depth):
+            return sum(cache.peek(start, step).memory_bytes()
+                       for start in starts.tolist() for step in range(depth + 1))
+
+        def stack_bytes(starts, depth):
+            # start ids, indptr and costs, plus a copy of the level.
+            return (8 * (3 * starts.size + 1)
+                    + sum(cache.peek(start, depth).memory_bytes()
+                          for start in starts.tolist()))
+
+        first = hubs[:5]
+        cache.prefetch(first, np.full(first.size, 3, dtype=np.int64))
+        assert cache.memory_bytes() == distribution_bytes(first, 3)
+        cache.gather_stacked(first, 2)
+        cache.support_costs(first, np.full(first.size, 3, dtype=np.int64))
+        assert cache.memory_bytes() == distribution_bytes(first, 3) \
+            + stack_bytes(first, 2) + stack_bytes(first, 3)
+        # More level-2 entries make the level-2 stack stale; its rebuild
+        # replaces it.
+        cache.prefetch(hubs[5:], np.full(3, 2, dtype=np.int64))
+        cache.gather_stacked(hubs, 2)
+        held = distribution_bytes(first, 3) + distribution_bytes(hubs[5:], 2)
+        assert cache.memory_bytes() == held + stack_bytes(hubs, 2) \
+            + stack_bytes(first, 3)
+        monkeypatch.setattr(local, "CACHE_MAX_BYTES", held)
+        cache._maybe_evict()
+        assert cache.memory_bytes() == 0
+
     def test_eviction_never_changes_outcomes(self, directed_graph,
                                              monkeypatch):
         node = int(np.argmax(directed_graph.in_degrees))

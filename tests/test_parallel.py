@@ -330,27 +330,34 @@ def _pair_origins(graph):
     return nodes, np.full(nodes.size, 2_000, dtype=np.int64)
 
 
-def _meet_counts(graph, nodes, pairs, threads, seed=7):
+def _meet_counts(graph, nodes, pairs, threads, seed=7, skip_steps=0):
     return _with_threads(threads, lambda: SqrtCWalkEngine(
-        graph, 0.6, seed=seed).pair_meet_counts(nodes, pairs, max_steps=40))
+        graph, 0.6, seed=seed).pair_meet_counts(nodes, pairs, max_steps=40,
+                                                skip_steps=skip_steps))
 
 
 def test_chunked_pair_meet_counts_thread_invariant(random_graph,
                                                    small_chunks,
                                                    per_pair_switches):
+    """Plain pairs, and Algorithm 3 tails with per-origin non-stop
+    prefixes of 0 to 7 steps, meet the same counts at every thread
+    count."""
     nodes, pairs = _pair_origins(random_graph)
     ends = np.cumsum(pairs)
     boundaries = np.arange(SMALL_CHUNK, ends[-1], SMALL_CHUNK)
     assert not np.isin(boundaries, ends).all()      # an origin is split
-    met = {threads: _meet_counts(random_graph, nodes, pairs, threads)
-           for threads in THREAD_COUNTS}
-    assert min(small_chunks) >= 3
-    # Chunks crossed into the one-slot-per-pair phase, which holds at most
-    # one chunk's pairs.
-    assert per_pair_switches
-    assert max(size for _, size in per_pair_switches) <= SMALL_CHUNK
-    for threads in THREAD_COUNTS[1:]:
-        assert np.array_equal(met[threads], met[1])
+    for skips in (0, np.arange(nodes.size) % 8):
+        met = {threads: _meet_counts(random_graph, nodes, pairs, threads,
+                                     skip_steps=skips)
+               for threads in THREAD_COUNTS}
+        assert min(small_chunks) >= 3
+        # Chunks crossed into the one-slot-per-pair phase, which holds at
+        # most one chunk's pairs.
+        assert per_pair_switches
+        assert max(size for _, size in per_pair_switches) <= SMALL_CHUNK
+        per_pair_switches.clear()
+        for threads in THREAD_COUNTS[1:]:
+            assert np.array_equal(met[threads], met[1])
 
 
 def test_sharded_pair_meet_counts_deterministic(random_graph, small_chunks):

@@ -11,14 +11,18 @@ two must nevertheless simulate the *same process*: these tests pin
 * exact seed-determinism of the compacted path, including a pinned fixture
   so a change to the RNG consumption pattern cannot slip through unnoticed,
 * alive-compaction edge cases: all walks dead at step 1, dangling nodes
-  mid-walk, ``skip_steps`` prefixes.
+  mid-walk, ``skip_steps`` prefixes;
+* the post-prefix coin drawn before any move: only its survivors walk.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import power_law_graph
+from repro.randomwalk import aggregate
 from repro.randomwalk.aggregate import group_sum, multinomial_split
 from repro.randomwalk.engine import SqrtCWalkEngine
 from specs.exact_diagonal import exact_diagonal
@@ -236,14 +240,15 @@ def _exact_meet_fraction(graph, simrank, nodes, skips):
 
 
 class TestPerPairPhase:
-    @pytest.mark.parametrize("skip", [0, 2, 5, (0, 2, 5, 1, 4, 6)],
-                             ids=["0", "2", "5", "mixed"])
+    @pytest.mark.parametrize("skip", [0, 2, 5, 7, (0, 2, 5, 1, 4, 6)],
+                             ids=["0", "2", "5", "7", "mixed"])
     def test_meet_fraction_matches_exact_diagonal(
             self, directed_graph, directed_simrank, per_pair_switches, skip):
         """A budget that crosses from count aggregation to one slot per pair
-        (at step 2 or later, so both phases run; inside the prefix for skip
-        5) meets as often as the exact process: each origin within 5σ of
-        its binomial fraction."""
+        (at step 2 or later, so both phases run; inside the prefix for skips
+        5 and 7, the deepest ℓ(k) ``exactsim-gq`` reaches) meets as often as
+        the exact process: each origin within 5σ of its binomial
+        fraction."""
         nodes = np.flatnonzero(directed_graph.in_degrees >= 2)[:6]
         skips = np.broadcast_to(np.asarray(skip), nodes.shape)
         pairs = 40_000
@@ -256,6 +261,33 @@ class TestPerPairPhase:
         bound = 5.0 * np.sqrt(expected * (1.0 - expected) / pairs)
         assert np.all(np.abs(met / pairs - expected) <= bound), \
             (met / pairs, expected, bound)
+
+
+class TestPostPrefixCoin:
+    @pytest.mark.parametrize("skip", [1, 3, 6])
+    def test_only_coin_survivors_walk_the_prefix(self, walk_graph,
+                                                 monkeypatch, skip):
+        """Step skip + 1's coin is drawn before the first move, so of R
+        pairs only Binomial(R, c) walk the prefix: the pairs step 1 moves
+        lie within 5σ of c·R."""
+        moved = []
+        original = aggregate._pair_step
+        signature = inspect.signature(original)
+
+        def recording(*args, **kwargs):
+            arguments = signature.bind(*args, **kwargs).arguments
+            if arguments["step"] == 1:
+                moved.append(int(arguments["m"].sum()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(aggregate, "_pair_step", recording)
+        node = int(np.argmax(walk_graph.in_degrees))
+        pairs = 40_000
+        SqrtCWalkEngine(walk_graph, DECAY, seed=31).pair_meet_counts(
+            np.array([node]), np.array([pairs]), skip_steps=skip)
+        assert len(moved) == 1
+        sigma = np.sqrt(pairs * DECAY * (1.0 - DECAY))
+        assert abs(moved[0] - DECAY * pairs) <= 5.0 * sigma, moved
 
 
 class TestDeterminism:
