@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_probability, check_vector_length
+from repro.utils.validation import check_positive, check_probability
 
 
 def total_sample_budget(num_nodes: int, epsilon: float, *, decay: float = 0.6,
@@ -77,17 +77,8 @@ def allocate_squared(ppr: np.ndarray, total_budget: int, *,
     return allocation, realised
 
 
-def check_allocation(allocation: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Validate an externally supplied allocation vector."""
-    allocation = check_vector_length(np.asarray(allocation), num_nodes, "allocation")
-    if np.any(allocation < 0):
-        raise ValueError("allocation entries must be non-negative")
-    return allocation.astype(np.int64)
-
-
 __all__ = [
     "total_sample_budget",
     "allocate_proportional",
     "allocate_squared",
-    "check_allocation",
 ]

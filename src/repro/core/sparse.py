@@ -46,15 +46,8 @@ def sparsify_to_vector(vector: np.ndarray, threshold: float) -> SparseVector:
     return SparseVector(kept.astype(np.int64), dense[kept])
 
 
-def max_surviving_entries(epsilon: float, *, decay: float = 0.6) -> int:
-    """The Pigeonhole bound on non-zero entries across all hop vectors: 1/((1−√c)²ε)."""
-    threshold = sparse_truncation_threshold(epsilon, decay=decay)
-    return int(np.ceil(1.0 / threshold))
-
-
 __all__ = [
     "sparse_truncation_threshold",
     "sparsify_vector",
     "sparsify_to_vector",
-    "max_surviving_entries",
 ]

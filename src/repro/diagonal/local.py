@@ -45,17 +45,21 @@ Batching design
 ---------------
 The recursions of *all* heavy nodes of a batch advance level-synchronously
 in :func:`_explore_levels`.  Per level, every state's costs are read off the
-per-depth level stacks of the shared :class:`DistributionCache` (one
+per-depth stores of the shared :class:`DistributionCache` (one
 ``searchsorted`` per depth), the states that complete the level are picked,
 and one :class:`repro.kernels.MultiPropagation` prefetch materialises
 exactly the distributions they consult: a level that exhausts its budget is
-never propagated.
+never propagated.  Each materialised distribution is kept once, appended to
+its depth's store (sorted start ids, concatenated supports), so a store
+that grows re-stacks nothing.
 
-Within one level, the Lemma 4 subtraction is fully vectorized: the
-``(q', remaining)`` distributions of a level live in a per-step *level
-stack* (sorted start ids + concatenated supports), so the whole
-``Σ_{q'} …`` update is one ``np.searchsorted`` gather plus one
-``np.subtract.at`` scatter across all states — no per-``q'`` Python loop.
+Within one level, the Lemma 4 subtraction is fully vectorized: every state
+owns a dense row of n floats, the ``(q', remaining)`` supports of all states
+come out of one store gather, and the whole ``Σ_{q'} …`` update is one
+``np.subtract.at`` into the rows per inner level, at slot ``state·n + q`` —
+no per-``q'`` Python loop and no slot search.  States run in contiguous
+groups of at most max(1, ``CACHE_MAX_BYTES`` // 8n), so the rows of a
+10⁶-node graph take 64 MB, 8 states at a time.
 
 The :class:`DistributionCache` is shared across nodes *and* across the
 sources of a ``single_source_batch``: distributions another node already
@@ -75,7 +79,7 @@ and its Bernstein bound stay as they are.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,47 +96,98 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 #: deterministically (Algorithm 3); lighter ones only sample (Algorithm 2).
 MIN_PAIRS_FOR_EXPLOITATION = 32
 
-#: A :class:`DistributionCache` holding more than this many bytes of
-#: distributions and level stacks drops all of them, between exploration
-#: levels.  Dropping changes no ℓ(k) or mass, only what is propagated again.
+#: A :class:`DistributionCache` holding more than this many bytes drops all
+#: of them, between exploration levels, and the dense Lemma 4 rows of one
+#: group of states take at most this many bytes.  Neither changes an ℓ(k) or
+#: a mass: eviction changes what is propagated again, the bound how many
+#: states share a subtraction pass.
 CACHE_MAX_BYTES = 64 * 1024 * 1024
 
 
-class _LevelStack(NamedTuple):
-    """Every materialised level-``steps`` distribution, sorted by start."""
+def _reserve(array: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``array`` if ``extra`` more entries fit after its first ``used``, else
+    a copy of those entries with at least twice the room, so appending
+    copies each entry a bounded number of times on average."""
+    if used + extra <= array.shape[0]:
+        return array
+    grown = np.empty(max(2 * array.shape[0], used + extra), dtype=array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
-    start_ids: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    costs: np.ndarray       # per start: in-degree sum of its support
+
+class _DepthStore:
+    """Every materialised level-``d`` distribution of a cache, each stored once.
+
+    Supports lie back to back in ``indices``/``values``, in the order the
+    prefetch steps that computed them appended them.  ``starts`` is sorted,
+    and row i of ``entries`` holds ``starts[i]``'s offset and support size
+    there and its support's in-degree sum (Algorithm 3's cost of the next
+    level).
+    """
+
+    __slots__ = ("indices", "values", "size", "starts", "entries")
+
+    def __init__(self):
+        self.indices, self.values, self.size = _EMPTY_I, _EMPTY_F, 0
+        self.starts = _EMPTY_I
+        self.entries = np.empty((0, 3), dtype=np.int64)
+
+    def append(self, starts: np.ndarray, lengths: np.ndarray,
+               costs: np.ndarray, index_parts: List[np.ndarray],
+               value_parts: List[np.ndarray]) -> None:
+        """Store the distributions of ``starts`` (none stored yet), whose
+        supports ``index_parts``/``value_parts`` concatenate in that order."""
+        base, extra = self.size, int(lengths.sum())
+        self.indices = _reserve(self.indices, base, extra)
+        self.values = _reserve(self.values, base, extra)
+        np.concatenate(index_parts, out=self.indices[base:base + extra])
+        np.concatenate(value_parts, out=self.values[base:base + extra])
+        self.size = base + extra
+        offsets = base + np.cumsum(lengths) - lengths
+        order = np.argsort(starts)
+        slots = np.searchsorted(self.starts, starts[order])
+        self.starts = np.insert(self.starts, slots, starts[order])
+        self.entries = np.insert(
+            self.entries, slots,
+            np.column_stack((offsets, lengths, costs))[order], axis=0)
+
+    def locate(self, starts: np.ndarray, steps: int) -> np.ndarray:
+        """The ``entries`` rows of ``starts``, in order."""
+        slots = np.minimum(np.searchsorted(self.starts, starts),
+                           max(self.starts.shape[0] - 1, 0))
+        if self.starts.shape[0] == 0 \
+                or not np.array_equal(self.starts[slots], starts):
+            raise KeyError(f"some starts lack a level-{steps} distribution; "
+                           "prefetch before gathering")
+        return self.entries[slots]
+
+    def nbytes(self) -> int:
+        return (self.indices.nbytes + self.values.nbytes + self.starts.nbytes
+                + self.entries.nbytes)
 
 
 class DistributionCache:
     """Lazily extended non-stop walk distributions from arbitrary start nodes.
 
-    Three batched entry points serve the level-synchronous recursion:
-    :meth:`prefetch` materialises many ``(start, steps)`` distributions with
-    one :class:`MultiPropagation`, :meth:`support_costs` returns the edges
-    one more step from each of many ``(start, depth)`` traverses, and
+    Every materialised level-``d`` distribution (d ≥ 1) is kept once, in the
+    level-``d`` store its prefetch step appended it to; a start's level-0
+    distribution is the start itself and is not stored.  Three batched
+    entry points serve the level-synchronous recursion: :meth:`prefetch`
+    materialises many ``(start, steps)`` distributions with one
+    :class:`MultiPropagation`, :meth:`support_costs` returns the edges one
+    more step from each of many ``(start, depth)`` traverses, and
     :meth:`gather_stacked` returns the concatenated level-``steps`` supports
-    of many starts.  The last two read a per-step stack with one
-    ``searchsorted``.
+    of many starts.  Both read a store through one ``searchsorted`` over its
+    sorted start ids; a store that grows copies nothing it already holds
+    except when its capacity doubles.
     """
 
     def __init__(self, graph: DiGraph):
         self._graph = graph
         self._in_degrees = graph.in_degrees
-        self._cache: Dict[int, List[SparseVector]] = {}
-        # The deepest materialised level per node (−1 = not even the root).
-        self._avail = np.full(graph.num_nodes, -1, dtype=np.int64)
-        # Per-step (start, vector, nnz, in-degree sum of the support) lists
-        # appended as levels materialise, and the stacks compiled from them;
-        # a stack is stale exactly when its step's list has grown since it
-        # was built.
-        self._by_depth: Dict[int, List[Tuple[int, SparseVector, int, int]]] = {}
-        self._stacks: Dict[int, Tuple[int, _LevelStack]] = {}
-        self._cached_bytes = 0
+        self._stores: Dict[int, _DepthStore] = {}
+        # The deepest materialised level per node (0: the start itself).
+        self._avail = np.zeros(graph.num_nodes, dtype=np.int64)
         # Scratch for prefetch's mask-based dedup (avoids an O(m log m)
         # np.unique per level).
         self._target_scratch = np.full(graph.num_nodes, -1, dtype=np.int64)
@@ -141,15 +196,17 @@ class DistributionCache:
         """Drop everything once the cache outgrows :data:`CACHE_MAX_BYTES`.
 
         Called once per exploration level, after the level's costs are read
-        off the stacks and before its distributions are materialised, so
+        off the stores and before its distributions are materialised, so
         peak memory stays bounded even inside a large batch.
         """
-        if self._cached_bytes > CACHE_MAX_BYTES:
+        if self.memory_bytes() > CACHE_MAX_BYTES:
             self.clear()
 
     def peek(self, start: int, steps: int) -> SparseVector:
         """The cached level-``steps`` distribution of ``start``."""
-        return self._cache[start][steps]
+        _, indices, values = self.gather_stacked(
+            np.array([start], dtype=np.int64), steps)
+        return SparseVector.wrap(indices, values)
 
     def prefetch(self, starts: np.ndarray, steps: np.ndarray) -> None:
         """Materialise the level-``steps[i]`` distribution of ``starts[i]``.
@@ -172,112 +229,70 @@ class DistributionCache:
         targets = scratch[touched].copy()
         scratch[touched] = -1
         missing = self._avail[touched] < targets
-        pending_starts = touched[missing]
-        pending_targets = targets[missing]
+        # Lanes sorted by depth (then start): in every engine step the
+        # lanes of one depth are contiguous.  Lanes are independent, so the
+        # order changes no float.
+        order = np.argsort(self._avail[touched[missing]], kind="stable")
+        pending_starts = touched[missing][order]
+        pending_targets = targets[missing][order]
         chunk_lanes = dense_lane_limit(self._graph.num_nodes)
+        grown: Dict[int, List[Tuple[np.ndarray, ...]]] = {}
         for chunk_start in range(0, pending_starts.shape[0], chunk_lanes):
             chunk = slice(chunk_start, chunk_start + chunk_lanes)
-            self._prefetch_chunk(pending_starts[chunk], pending_targets[chunk])
+            self._prefetch_chunk(pending_starts[chunk], pending_targets[chunk],
+                                 grown)
+        # One append per level, so each store's sorted index merges once,
+        # and only now does a start count as materialised: a deadline that
+        # interrupts a step leaves the cache as it was.
+        for steps in sorted(grown):
+            starts, lengths, costs, indices, values = zip(*grown[steps])
+            starts = np.concatenate(starts)
+            self._stores.setdefault(steps, _DepthStore()).append(
+                starts, np.concatenate(lengths), np.concatenate(costs),
+                indices, values)
+            self._avail[starts] = steps
 
-    def _prefetch_chunk(self, starts: np.ndarray, targets: np.ndarray) -> None:
-        if starts.size == 0:
-            return
+    def _prefetch_chunk(self, starts: np.ndarray, targets: np.ndarray,
+                        grown: Dict[int, List[Tuple[np.ndarray, ...]]]
+                        ) -> None:
         num_lanes = starts.shape[0]
-        # Vectorized roots for never-seen starts: the unit vectors alias one
-        # shared pair of arrays (SparseVector is immutable, so views are safe).
-        fresh = starts[self._avail[starts] < 0]
-        if fresh.size:
-            ones = np.ones(fresh.shape[0], dtype=np.float64)
-            roots = self._by_depth.setdefault(0, [])
-            degrees = self._in_degrees[fresh].tolist()
-            for position, start in enumerate(fresh.tolist()):
-                root = SparseVector.wrap(fresh[position:position + 1],
-                                         ones[position:position + 1])
-                self._cache[start] = [root]
-                roots.append((start, root, 1, degrees[position]))
-            self._avail[fresh] = 0
-            self._cached_bytes += 16 * fresh.shape[0]
         depth = self._avail[starts].copy()
-        seeds = [self._cache[int(start)][-1] for start in starts.tolist()]
-        sizes = np.array([seed.nnz for seed in seeds], dtype=np.int64)
+        # One gather per run of equal depth seeds every lane with its
+        # deepest materialised level.
+        cuts = np.flatnonzero(np.diff(depth)) + 1
+        seeds = [self.gather_stacked(part, int(steps)) for part, steps in
+                 zip(np.split(starts, cuts), depth[np.r_[0, cuts]].tolist())]
         engine = MultiPropagation(self._graph, num_lanes)
-        engine.seed(np.repeat(np.arange(num_lanes, dtype=np.int64), sizes),
-                    np.concatenate([seed.indices for seed in seeds]),
-                    np.concatenate([seed.values for seed in seeds]),
+        engine.seed(np.repeat(np.arange(num_lanes, dtype=np.int64),
+                              np.concatenate([seed[0] for seed in seeds])),
+                    np.concatenate([seed[1] for seed in seeds]),
+                    np.concatenate([seed[2] for seed in seeds]),
                     assume_sorted=True)
         # Every remaining lane advances every round (finished lanes are
-        # dropped via terminate), so no step pays the dormant-lane merge.
-        start_ids = starts.tolist()
+        # dropped via terminate), so no step pays the dormant-lane merge;
+        # each run of equal depth adds one slice of the step to ``grown``.
         while True:
-            live = depth < targets
-            if not live.any():
+            live = np.flatnonzero(depth < targets)
+            if live.size == 0:
                 break
             engine.step()
             bounds = engine.lane_bounds()
-            level_cols, level_vals = engine.cols, engine.values
             costs = np.bincount(engine.rows,
-                                weights=self._in_degrees[level_cols],
-                                minlength=num_lanes).astype(np.int64).tolist()
-            live_lanes = np.flatnonzero(live)
-            lane_starts = starts[live_lanes]
-            new_depths = self._avail[lane_starts] + 1
-            self._avail[lane_starts] = new_depths
-            lane_sizes = np.diff(bounds)
-            self._cached_bytes += 16 * int(lane_sizes[live_lanes].sum())
-            for position, lane in enumerate(live_lanes.tolist()):
-                lo, hi = int(bounds[lane]), int(bounds[lane + 1])
-                # Slices are views into this level's (immutable) arrays.
-                vector = SparseVector.wrap(level_cols[lo:hi],
-                                           level_vals[lo:hi])
-                start = start_ids[lane]
-                self._cache[start].append(vector)
-                self._by_depth.setdefault(int(new_depths[position]), []).append(
-                    (start, vector, hi - lo, costs[lane]))
+                                weights=self._in_degrees[engine.cols],
+                                minlength=num_lanes).astype(np.int64)
             depth[live] += 1
-            finished = live & (depth >= targets)
-            if finished.any() and (depth < targets).any():
-                engine.terminate(np.flatnonzero(finished))
+            for run in np.split(live, np.flatnonzero(np.diff(depth[live])) + 1):
+                lo, hi = bounds[run[0]], bounds[run[-1] + 1]
+                grown.setdefault(int(depth[run[0]]), []).append(
+                    (starts[run], bounds[run + 1] - bounds[run], costs[run],
+                     engine.cols[lo:hi], engine.values[lo:hi]))
+            finished = live[depth[live] >= targets[live]]
+            if 0 < finished.size < live.size:
+                engine.terminate(finished)
 
-    def _level_stack(self, steps: int) -> _LevelStack:
-        entries = self._by_depth.get(steps, ())
-        cached = self._stacks.get(steps)
-        if cached is not None and cached[0] == len(entries):
-            return cached[1]
-        if entries:
-            ordered = sorted(entries)
-            start_ids = np.array([start for start, _, _, _ in ordered],
-                                 dtype=np.int64)
-            sizes = np.array([size for _, _, size, _ in ordered],
-                             dtype=np.int64)
-            indptr = np.zeros(len(ordered) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            cat_indices = np.concatenate([v.indices for _, v, _, _ in ordered])
-            cat_values = np.concatenate([v.values for _, v, _, _ in ordered])
-            costs = np.array([cost for _, _, _, cost in ordered],
-                             dtype=np.int64)
-        else:
-            start_ids, indptr = _EMPTY_I, np.zeros(1, dtype=np.int64)
-            cat_indices, cat_values, costs = _EMPTY_I, _EMPTY_F, _EMPTY_I
-        stack = _LevelStack(start_ids, indptr, cat_indices, cat_values, costs)
-        # A stack copies its depth's distributions, so it counts against
-        # CACHE_MAX_BYTES too, in place of the stale stack it replaces.
-        if cached is not None:
-            self._cached_bytes -= sum(array.nbytes for array in cached[1])
-        self._cached_bytes += sum(array.nbytes for array in stack)
-        self._stacks[steps] = (len(entries), stack)
-        return stack
-
-    def _stack_positions(self, starts: np.ndarray, steps: int
-                         ) -> Tuple[_LevelStack, np.ndarray]:
-        stack = self._level_stack(steps)
-        start_ids = stack.start_ids
-        positions = np.minimum(np.searchsorted(start_ids, starts),
-                               max(start_ids.shape[0] - 1, 0))
-        if start_ids.shape[0] == 0 \
-                or not np.array_equal(start_ids[positions], starts):
-            raise KeyError(f"some starts lack a level-{steps} distribution; "
-                           "prefetch before gathering")
-        return stack, positions
+    def _locate(self, starts: np.ndarray, steps: int) -> np.ndarray:
+        store = self._stores.get(steps)
+        return (_DepthStore() if store is None else store).locate(starts, steps)
 
     def support_costs(self, starts: np.ndarray, depths: np.ndarray
                       ) -> np.ndarray:
@@ -292,8 +307,7 @@ class DistributionCache:
         costs = self._in_degrees[starts]
         for depth in np.unique(depths[depths > 0]).tolist():
             chosen = np.flatnonzero(depths == depth)
-            stack, positions = self._stack_positions(starts[chosen], depth)
-            costs[chosen] = stack.costs[positions]
+            costs[chosen] = self._locate(starts[chosen], depth)[:, 2]
         return costs
 
     def gather_stacked(self, starts: np.ndarray, steps: int
@@ -302,35 +316,33 @@ class DistributionCache:
 
         Returns ``(lengths, indices, values)``: the per-start support sizes
         and the flat concatenation of every start's sorted support — one
-        ``searchsorted`` into the per-step stack plus one repeat/cumsum flat
+        ``searchsorted`` into the level's store plus one repeat/cumsum flat
         gather, no per-start Python loop.  Every start must already be
         materialised to ``steps`` (:meth:`prefetch` guarantees this).
         """
         starts = np.asarray(starts, dtype=np.int64)
-        stack, positions = self._stack_positions(starts, steps)
-        lo = stack.indptr[positions]
-        lengths = stack.indptr[positions + 1] - lo
+        if steps == 0:
+            ones = np.ones(starts.shape[0], dtype=np.int64)
+            return ones, starts.copy(), ones.astype(np.float64)
+        entries = self._locate(starts, steps)
+        lo, lengths = entries[:, 0], entries[:, 1]
         total = int(lengths.sum())
         if total == 0:
             return lengths, _EMPTY_I, _EMPTY_F
-        offsets = np.arange(total, dtype=np.int64) \
-            - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        flat = np.repeat(lo, lengths) + offsets
-        return lengths, stack.indices[flat], stack.values[flat]
+        flat = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths) \
+            + np.arange(total, dtype=np.int64)
+        store = self._stores[steps]
+        return lengths, store.indices[flat], store.values[flat]
 
     def memory_bytes(self) -> int:
-        """Bytes held by every cached distribution and level stack (the cache
-        grows with use)."""
-        return self._cached_bytes
+        """Bytes the stores hold: each cached distribution once, the unused
+        capacity of a store and 32 bytes of bookkeeping per entry."""
+        return sum(store.nbytes() for store in self._stores.values())
 
     def clear(self) -> None:
-        """Drop every cached distribution and level stack; they
-        re-materialise on request."""
-        self._cache = {}
-        self._avail[:] = -1
-        self._by_depth = {}
-        self._stacks = {}
-        self._cached_bytes = 0
+        """Drop every cached distribution; they re-materialise on request."""
+        self._stores = {}
+        self._avail[:] = 0
 
 
 class _ExploitState:
@@ -353,61 +365,48 @@ class _ExploitState:
 
 def _run_level_fused(cache: DistributionCache, states: List[_ExploitState],
                      level: int, decay: float, num_nodes: int) -> None:
-    """Advance every state's Lemma 4 recursion one level, fused across states.
+    """Advance a group of states' Lemma 4 recursions one level, fused.
 
     Level ℓ of one state is Z_ℓ(k, q) = c^ℓ (Pᵀ)^ℓ(k, q)² − Σ_{ℓ'<ℓ} Σ_{q'}
-    c^{ℓ-ℓ'} (Pᵀ)^{ℓ-ℓ'}(q', q)² · Z_{ℓ'}(k, q'), and the subtraction runs
-    as one pass per inner level ℓ' for all states: their ``(q', Z)`` pairs
-    concatenate state-major, their distributions come out of the shared
-    level stack with a single gather, and one ``np.subtract.at`` over
-    ``state·n + node`` packed keys applies every state's ``Σ_{q'} …`` update
-    at once.  Entries that end up non-positive are dropped.  Within one
-    state the packed-key subtraction touches the same targets with the same
-    contributions in the same order as the sequential spec's per-``q'`` loop
-    (``tests/specs/algorithm3.py``), so fusing changes no float.
+    c^{ℓ-ℓ'} (Pᵀ)^{ℓ-ℓ'}(q', q)² · Z_{ℓ'}(k, q').  Each state gets a dense
+    row of n floats, so the packed key ``position·n + q`` of a target is its
+    slot.  Per inner level ℓ', the states' ``(q', Z)`` pairs concatenate
+    state-major, their distributions come out of the cache with one gather,
+    and one ``np.subtract.at`` applies every state's ``Σ_{q'} …`` update at
+    once; a contribution to a node outside the state's level-ℓ support lands
+    in a slot nobody reads.  The supported slots are read back and the
+    non-positive ones dropped.  Each slot receives the same contributions in
+    the same order as in the sequential spec's per-``q'`` loop
+    (``tests/specs/algorithm3.py``), so fusing changes no float, and neither
+    does the grouping: :func:`_explore_levels` passes contiguous groups of
+    at most max(1, :data:`CACHE_MAX_BYTES` // 8n) states, so the rows of
+    one group fit in that cap.
     """
-    node_parts: List[np.ndarray] = []
-    value_parts: List[np.ndarray] = []
-    for state in states:
-        from_k = cache.peek(state.node, level)
-        node_parts.append(from_k.indices)
-        value_parts.append((decay ** level) * from_k.values * from_k.values)
-    sizes = np.array([part.shape[0] for part in node_parts], dtype=np.int64)
-    bounds = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    z_nodes = np.concatenate(node_parts)
-    z_values = np.concatenate(value_parts)
-    z_keys = np.repeat(np.arange(sizes.shape[0], dtype=np.int64),
-                       sizes) * np.int64(num_nodes) + z_nodes
+    n = np.int64(num_nodes)
+    owners = np.arange(len(states), dtype=np.int64)
+    lengths, z_nodes, from_k = cache.gather_stacked(
+        np.array([state.node for state in states], dtype=np.int64), level)
+    z_keys = np.repeat(owners, lengths) * n + z_nodes
+    rows = np.zeros(len(states) * num_nodes)
+    rows[z_keys] = (decay ** level) * from_k * from_k
     for first_meeting_level in range(1, level):
-        remaining = level - first_meeting_level
-        positions_parts: List[int] = []
-        q_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        for position, state in enumerate(states):
-            q_primes, z_weights = state.z_levels[first_meeting_level - 1]
-            if q_primes.size:
-                positions_parts.append(position)
-                q_parts.append(q_primes)
-                weight_parts.append(z_weights)
-        if not q_parts:
+        found = [state.z_levels[first_meeting_level - 1] for state in states]
+        q_sizes = np.array([q_primes.shape[0] for q_primes, _ in found],
+                           dtype=np.int64)
+        if not q_sizes.any():
             continue
-        q_sizes = np.array([part.shape[0] for part in q_parts], dtype=np.int64)
-        owner = np.repeat(np.array(positions_parts, dtype=np.int64), q_sizes)
-        lengths, support, values = cache.gather_stacked(
-            np.concatenate(q_parts), remaining)
+        remaining = level - first_meeting_level
+        q_lengths, support, values = cache.gather_stacked(
+            np.concatenate([q_primes for q_primes, _ in found]), remaining)
         if support.size == 0:
             continue
-        weights = np.repeat(np.concatenate(weight_parts), lengths) \
+        weights = np.repeat(np.concatenate([z for _, z in found]), q_lengths) \
             * values * values
-        target_keys = np.repeat(owner, lengths) * np.int64(num_nodes) + support
-        slots = np.searchsorted(z_keys, target_keys)
-        slots = np.minimum(slots, max(z_keys.shape[0] - 1, 0))
-        hit = z_keys[slots] == target_keys if z_keys.size else \
-            np.zeros(target_keys.shape[0], dtype=bool)
-        if hit.any():
-            factor = decay ** remaining
-            np.subtract.at(z_values, slots[hit], factor * weights[hit])
+        targets = np.repeat(np.repeat(owners * n, q_sizes), q_lengths) + support
+        np.subtract.at(rows, targets, (decay ** remaining) * weights)
+    z_values = rows[z_keys]
+    bounds = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
     for position, state in enumerate(states):
         segment_nodes = z_nodes[bounds[position]:bounds[position + 1]]
         segment_values = z_values[bounds[position]:bounds[position + 1]]
@@ -423,11 +422,13 @@ def _explore_levels(graph: DiGraph, cache: DistributionCache,
     Per level: decide which states complete it (the rule in the module
     docstring, from costs the cache already knows), materialise what those
     states consult with one :meth:`DistributionCache.prefetch`, apply their
-    Lemma 4 updates with :func:`_run_level_fused`, and add each state's new
+    Lemma 4 updates with :func:`_run_level_fused` in contiguous groups whose
+    dense rows fit in :data:`CACHE_MAX_BYTES`, and add each state's new
     positive Z support to its S.  A state that does not complete a level
     stops there, at ℓ(k) = the last level it completed.
     """
     num_nodes = np.int64(graph.num_nodes)
+    group = max(1, CACHE_MAX_BYTES // (8 * graph.num_nodes))
     active = list(states)
     for level in range(1, max_level + 1):
         if not active:
@@ -454,7 +455,9 @@ def _explore_levels(graph: DiGraph, cache: DistributionCache,
         sizes = sizes[completes]
         cache._maybe_evict()
         cache.prefetch(starts, level - entered)
-        _run_level_fused(cache, active, level, decay, graph.num_nodes)
+        for first in range(0, len(active), group):
+            _run_level_fused(cache, active[first:first + group], level, decay,
+                             graph.num_nodes)
         # S_{ℓ+1} = S_ℓ ∪ supp⁺Z_ℓ: the new starts enter at f(s) = ℓ.
         owners = np.arange(len(active), dtype=np.int64)
         members = np.repeat(owners, sizes) * num_nodes + starts

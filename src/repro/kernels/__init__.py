@@ -16,7 +16,7 @@ Layout:
   (``indices: int64[]``, ``values: float64[]``) the kernels produce/consume;
 * :mod:`repro.kernels.frontier` — the kernels themselves
   (:func:`push_frontier`, :func:`propagate_distribution`,
-  :func:`propagate_batch` and their transpose twins), plus
+  :func:`propagate_batch` and its transpose twin), plus
   :func:`accumulate_probes`, the one probe loop of ProbeSim and PRSim: COO
   steps of :func:`propagate_batch_transpose` while a batch is sparse, dense
   lanes on ``parallel_spmm`` once it fills;
@@ -45,7 +45,6 @@ from repro.kernels.frontier import (
     propagate_batch,
     propagate_batch_transpose,
     propagate_distribution,
-    propagate_transpose,
     push_frontier,
     push_frontier_batch,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "propagate_batch",
     "propagate_batch_transpose",
     "propagate_distribution",
-    "propagate_transpose",
     "push_frontier",
     "push_frontier_batch",
 ]

@@ -196,25 +196,6 @@ def push_frontier_batch(indptr: np.ndarray, indices: np.ndarray,
                           dropped, absorbed, pushed, traversed)
 
 
-def propagate_transpose(out_indptr: np.ndarray, out_indices: np.ndarray,
-                        in_degrees: np.ndarray, frontier: SparseVector, *,
-                        num_nodes: int) -> Tuple[SparseVector, int]:
-    """One step of the transpose operator ``Pᵀ`` on a sparse vector.
-
-    ``(Pᵀ x)(j) = Σ_{k ∈ I(j)} x(k) / d_in(j)``: mass at ``k`` travels along
-    *out*-edges ``k → j`` and is normalized by the **receiver's** in-degree —
-    the forward direction of :class:`repro.graph.transition.
-    TransitionOperator.step_forward`, as used by the reverse probes of
-    ProbeSim and PRSim.  Contributions are scatter-added per receiver first
-    and divided by ``d_in`` once at the end.
-    """
-    targets, counts = csr_gather(out_indptr, out_indices, frontier.indices)
-    contributions = np.repeat(frontier.values, counts)
-    new_idx, new_vals = _scatter_add(targets, contributions, num_nodes)
-    return (SparseVector(new_idx, new_vals / in_degrees[new_idx]),
-            int(counts.sum()))
-
-
 def propagate_batch(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray, values: np.ndarray, *, num_nodes: int
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -244,10 +225,12 @@ def propagate_batch_transpose(out_indptr: np.ndarray, out_indices: np.ndarray,
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One ``Pᵀ`` step of B stacked distributions through shared CSR slices.
 
-    The batched analogue of :func:`propagate_transpose`: all rows expand
-    along the shared *out*-CSR arrays in a single gather, contributions are
-    re-aggregated per ``(row, receiver)`` key and normalized by the
-    receiver's in-degree.
+    ``(Pᵀ x)(j) = Σ_{k ∈ I(j)} x(k) / d_in(j)``: mass at ``k`` travels along
+    *out*-edges ``k → j`` and is normalized by the **receiver's** in-degree,
+    the direction of the reverse probes of ProbeSim and PRSim.  All rows
+    expand along the shared *out*-CSR arrays in a single gather, and
+    contributions are re-aggregated per ``(row, receiver)`` key before the
+    division.
     """
     targets, counts = csr_gather(out_indptr, out_indices, cols)
     contributions = np.repeat(values, counts)
@@ -344,7 +327,6 @@ __all__ = [
     "propagate_batch",
     "propagate_batch_transpose",
     "propagate_distribution",
-    "propagate_transpose",
     "push_frontier",
     "push_frontier_batch",
 ]

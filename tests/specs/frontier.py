@@ -6,6 +6,10 @@ specifications*: ``tests/test_kernels.py`` asserts that the array kernels in
 :mod:`repro.kernels.frontier` reproduce them to 1e-12 on random power-law
 graphs including dangling nodes and self-loops.  They are deliberately slow —
 never call them from production paths.
+
+One array kernel lives here too: :func:`propagate_transpose`, the
+single-vector ``Pᵀ`` step that only the per-node probe specs
+(``specs.probes``) walk; the library batches it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.graph.digraph import DiGraph
+from repro.kernels.frontier import _scatter_add, csr_gather
+from repro.kernels.sparsevec import SparseVector
 
 Distribution = Dict[int, float]
 
@@ -91,6 +99,24 @@ def _reference_propagate_transpose(graph: DiGraph, distribution: Distribution
     return dict(spread), traversed
 
 
+def propagate_transpose(out_indptr: np.ndarray, out_indices: np.ndarray,
+                        in_degrees: np.ndarray, frontier: SparseVector, *,
+                        num_nodes: int) -> Tuple[SparseVector, int]:
+    """One ``Pᵀ`` step of one sparse vector, on the array kernels.
+
+    The single-lane form of
+    :func:`repro.kernels.frontier.propagate_batch_transpose`, which the
+    library's probes batch; the per-node probe specs (``specs.probes``)
+    walk it one vector at a time.  Contributions are scatter-added per
+    receiver first and divided by ``d_in`` once at the end.
+    """
+    targets, counts = csr_gather(out_indptr, out_indices, frontier.indices)
+    contributions = np.repeat(frontier.values, counts)
+    new_idx, new_vals = _scatter_add(targets, contributions, num_nodes)
+    return (SparseVector(new_idx, new_vals / in_degrees[new_idx]),
+            int(counts.sum()))
+
+
 def _reference_propagate_batch(graph: DiGraph,
                                batch: List[Distribution]
                                ) -> Tuple[List[Distribution], int]:
@@ -136,4 +162,5 @@ __all__ = [
     "_reference_propagate_distribution",
     "_reference_propagate_transpose",
     "_reference_push_frontier",
+    "propagate_transpose",
 ]

@@ -33,9 +33,10 @@ from repro.baselines.prsim import PRSim
 from repro.baselines.probesim import ProbeSim
 from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.graph.transition import TransitionOperator
-from repro.kernels.frontier import propagate_batch_transpose, propagate_transpose
+from repro.kernels.frontier import propagate_batch_transpose
 from repro.kernels.sparsevec import SparseVector
 from repro.ppr.hop_ppr import hop_ppr_vectors
+from specs.frontier import propagate_transpose
 
 #: The flat hub index, PRSim's file layout: (positions, levels, columns,
 #: values) sorted by (position, level, column).  ``positions`` indexes into

@@ -7,17 +7,23 @@ from repro.core.config import EPSILON_EXACT, ExactSimConfig
 from repro.core.sampling import (
     allocate_proportional,
     allocate_squared,
-    check_allocation,
     total_sample_budget,
 )
 from repro.core.sparse import (
-    max_surviving_entries,
     sparse_truncation_threshold,
     sparsify_vector,
 )
+from repro.diagonal.basic import estimate_diagonal_basic
+from repro.ppr.hop_ppr import hop_ppr_vectors
 
 DECAY = 0.6
 SQRT_C = np.sqrt(DECAY)
+
+
+def max_surviving_entries(epsilon: float, *, decay: float = DECAY) -> int:
+    """Lemma 2's pigeonhole bound: the hop vectors of one source sum to at
+    most 1, so at most 1/((1 − √c)²ε) of their entries reach (1 − √c)²ε."""
+    return int(np.ceil(1.0 / sparse_truncation_threshold(epsilon, decay=decay)))
 
 
 class TestConfig:
@@ -168,13 +174,15 @@ class TestAllocation:
         with pytest.raises(ValueError):
             allocate_squared(self.ppr, -1)
 
-    def test_check_allocation(self):
-        checked = check_allocation(np.ones(50), 50)
-        assert checked.dtype == np.int64
+    def test_check_allocation(self, toy_graph):
+        """Algorithm 2 refuses an allocation of the wrong length or with a
+        negative entry."""
+        diagonal = estimate_diagonal_basic(toy_graph, np.ones(6), seed=1)
+        assert diagonal.shape == (6,)
         with pytest.raises(ValueError):
-            check_allocation(np.ones(49), 50)
+            estimate_diagonal_basic(toy_graph, np.ones(5), seed=1)
         with pytest.raises(ValueError):
-            check_allocation(-np.ones(50), 50)
+            estimate_diagonal_basic(toy_graph, -np.ones(6), seed=1)
 
 
 class TestSparseHelpers:
@@ -189,10 +197,17 @@ class TestSparseHelpers:
         # Original untouched.
         assert vector[1] == 1e-6
 
-    def test_max_surviving_entries_bound(self):
-        epsilon = 1e-3
-        bound = max_surviving_entries(epsilon, decay=DECAY)
-        assert bound == int(np.ceil(1.0 / sparse_truncation_threshold(epsilon, decay=DECAY)))
+    def test_max_surviving_entries_bound(self, collab_graph):
+        """Truncated at (1 − √c)²ε, the hop vectors of every source keep at
+        most Lemma 2's bound of entries, though untruncated they hold more."""
+        epsilon = 0.1
+        bound = max_surviving_entries(epsilon)
+        threshold = sparse_truncation_threshold(epsilon, decay=DECAY)
+        for source in range(0, collab_graph.num_nodes, 17):
+            full = hop_ppr_vectors(collab_graph, source, 30, decay=DECAY)
+            kept = hop_ppr_vectors(collab_graph, source, 30, decay=DECAY,
+                                   truncation_threshold=threshold)
+            assert full.nonzero_entries() > bound >= kept.nonzero_entries()
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

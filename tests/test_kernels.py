@@ -23,7 +23,6 @@ from repro.kernels.frontier import (
     propagate_batch,
     propagate_batch_transpose,
     propagate_distribution,
-    propagate_transpose,
     push_frontier,
 )
 from repro.kernels.sparsevec import SparseVector
@@ -33,6 +32,7 @@ from specs.frontier import (
     _reference_propagate_distribution,
     _reference_propagate_transpose,
     _reference_push_frontier,
+    propagate_transpose,
 )
 from specs.probes import coo_probe_batch
 

@@ -12,9 +12,10 @@ schedule it replaced:
 * the batched Algorithm 3 exploration
   (:func:`repro.diagonal.local._exploit_deterministic_batch`), which decides
   ℓ(k) once per level, matches the fetch-by-fetch spec
-  (:mod:`specs.algorithm3`): identical ℓ(k) and deterministic mass to
-  1e-12 — with or without a shared cache, under cache eviction, and at the
-  budgets where simpler level rules drift;
+  (:mod:`specs.algorithm3`): identical ℓ(k) and a bit-identical
+  deterministic mass — with or without a shared cache, under cache
+  eviction, with the dense Lemma 4 rows split into one-state groups, and at
+  the budgets where simpler level rules drift;
 * PRSim's batched hub index build matches the per-hub reference walk
   (supports exact, values ≤ 1e-12), and its per-level CSR index round-trips
   through the flat COO file layout bit-identically.
@@ -41,6 +42,7 @@ from repro.randomwalk.engine import SqrtCWalkEngine
 from specs.algorithm3 import (
     BudgetWindow,
     ReferenceCache,
+    _explore_reference,
     exploit_deterministic_reference,
     first_meeting_probabilities,
     level_charges,
@@ -180,7 +182,30 @@ class TestBatchedExploitEquivalence:
                     walk_graph, node, num_pairs, decay=DECAY, max_level=20,
                     cache=cache)
                 assert chosen == ref_chosen, f"ℓ(k) drifted for node {node}"
-                assert mass == pytest.approx(ref_mass, abs=1e-12)
+                assert mass == ref_mass
+
+    def test_z_levels_match_reference_bitwise(self, walk_graph):
+        """Each state of one fused batch has the spec's Z_ℓ(k, ·), bit for
+        bit, at every level it completes: a reordered subtraction moves
+        values by an ulp that the masses they sum to can absorb."""
+        heavy = np.argsort(-walk_graph.in_degrees)[:30]
+        heavy = heavy[walk_graph.in_degrees[heavy] > 1]
+        pairs = np.random.default_rng(1).integers(32, 3000, heavy.shape[0])
+        budgets = 2.0 * pairs / float(np.sqrt(DECAY))
+        states = [local._ExploitState(int(node), float(budget))
+                  for node, budget in zip(heavy, budgets)]
+        local._explore_levels(walk_graph, DistributionCache(walk_graph),
+                              states, decay=DECAY, max_level=20)
+        shared_reference = ReferenceCache(walk_graph)
+        for state, budget in zip(states, budgets.tolist()):
+            reference, _ = _explore_reference(
+                walk_graph, state.node, BudgetWindow(budget), decay=DECAY,
+                max_level=20, cache=shared_reference)
+            assert len(state.z_levels) == len(reference)
+            for (nodes, values), (ref_nodes, ref_values) in zip(
+                    state.z_levels, reference):
+                assert np.array_equal(nodes, ref_nodes)
+                assert np.array_equal(values, ref_values)
 
     def test_exhaustion_boundaries_match_reference(self, walk_graph):
         # Sweep tight budgets across one heavy node so the spec's exhaustion
@@ -193,7 +218,7 @@ class TestBatchedExploitEquivalence:
             reference = exploit_deterministic_reference(
                 walk_graph, node, num_pairs, decay=DECAY, max_level=20)
             assert batch[0] == reference[0]
-            assert batch[1] == pytest.approx(reference[1], abs=1e-12)
+            assert batch[1] == reference[1]
 
     def test_repeat_on_warm_cache_is_identical(self, walk_graph):
         node = int(np.argmax(walk_graph.in_degrees))
@@ -275,7 +300,7 @@ class TestLevelBoundaryRule:
             reference = exploit_deterministic_reference(
                 graph, node, num_pairs, decay=DECAY, max_level=6, cache=cache)
             assert chosen == reference[0], f"ℓ(k) drifted at R = {num_pairs}"
-            assert mass == pytest.approx(reference[1], abs=1e-12)
+            assert mass == reference[1]
         assert hits, "no budget fell where the last charge overshoots"
 
     @settings(max_examples=40, deadline=None)
@@ -295,7 +320,7 @@ class TestLevelBoundaryRule:
             reference = exploit_deterministic_reference(
                 graph, node, num_pairs, decay=DECAY, max_level=8)
             assert chosen == reference[0]
-            assert mass == pytest.approx(reference[1], abs=1e-12)
+            assert mass == reference[1]
 
 
 class TestDistributionCacheBatchedPaths:
@@ -338,42 +363,61 @@ class TestDistributionCacheBatchedPaths:
         with pytest.raises(KeyError):
             cache.gather_stacked(np.array([0], dtype=np.int64), 1)
 
-    def test_memory_bytes_counts_distributions_and_stacks(
+    def test_memory_bytes_counts_one_copy(
             self, directed_graph, monkeypatch):
-        """A level stack is a second copy of its depth's distributions, so
-        ``memory_bytes()`` (what :data:`local.CACHE_MAX_BYTES` caps) counts
-        both, a rebuilt stack in place of the one it replaces, and a cap
-        that only the stacks cross evicts."""
+        """Every materialised level (depth ≥ 1) is stored once, in its
+        depth's store, so ``memory_bytes()`` (what
+        :data:`local.CACHE_MAX_BYTES` caps) is those levels, 32 bytes of
+        bookkeeping per level and the stores' unused capacity.  Reading adds
+        nothing; a depth that grows keeps what it holds where it is, and
+        its unused capacity stays below what it holds; a crossed cap
+        evicts."""
         hubs = np.sort(np.argsort(-directed_graph.in_degrees)[:8]).astype(np.int64)
         cache = DistributionCache(directed_graph)
 
-        def distribution_bytes(starts, depth):
-            return sum(cache.peek(start, step).memory_bytes()
-                       for start in starts.tolist() for step in range(depth + 1))
+        def stored_bytes(starts, depth):
+            return sum(cache.peek(start, step).memory_bytes() + 32
+                       for start in starts.tolist()
+                       for step in range(1, depth + 1))
 
-        def stack_bytes(starts, depth):
-            # start ids, indptr and costs, plus a copy of the level.
-            return (8 * (3 * starts.size + 1)
-                    + sum(cache.peek(start, depth).memory_bytes()
-                          for start in starts.tolist()))
+        def unused_bytes():
+            return sum(16 * (store.indices.shape[0] - store.size)
+                       for store in cache._stores.values())
 
-        first = hubs[:5]
+        first, rest = hubs[:5], hubs[5:]
         cache.prefetch(first, np.full(first.size, 3, dtype=np.int64))
-        assert cache.memory_bytes() == distribution_bytes(first, 3)
+        held = stored_bytes(first, 3)
+        assert unused_bytes() == 0
+        assert cache.memory_bytes() == held
+        levels = {(start, depth): cache.peek(start, depth)
+                  for start in first.tolist() for depth in (1, 2, 3)}
+        offsets = {depth: cache._locate(first, depth)[:, 0]
+                   for depth in (1, 2, 3)}
         cache.gather_stacked(first, 2)
         cache.support_costs(first, np.full(first.size, 3, dtype=np.int64))
-        assert cache.memory_bytes() == distribution_bytes(first, 3) \
-            + stack_bytes(first, 2) + stack_bytes(first, 3)
-        # More level-2 entries make the level-2 stack stale; its rebuild
-        # replaces it.
-        cache.prefetch(hubs[5:], np.full(3, 2, dtype=np.int64))
-        cache.gather_stacked(hubs, 2)
-        held = distribution_bytes(first, 3) + distribution_bytes(hubs[5:], 2)
-        assert cache.memory_bytes() == held + stack_bytes(hubs, 2) \
-            + stack_bytes(first, 3)
-        monkeypatch.setattr(local, "CACHE_MAX_BYTES", held)
+        assert cache.memory_bytes() == held
+        # Depths 1 and 2 grow by three more starts.  What they held stays
+        # where it was, and is counted once.
+        cache.prefetch(rest, np.full(rest.size, 2, dtype=np.int64))
+        held = stored_bytes(first, 3) + stored_bytes(rest, 2)
+        assert cache.memory_bytes() == held + unused_bytes()
+        for depth in (1, 2):
+            store = cache._stores[depth]
+            assert 16 * (store.indices.shape[0] - store.size) < 16 * store.size
+        for depth, before in offsets.items():
+            assert np.array_equal(cache._locate(first, depth)[:, 0], before)
+        for (start, depth), vector in levels.items():
+            assert cache.peek(start, depth) == vector
+        total = cache.memory_bytes()
+        monkeypatch.setattr(local, "CACHE_MAX_BYTES", total)
+        cache._maybe_evict()
+        assert cache.memory_bytes() == total
+        monkeypatch.setattr(local, "CACHE_MAX_BYTES", total - 1)
         cache._maybe_evict()
         assert cache.memory_bytes() == 0
+        cache.prefetch(first, np.full(first.size, 3, dtype=np.int64))
+        for (start, depth), vector in levels.items():
+            assert cache.peek(start, depth) == vector
 
     def test_eviction_never_changes_outcomes(self, directed_graph,
                                              monkeypatch):
@@ -407,6 +451,36 @@ class TestDistributionCacheBatchedPaths:
             walk_graph_small, DistributionCache(walk_graph_small), requests,
             decay=DECAY, max_level=20)
         assert roomy == tight
+
+    def test_one_state_groups_match_one_group(self, walk_graph_small,
+                                              monkeypatch):
+        """The dense Lemma 4 rows of a group of states fit in
+        :data:`local.CACHE_MAX_BYTES`: a cap of one row runs every state in
+        a group of its own, with the same ℓ(k) and mass as one group."""
+        heavy = np.argsort(-walk_graph_small.in_degrees)[:25]
+        heavy = heavy[walk_graph_small.in_degrees[heavy] > 1]
+        requests = [(int(node), pairs) for node in heavy
+                    for pairs in (64, 900)]
+        groups = []
+        original = local._run_level_fused
+
+        def recording(cache, states, *args):
+            groups.append(len(states))
+            return original(cache, states, *args)
+
+        monkeypatch.setattr(local, "_run_level_fused", recording)
+        one_group = _exploit_deterministic_batch(
+            walk_graph_small, DistributionCache(walk_graph_small), requests,
+            decay=DECAY, max_level=20)
+        assert max(groups) > 1
+        groups.clear()
+        monkeypatch.setattr(local, "CACHE_MAX_BYTES",
+                            8 * walk_graph_small.num_nodes)
+        one_state_groups = _exploit_deterministic_batch(
+            walk_graph_small, DistributionCache(walk_graph_small), requests,
+            decay=DECAY, max_level=20)
+        assert set(groups) == {1}
+        assert one_state_groups == one_group
 
 
 class TestPRSimBatchedBuild:
