@@ -6,8 +6,9 @@ Measures, on the registered benchmark graphs, the wall-clock time of
   per source: every query pays its own hop-PPR propagation and
   back-substitution passes, and
 * ``batched`` — one :meth:`ExactSim.single_source_batch` call for all
-  sources (phase 1 through the shared-CSR batched push kernel, phase 3
-  through ``Pᵀ @ S`` sparse-times-dense products),
+  sources (phase 1 through one ``√c·P @ X`` product per level over dense
+  lanes, :func:`repro.ppr.hop_ppr.hop_ppr_batch`, phase 3 through
+  ``Pᵀ @ S`` sparse-times-dense products),
 
 with identical configurations and fresh engines per measurement so the RNG
 stream never leaks between variants.  The committed perf baseline is
@@ -24,7 +25,7 @@ Two ratios are recorded per (dataset, workload):
   sampling fraction of the workload.
 * ``propagation`` — phases 1 + 3 only (hop-PPR propagation and
   back-substitution), the parts the batch path actually vectorizes.  This
-  isolates the shared-CSR push + ``Pᵀ @ S`` matrix-product win.
+  isolates the ``P @ X`` + ``Pᵀ @ S`` matrix-product win.
 
 Both a sampling-bound workload (tight ε, large walk budget) and a
 propagation-bound one (coarse ε, small budget — the high-throughput serving
@@ -41,8 +42,7 @@ import numpy as np
 from repro.core.config import ExactSimConfig
 from repro.core.exactsim import ExactSim
 from repro.graph.datasets import load_dataset
-from repro.ppr.hop_ppr import hop_ppr_vectors
-from repro.ppr.push import forward_push_hop_ppr_batch
+from repro.ppr.hop_ppr import hop_ppr_batch, hop_ppr_vectors
 
 DECAY = 0.6
 SEED = 2020
@@ -101,10 +101,8 @@ def _measure_workload(graph, epsilon, cap, batch_size, repeats):
             engine._back_substitute_batch([hop_ppr], [diagonal])
 
     def propagation_batched():
-        pushes = forward_push_hop_ppr_batch(
-            graph, sources, iterations, config.truncation_threshold(),
-            decay=DECAY)
-        hop_pprs = [engine._hop_ppr_from_push(push, iterations) for push in pushes]
+        hop_pprs = hop_ppr_batch(engine._operator, sources, iterations,
+                                 config.truncation_threshold())
         engine._back_substitute_batch(hop_pprs, [diagonal] * len(sources))
 
     sequential_s = _best(sequential, repeats)
@@ -127,8 +125,8 @@ def record_baseline(path="BENCH_batch.json", *, repeats=3,
     payload = {
         "description": "Batched vs sequential ExactSim queries: end-to-end "
                        "(includes the non-batched sampling phase) and "
-                       "propagation-only (batched push + Pᵀ@S back-"
-                       f"substitution), best of {repeats}, seconds.",
+                       "propagation-only (batched P@X hop-PPR + Pᵀ@S "
+                       f"back-substitution), best of {repeats}, seconds.",
         "python": platform.python_version(),
         "decay": DECAY,
         "seed": SEED,

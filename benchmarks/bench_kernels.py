@@ -1,10 +1,10 @@
 """Micro-benchmarks of the vectorized CSR frontier kernels.
 
-Measures the two hot kernels — :func:`repro.kernels.push_frontier` (one
-hop-PPR push level) and :func:`repro.kernels.propagate_distribution` (one
-Algorithm 3 reverse-walk step) — plus the end-to-end push, on the GQ (small)
-and DB (large) datasets, with the dict-based reference loops timed alongside
-for the speedup ratio.
+Measures the hot frontier kernel — :func:`repro.kernels.propagate_distribution`
+(one Algorithm 3 reverse-walk step) — on the GQ (small) and DB (large)
+datasets, with the dict-based reference loop timed alongside for the speedup
+ratio, plus the thread scaling of ``parallel_spmm`` and the chunked pair
+walks.
 
 Run under pytest-benchmark::
 
@@ -27,18 +27,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 
 from repro.graph.datasets import load_dataset
-from repro.kernels.frontier import propagate_distribution, push_frontier
+from repro.kernels.frontier import propagate_distribution
 from repro.kernels.sparsevec import SparseVector
-from repro.ppr.push import forward_push_hop_ppr, forward_push_hop_ppr_batch
-from specs.frontier import (
-    _reference_forward_push_hop_ppr,
-    _reference_propagate_distribution,
-    _reference_push_frontier,
-)
+from specs.frontier import _reference_propagate_distribution
 
 DECAY = 0.6
 SQRT_C = float(np.sqrt(DECAY))
-R_MAX = 1e-5
 WARM_LEVELS = 3
 
 
@@ -53,45 +47,14 @@ def large_graph():
 
 
 def _warm_frontier(graph) -> SparseVector:
-    """A realistic mid-push frontier: a few levels out from the top hub."""
+    """A realistic mid-exploration frontier: a few levels out from the top hub."""
     frontier = SparseVector(
         np.array([int(np.argmax(graph.in_degrees))], dtype=np.int64),
         np.array([1.0], dtype=np.float64))
     for _ in range(WARM_LEVELS):
-        step = push_frontier(graph.in_indptr, graph.in_indices, frontier,
-                             r_max=R_MAX, sqrt_c=SQRT_C,
-                             num_nodes=graph.num_nodes)
-        frontier = step.frontier
+        frontier, _ = propagate_distribution(graph.in_indptr, graph.in_indices,
+                                             frontier, num_nodes=graph.num_nodes)
     return frontier
-
-
-# --------------------------------------------------------------------------- #
-# push_frontier — one level
-# --------------------------------------------------------------------------- #
-def test_push_frontier_small(benchmark, small_graph):
-    frontier = _warm_frontier(small_graph)
-    benchmark(push_frontier, small_graph.in_indptr, small_graph.in_indices,
-              frontier, r_max=R_MAX, sqrt_c=SQRT_C,
-              num_nodes=small_graph.num_nodes)
-
-
-def test_push_frontier_large(benchmark, large_graph):
-    frontier = _warm_frontier(large_graph)
-    benchmark(push_frontier, large_graph.in_indptr, large_graph.in_indices,
-              frontier, r_max=R_MAX, sqrt_c=SQRT_C,
-              num_nodes=large_graph.num_nodes)
-
-
-def test_push_frontier_reference_small(benchmark, small_graph):
-    frontier = _warm_frontier(small_graph).to_dict()
-    benchmark(_reference_push_frontier, small_graph, frontier,
-              r_max=R_MAX, sqrt_c=SQRT_C)
-
-
-def test_push_frontier_reference_large(benchmark, large_graph):
-    frontier = _warm_frontier(large_graph).to_dict()
-    benchmark(_reference_push_frontier, large_graph, frontier,
-              r_max=R_MAX, sqrt_c=SQRT_C)
 
 
 # --------------------------------------------------------------------------- #
@@ -117,25 +80,6 @@ def test_propagate_distribution_reference_small(benchmark, small_graph):
 def test_propagate_distribution_reference_large(benchmark, large_graph):
     frontier = _warm_frontier(large_graph).to_dict()
     benchmark(_reference_propagate_distribution, large_graph, frontier)
-
-
-# --------------------------------------------------------------------------- #
-# end-to-end push: single source and batched multi-source
-# --------------------------------------------------------------------------- #
-def test_forward_push_small(benchmark, small_graph):
-    source = int(np.argmax(small_graph.in_degrees))
-    benchmark(forward_push_hop_ppr, small_graph, source, 20, R_MAX, decay=DECAY)
-
-
-def test_forward_push_large(benchmark, large_graph):
-    source = int(np.argmax(large_graph.in_degrees))
-    benchmark(forward_push_hop_ppr, large_graph, source, 20, R_MAX, decay=DECAY)
-
-
-def test_forward_push_batch_large(benchmark, large_graph):
-    sources = np.argsort(-large_graph.in_degrees)[:16].tolist()
-    benchmark(forward_push_hop_ppr_batch, large_graph, sources, 20, R_MAX,
-              decay=DECAY)
 
 
 # --------------------------------------------------------------------------- #
@@ -343,31 +287,16 @@ def record_baseline(path="BENCH_kernels.json"):
         graph = load_dataset(key)
         frontier = _warm_frontier(graph)
         frontier_dict = frontier.to_dict()
-        source = int(np.argmax(graph.in_degrees))
-        before_push = _time(_reference_push_frontier, graph, frontier_dict,
-                            r_max=R_MAX, sqrt_c=SQRT_C)
-        after_push = _time(push_frontier, graph.in_indptr, graph.in_indices,
-                           frontier, r_max=R_MAX, sqrt_c=SQRT_C,
-                           num_nodes=graph.num_nodes)
         before_prop = _time(_reference_propagate_distribution, graph, frontier_dict)
         after_prop = _time(propagate_distribution, graph.in_indptr,
                            graph.in_indices, frontier, num_nodes=graph.num_nodes)
-        before_full = _time(_reference_forward_push_hop_ppr, graph, source, 20,
-                            R_MAX, decay=DECAY, repeats=3)
-        after_full = _time(forward_push_hop_ppr, graph, source, 20, R_MAX,
-                           decay=DECAY, repeats=3)
         payload["datasets"][key] = {
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "frontier_nnz": frontier.nnz,
-            "push_frontier": {"before_s": before_push, "after_s": after_push,
-                              "speedup": before_push / after_push},
             "propagate_distribution": {"before_s": before_prop,
                                        "after_s": after_prop,
                                        "speedup": before_prop / after_prop},
-            "forward_push_hop_ppr": {"before_s": before_full,
-                                     "after_s": after_full,
-                                     "speedup": before_full / after_full},
         }
     payload["thread_scaling"] = record_thread_scaling()
     with open(path, "w") as handle:
@@ -390,11 +319,9 @@ if __name__ == "__main__":
         raise SystemExit(0)
     results = record_baseline()
     for key, entry in results["datasets"].items():
-        for kernel in ("push_frontier", "propagate_distribution",
-                       "forward_push_hop_ppr"):
-            stats = entry[kernel]
-            print(f"{key} {kernel}: {stats['before_s']*1e3:.3f} ms -> "
-                  f"{stats['after_s']*1e3:.3f} ms  ({stats['speedup']:.1f}x)")
+        stats = entry["propagate_distribution"]
+        print(f"{key} propagate_distribution: {stats['before_s']*1e3:.3f} ms -> "
+              f"{stats['after_s']*1e3:.3f} ms  ({stats['speedup']:.1f}x)")
     for key, entry in results["thread_scaling"]["datasets"].items():
         lane = entry["dense_lane"]
         line = " ".join(

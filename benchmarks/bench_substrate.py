@@ -13,7 +13,6 @@ from repro.baselines.power_method import simrank_matrix
 from repro.graph.datasets import load_dataset
 from repro.graph.transition import TransitionOperator
 from repro.ppr.hop_ppr import hop_ppr_vectors
-from repro.ppr.push import forward_push_hop_ppr
 from repro.randomwalk.engine import SqrtCWalkEngine
 
 
@@ -47,16 +46,6 @@ def test_hop_ppr_small(benchmark, small_graph):
 def test_hop_ppr_large(benchmark, large_graph):
     operator = TransitionOperator(large_graph, 0.6)
     benchmark(hop_ppr_vectors, large_graph, 0, 20, decay=0.6, operator=operator)
-
-
-def test_forward_push_small(benchmark, small_graph):
-    source = int(np.argmax(small_graph.in_degrees))
-    benchmark(forward_push_hop_ppr, small_graph, source, 20, 1e-5, decay=0.6)
-
-
-def test_forward_push_large(benchmark, large_graph):
-    source = int(np.argmax(large_graph.in_degrees))
-    benchmark(forward_push_hop_ppr, large_graph, source, 20, 1e-5, decay=0.6)
 
 
 def test_transition_matvec_large(benchmark, large_graph):

@@ -3,8 +3,9 @@
 The algorithm has three phases:
 
 1. **Hop-PPR phase** (lines 2-5): iterate π_i^ℓ = √c·P·π_i^{ℓ-1} for
-   ℓ = 0 … L with L = ⌈log_{1/c}(2/ε)⌉, keeping every hop vector (densely or
-   sparsely truncated per Lemma 2) plus their sum π_i.
+   ℓ = 0 … L with L = ⌈log_{1/c}(2/ε)⌉ exactly, keeping every hop vector
+   (densely, or sparsely truncated per Lemma 2: the threshold decides which
+   entries are stored, never what propagates) plus their sum π_i.
 2. **Diagonal phase** (lines 6-8): distribute a total walk-pair budget
    R = 6·log n/((1 − √c)⁴ε²) over the nodes — proportionally to π_i(k)
    (basic) or π_i(k)² (optimized, Lemma 3) — and estimate D(k, k) for every
@@ -21,12 +22,13 @@ true single-source SimRank vector (Theorem 1).
 the registry, the harness and the CLI treat it exactly like the baselines.
 :meth:`~ExactSim.single_source_batch` is the one implementation of the
 three phases, vectorized over the batch: phase 1 runs all sources through
-one dense ``P @ X`` product per level on small graphs or the batched
-local-push kernel (:func:`repro.ppr.push.forward_push_hop_ppr_batch`) on
-large ones, phase 2 samples the whole batch in one aggregated walk-engine
-call, and phase 3 back-substitutes every source at once with
-sparse-times-dense-matrix products.  :meth:`~ExactSim.single_source` is a
-batch of one.
+one dense ``P @ X`` product per level at every graph size
+(:func:`repro.ppr.hop_ppr.hop_ppr_batch`, bit-identical per source to
+:func:`repro.ppr.hop_ppr.hop_ppr_vectors`), phase 2 samples the whole batch
+in one aggregated walk-engine call, and phase 3 back-substitutes every
+source at once with sparse-times-dense-matrix products.
+:meth:`~ExactSim.single_source` is a batch of one, and
+:meth:`~ExactSim.single_pair` runs the same phase 1 on its two endpoints.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from repro.diagonal.local import DistributionCache, estimate_diagonal_local_batc
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.parallel import parallel_spmm
-from repro.ppr.hop_ppr import HopPPR
-from repro.ppr.push import forward_push_hop_ppr_batch
+from repro.ppr.hop_ppr import HopPPR, hop_ppr_batch
 from repro.randomwalk.engine import SqrtCWalkEngine
 from repro.utils.timing import Timer
 from repro.utils.validation import check_node_index
@@ -73,7 +74,7 @@ class ExactSim(SimRankAlgorithm):
 
     name = "exactsim"
     index_based = False
-    #: A pair query runs only the two hop-PPR pushes and the per-level
+    #: A pair query runs only the two endpoints' phase 1 and the per-level
     #: weighted dots over their shared support — no back-substitution over
     #: the whole graph (see :meth:`single_pair`).
     native_capabilities = frozenset({QUERY_SINGLE_PAIR})
@@ -108,11 +109,11 @@ class ExactSim(SimRankAlgorithm):
     def single_source_batch(self, sources: Sequence[int]) -> List[SingleSourceResult]:
         """Answer one query per source with shared vectorized phases.
 
-        Phase 1 computes the hop-PPR vectors of *all* sources at once
-        (:meth:`_hop_ppr_batch`: a dense product per level on small graphs,
-        a batched local push over shared CSR slices on large ones).  Phase 2
-        samples the diagonal of the whole batch through the count-aggregated
-        walk engine: the per-node allocations of every source join one
+        Phase 1 computes the exact hop-PPR vectors of *all* sources at once
+        (:func:`~repro.ppr.hop_ppr.hop_ppr_batch`: one dense ``√c·P @ X``
+        product per level, whatever the graph size).  Phase 2 samples the
+        diagonal of the whole batch through the count-aggregated walk
+        engine: the per-node allocations of every source join one
         pair-meeting simulation (light nodes and Algorithm 3 tails each form
         a single engine call), and the heavy nodes' deterministic
         explorations share one visit-distribution cache across sources.
@@ -131,7 +132,8 @@ class ExactSim(SimRankAlgorithm):
 
         shared_timer = Timer()
         with shared_timer:
-            hop_pprs = self._hop_ppr_batch(source_ids, num_iterations)
+            hop_pprs = hop_ppr_batch(self._operator, source_ids, num_iterations,
+                                     config.truncation_threshold())
 
         phase2_timer = Timer()
         with phase2_timer:
@@ -169,12 +171,14 @@ class ExactSim(SimRankAlgorithm):
         """Answer S(source, target) with pair-local work only.
 
         Via the ℓ-hop identity S(i, j) = Σ_ℓ Σ_k π_i^ℓ(k)·D(k,k)·π_j^ℓ(k)
-        / (1 − √c)², a pair needs exactly two phase-1 hop-PPR pushes (source
-        and target) and the diagonal estimates on their *shared* support —
-        phase 3's L back-substitution passes over the whole graph never run,
-        and the phase-2 walk budget is allocated only to nodes both walks
-        can actually meet at (nodes outside the target's reachable set
-        contribute nothing to this one entry).
+        / (1 − √c)², a pair needs the exact phase-1 hop-PPR vectors of its
+        two endpoints (one two-lane :func:`~repro.ppr.hop_ppr.hop_ppr_batch`
+        call, the same hops a single-source query stores) and the diagonal
+        estimates on their *shared* support — phase 3's L back-substitution
+        passes over the whole graph never run, and the phase-2 walk budget is
+        allocated only to nodes both walks can actually meet at (nodes
+        outside the target's reachable set contribute nothing to this one
+        entry).
         """
         source = check_node_index(source, self.graph.num_nodes, "source")
         target = check_node_index(target, self.graph.num_nodes, "target")
@@ -186,22 +190,9 @@ class ExactSim(SimRankAlgorithm):
                 score = 1.0
             else:
                 num_iterations = config.num_iterations()
-                threshold = config.truncation_threshold()
-                if threshold is not None:
-                    # Frontier-proportional local pushes (one batched call
-                    # for both endpoints): a pair pays for the two nodes'
-                    # actual neighbourhoods, not for L dense passes over the
-                    # graph — this is where the pair path beats the derived
-                    # fallback, whose phase 3 stays dense regardless.
-                    pushes = forward_push_hop_ppr_batch(
-                        self.graph, [source, target], num_iterations,
-                        threshold, decay=config.decay)
-                    hop_i = self._hop_ppr_from_push(pushes[0], num_iterations)
-                    hop_j = self._hop_ppr_from_push(pushes[1], num_iterations)
-                else:
-                    # Basic variant: no truncation, the dense phase 1.
-                    hop_i, hop_j = self._hop_ppr_batch_dense(
-                        [source, target], num_iterations)
+                hop_i, hop_j = hop_ppr_batch(self._operator, [source, target],
+                                             num_iterations,
+                                             config.truncation_threshold())
                 # Allocate exactly as the single-source pass would (same
                 # per-node R(k), hence the same D̂(k) accuracy and the same
                 # Algorithm 3 exploration depths), then drop the nodes the
@@ -232,17 +223,13 @@ class ExactSim(SimRankAlgorithm):
 
     @staticmethod
     def _pair_level_dot(hop_i, hop_j, diagonal: np.ndarray) -> float:
-        """Σ_k hop_i(k) · diagonal(k) · hop_j(k) for dense/sparse hop vectors."""
-        if isinstance(hop_i, np.ndarray) and isinstance(hop_j, np.ndarray):
-            return float(np.einsum("k,k,k->", hop_i, diagonal, hop_j))
+        """Σ_k hop_i(k) · diagonal(k) · hop_j(k) for two hops of one call.
+
+        Both are dense (basic) or both sparse (Lemma 2); a sparse pair is
+        evaluated on the shorter support, gathered from the other.
+        """
         if isinstance(hop_i, np.ndarray):
-            hop_i, hop_j = hop_j, hop_i
-        if hop_i.nnz == 0:
-            return 0.0
-        if isinstance(hop_j, np.ndarray):
-            gathered = hop_j[hop_i.indices]
-            return float(np.dot(hop_i.values * diagonal[hop_i.indices], gathered))
-        # Both sparse: evaluate the shorter support against the other.
+            return float(np.einsum("k,k,k->", hop_i, diagonal, hop_j))
         if hop_j.nnz < hop_i.nnz:
             hop_i, hop_j = hop_j, hop_i
         return float(np.sum(hop_i.values * diagonal[hop_i.indices]
@@ -251,91 +238,6 @@ class ExactSim(SimRankAlgorithm):
     # ------------------------------------------------------------------ #
     # phases
     # ------------------------------------------------------------------ #
-    #: Below this node count the batched phase 1 runs as one dense
-    #: ``P @ X`` matrix product per level (bit-identical per column to
-    #: :func:`hop_ppr_vectors`); above it, the frontier-proportional
-    #: batched push kernel wins (measured 3-4× on the 12k-node graphs).
-    _DENSE_BATCH_MAX_NODES = 4096
-
-    def _hop_ppr_batch(self, source_ids: List[int], num_iterations: int
-                       ) -> List[HopPPR]:
-        """Phase 1 for the whole batch: shared-CSR push or dense matmul.
-
-        The push kernel needs a positive truncation threshold, so it only
-        serves configurations with sparse linearization on; the basic
-        (untruncated) variant always takes the dense path, whose columns are
-        bit-identical to :func:`hop_ppr_vectors` — batching must never
-        smuggle the Lemma 2 truncation into the basic algorithm.
-        """
-        threshold = self.config.truncation_threshold()
-        if threshold is None or self.graph.num_nodes <= self._DENSE_BATCH_MAX_NODES:
-            return self._hop_ppr_batch_dense(source_ids, num_iterations)
-        pushes = forward_push_hop_ppr_batch(self.graph, source_ids,
-                                            num_iterations, threshold,
-                                            decay=self.config.decay)
-        return [self._hop_ppr_from_push(push, num_iterations) for push in pushes]
-
-    def _hop_ppr_batch_dense(self, source_ids: List[int], num_iterations: int
-                             ) -> List[HopPPR]:
-        """Dense batched phase 1: one ``√c·P @ X`` product per level.
-
-        Column ``b`` reproduces :func:`hop_ppr_vectors` for source ``b``
-        bit-for-bit (scipy's CSR-times-dense product accumulates each column
-        in the same order as the mat-vec), including the Lemma 2 per-hop
-        sparsification when it is enabled.  The sparsification itself is
-        batched: one boolean mask over the transposed (B, n) hop matrix
-        yields every column's surviving entries in a single pass (row-major
-        ``nonzero`` order is exactly each column's ascending node order), so
-        no per-column Python loop touches the dense data.
-        """
-        from repro.kernels.sparsevec import SparseVector
-
-        config = self.config
-        threshold = config.truncation_threshold()
-        num_nodes = self.graph.num_nodes
-        batch_size = len(source_ids)
-        sqrt_c = config.sqrt_c
-        residual_factor = 1.0 - sqrt_c
-        matrix = self._operator.matrix
-
-        current = np.zeros((num_nodes, batch_size), dtype=np.float64)
-        current[source_ids, np.arange(batch_size)] = 1.0
-        hops_per_source: List[List[object]] = [[] for _ in range(batch_size)]
-        totals = np.zeros((num_nodes, batch_size), dtype=np.float64)
-        for _ in range(num_iterations + 1):
-            hop_matrix = residual_factor * current
-            totals += hop_matrix
-            by_source = np.ascontiguousarray(hop_matrix.T)      # (B, n)
-            if threshold is None:
-                for b in range(batch_size):
-                    hops_per_source[b].append(by_source[b])
-            else:
-                mask = by_source >= threshold
-                rows, cols = np.nonzero(mask)                    # row-major order
-                values = by_source[mask]                         # same order
-                splits = np.searchsorted(rows, np.arange(1, batch_size))
-                for b, (idx, val) in enumerate(zip(np.split(cols, splits),
-                                                   np.split(values, splits))):
-                    hops_per_source[b].append(
-                        SparseVector(idx.astype(np.int64), val))
-            current = sqrt_c * parallel_spmm(matrix, current)
-
-        return [HopPPR(source=source, decay=config.decay, num_hops=num_iterations,
-                       hops=hops_per_source[b],
-                       total=np.ascontiguousarray(totals[:, b]),
-                       truncated=threshold is not None,
-                       truncation_threshold=threshold or 0.0)
-                for b, source in enumerate(source_ids)]
-
-    def _hop_ppr_from_push(self, push, num_iterations: int) -> HopPPR:
-        """Wrap a batched-push result in the :class:`HopPPR` container."""
-        total = np.zeros(self.graph.num_nodes, dtype=np.float64)
-        for level in push.levels:
-            level.add_into(total)
-        return HopPPR(source=push.source, decay=self.config.decay,
-                      num_hops=num_iterations, hops=list(push.levels), total=total,
-                      truncated=True, truncation_threshold=push.r_max)
-
     def _allocate_samples(self, total_weights: np.ndarray
                           ) -> tuple[np.ndarray, Dict[str, float]]:
         """Phase 2 sample allocation over ``total_weights``; returns (R(·), stats).

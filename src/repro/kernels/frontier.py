@@ -1,9 +1,9 @@
-"""Vectorized CSR frontier kernels (push / propagate / batched propagate).
+"""Vectorized CSR frontier kernels (propagate / batched propagate / probes).
 
-All three kernels share one discipline: the *frontier* — the set of nodes
-currently holding probability mass — is a :class:`~repro.kernels.sparsevec.
-SparseVector`, and one level of expansion is performed with whole-array
-operations only:
+The propagation kernels share one discipline: the *frontier* — the set of
+nodes currently holding probability mass — is a :class:`~repro.kernels.
+sparsevec.SparseVector` (or, batched, a COO triplet), and one level of
+expansion is performed with whole-array operations only:
 
 1. **slice gather** — the CSR adjacency rows of every frontier node are
    concatenated in one shot (:func:`csr_gather`) with ``np.repeat`` driving
@@ -13,9 +13,8 @@ operations only:
 3. **scatter-add** — contributions are summed per target either with a dense
    ``np.bincount`` (small graphs / dense frontiers) or a sort-based
    ``np.unique`` reduction (large graphs / sparse frontiers), both exact;
-4. **masking** — threshold filtering (the push ``r_max`` rule, Lemma 2
-   truncation) is a boolean mask over the value array instead of a per-node
-   ``if``.
+4. **masking** — threshold filtering (the probes' pruning) is a boolean
+   mask over the value array instead of a per-node ``if``.
 
 The cost of one level is therefore O(frontier edges) vectorized work — the
 same asymptotics as the seed's dict loops with a ~10-100× smaller constant.
@@ -31,7 +30,7 @@ keep the COO steps' bits.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -84,50 +83,6 @@ def _scatter_add(keys: np.ndarray, weights: np.ndarray, key_space: int
     return out_keys, sums
 
 
-class PushLevel(NamedTuple):
-    """Outcome of one :func:`push_frontier` level."""
-
-    emitted: SparseVector        # (1 − √c)·mass recorded at this level
-    frontier: SparseVector       # residual forwarded to the next level
-    dropped_mass: float          # sub-threshold mass removed by the r_max mask
-    absorbed_mass: float         # mass lost at dangling nodes (plus the
-                                 # horizon tail when expand=False)
-    pushed_entries: int          # nodes that passed the threshold
-    traversed_edges: int         # CSR entries gathered at this level
-
-
-def push_frontier(indptr: np.ndarray, indices: np.ndarray, frontier: SparseVector,
-                  *, r_max: float, sqrt_c: float, num_nodes: int,
-                  expand: bool = True) -> PushLevel:
-    """One level of Andersen-Chung-Lang style local push, vectorized.
-
-    Every frontier entry with ``mass >= r_max`` emits ``(1 − √c)·mass`` as an
-    estimate and forwards ``√c·mass/d(v)`` to each CSR neighbour; entries
-    below the threshold are dropped (their total is reported so callers can
-    do exact mass accounting).  With ``expand=False`` (the final hop) the
-    surviving continuation mass ``√c·mass`` is reported as absorbed instead
-    of being forwarded.
-    """
-    below = frontier.values < r_max
-    dropped = float(frontier.values[below].sum())
-    nodes = frontier.indices[~below]
-    mass = frontier.values[~below]
-
-    emitted = SparseVector(nodes, (1.0 - sqrt_c) * mass)
-    pushed = int(nodes.shape[0])
-    if not expand:
-        return PushLevel(emitted, SparseVector.empty(), dropped,
-                         float(sqrt_c * mass.sum()), pushed, 0)
-
-    targets, counts = csr_gather(indptr, indices, nodes)
-    dangling = counts == 0
-    absorbed = float(sqrt_c * mass[dangling].sum())
-    shares = np.repeat(sqrt_c * mass / np.maximum(counts, 1), counts)
-    next_idx, next_vals = _scatter_add(targets, shares, num_nodes)
-    return PushLevel(emitted, SparseVector(next_idx, next_vals), dropped,
-                     absorbed, pushed, int(counts.sum()))
-
-
 def propagate_distribution(indptr: np.ndarray, indices: np.ndarray,
                            frontier: SparseVector, *, num_nodes: int
                            ) -> Tuple[SparseVector, int]:
@@ -142,58 +97,6 @@ def propagate_distribution(indptr: np.ndarray, indices: np.ndarray,
     shares = np.repeat(frontier.values / np.maximum(counts, 1), counts)
     new_idx, new_vals = _scatter_add(targets, shares, num_nodes)
     return SparseVector(new_idx, new_vals), int(counts.sum())
-
-
-class BatchPushLevel(NamedTuple):
-    """Outcome of one :func:`push_frontier_batch` level.
-
-    The emitted estimates and the next frontier are COO triplets (batch row,
-    node, value); the accounting fields are per-row arrays of length
-    ``num_rows`` so callers can do exact mass accounting per source.
-    """
-
-    emit_rows: np.ndarray
-    emit_cols: np.ndarray
-    emit_values: np.ndarray
-    rows: np.ndarray             # next frontier (empty when expand=False)
-    cols: np.ndarray
-    values: np.ndarray
-    dropped_mass: np.ndarray     # per-row sub-threshold mass
-    absorbed_mass: np.ndarray    # per-row dangling (+ horizon tail) mass
-    pushed_entries: np.ndarray   # per-row entries that passed the threshold
-    traversed_edges: int
-
-
-def push_frontier_batch(indptr: np.ndarray, indices: np.ndarray,
-                        rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                        *, r_max: float, sqrt_c: float, num_nodes: int,
-                        num_rows: int, expand: bool = True) -> BatchPushLevel:
-    """One local-push level of B stacked sources through shared CSR slices.
-
-    The batched analogue of :func:`push_frontier` with identical mass
-    accounting per batch row — the ``sum(estimates) + residual == 1``
-    invariant is enforced here for both the single-source and the batched
-    push so the rule lives in exactly one module.
-    """
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
-    below = values < r_max
-    dropped = np.bincount(rows[below], weights=values[below], minlength=num_rows)
-    rows, cols, values = rows[~below], cols[~below], values[~below]
-    emit = (rows, cols, (1.0 - sqrt_c) * values)
-    pushed = np.bincount(rows, minlength=num_rows)
-    if not expand:
-        absorbed = np.bincount(rows, weights=sqrt_c * values, minlength=num_rows)
-        return BatchPushLevel(*emit, empty_i, empty_i, empty_f,
-                              dropped, absorbed, pushed, 0)
-    counts = indptr[cols + 1] - indptr[cols]
-    dangling = counts == 0
-    absorbed = np.bincount(rows[dangling], weights=sqrt_c * values[dangling],
-                           minlength=num_rows)
-    next_rows, next_cols, next_vals, traversed = propagate_batch(
-        indptr, indices, rows, cols, sqrt_c * values, num_nodes=num_nodes)
-    return BatchPushLevel(*emit, next_rows, next_cols, next_vals,
-                          dropped, absorbed, pushed, traversed)
 
 
 def propagate_batch(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
@@ -319,14 +222,10 @@ def _accumulate_dense_probes(operator: "TransitionOperator", rows: np.ndarray,
 
 
 __all__ = [
-    "BatchPushLevel",
     "DENSE_PROBE_FILL",
-    "PushLevel",
     "accumulate_probes",
     "csr_gather",
     "propagate_batch",
     "propagate_batch_transpose",
     "propagate_distribution",
-    "push_frontier",
-    "push_frontier_batch",
 ]

@@ -5,23 +5,24 @@ threaded kernel paths.  Threads (not processes) suffice because both spend
 their time in C code that releases the GIL:
 
 * ``parallel_spmm`` — column blocks of one CSR×dense product (the
-  per-level products of ExactSim, SLING and Linearization, both index
-  builds of ``dense_lane_levels``, and the dense steps of the probe kernel
+  per-level products of ExactSim, SLING and Linearization, every caller of
+  ``dense_lane_levels``, and the dense steps of the probe kernel
   :func:`repro.kernels.frontier.accumulate_probes`).  A PL200K (200k × 8)
   product takes 17.5 ms at 2 threads vs 23.5 ms at 1.
 * ``pair_meet_counts`` (:mod:`repro.randomwalk.aggregate`) — one chunk of
   at most ``PAIR_CHUNK`` walk pairs per task.
 
-``dense_lane_levels`` is the all-sources propagation behind two index
-builds: PRSim's hub vectors (``Pᵀ`` over the hubs) and SLING's hop
-matrices (``P`` over every node).  It carries unit lanes as the columns of
-one dense (n × lanes) state per chunk of at most :data:`DENSE_LANE_BYTES`,
-advanced by one ``parallel_spmm`` per level, so its working set is bounded
-at any n.  Exact lane states fill within a few levels, where the dense
-product beats a sparse × sparse one: at one thread on a 2-core box,
-SLING's DB build (ε = 1e-3) went 83 → 20 s and 2.2 → 0.27 GB peak RSS.
-:func:`pruned_lane_levels` stores what both builds keep of it: per level,
-one CSR matrix with a row per lane.
+``dense_lane_levels`` is the all-sources propagation behind ExactSim's
+phase 1 (``P`` over a batch's sources, :func:`repro.ppr.hop_ppr.
+hop_ppr_batch`) and two index builds: PRSim's hub vectors (``Pᵀ`` over the
+hubs) and SLING's hop matrices (``P`` over every node).  It carries unit
+lanes as the columns of one dense (n × lanes) state per chunk of at most
+:data:`DENSE_LANE_BYTES`, advanced by one ``parallel_spmm`` per level, so
+its working set is bounded at any n.  Exact lane states fill within a few
+levels, where the dense product beats a sparse × sparse one: at one thread
+on a 2-core box, SLING's DB build (ε = 1e-3) went 83 → 20 s and 2.2 →
+0.27 GB peak RSS.  :func:`pruned_lane_levels` stores what both builds keep
+of it: per level, one CSR matrix with a row per lane.
 
 All three are bit-identical at any thread count.  scipy's ``csr_matvecs``
 walks each row's nonzeros in order whichever columns share the call, so a

@@ -1,26 +1,11 @@
-"""Personalized-PageRank substrate: ℓ-hop PPR vectors, local push, PageRank."""
+"""Personalized-PageRank substrate: ℓ-hop PPR vectors and PageRank."""
 
-from repro.ppr.hop_ppr import (
-    HopPPR,
-    hop_ppr_vectors,
-    hitting_probability_vectors,
-    ppr_vector,
-)
-from repro.ppr.push import (
-    forward_push_hop_ppr,
-    forward_push_hop_ppr_batch,
-    PushResult,
-)
-from repro.ppr.pagerank import pagerank, personalized_pagerank_power
+from repro.ppr.hop_ppr import HopPPR, hop_ppr_batch, hop_ppr_vectors
+from repro.ppr.pagerank import pagerank
 
 __all__ = [
     "HopPPR",
+    "hop_ppr_batch",
     "hop_ppr_vectors",
-    "hitting_probability_vectors",
-    "ppr_vector",
-    "forward_push_hop_ppr",
-    "forward_push_hop_ppr_batch",
-    "PushResult",
     "pagerank",
-    "personalized_pagerank_power",
 ]

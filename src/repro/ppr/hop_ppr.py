@@ -12,19 +12,22 @@ the back-substitution of lines 9-12; the *sparse linearization* optimisation
 
 This module provides both the dense and the truncated (sparse) form behind a
 single :class:`HopPPR` container so the core algorithm can switch between
-them with a flag.
+them with a flag.  :func:`hop_ppr_batch` is ExactSim's phase 1: every
+source of a batch as one dense lane, propagated exactly, with the truncation
+applied only to what is stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.sparse import sparsify_to_vector
 from repro.graph.digraph import DiGraph
 from repro.graph.transition import TransitionOperator
+from repro.kernels.parallel import dense_lane_levels
 from repro.kernels.sparsevec import SparseVector
 from repro.utils.validation import check_node_index, check_positive, check_positive_int
 
@@ -125,48 +128,53 @@ def hop_ppr_vectors(graph: DiGraph, source: int, num_hops: int, *, decay: float 
                   truncation_threshold=truncation_threshold or 0.0)
 
 
-def hitting_probability_vectors(graph: DiGraph, source: int, num_hops: int, *,
-                                decay: float = 0.6,
-                                operator: Optional[TransitionOperator] = None
-                                ) -> np.ndarray:
-    """The ℓ-hop hitting-probability vectors h_i^ℓ = (√c P)^ℓ e_i (dense).
+def hop_ppr_batch(operator: TransitionOperator, sources: Sequence[int],
+                  num_hops: int, threshold: Optional[float]) -> List[HopPPR]:
+    """:func:`hop_ppr_vectors` for every source at once, bit for bit.
 
-    These differ from the ℓ-hop PPR vectors only by the missing (1 − √c)
-    stopping factor (Table 1) and are convenient for validating the walk
-    engine and the PRSim baseline.
+    Each source is one unit lane of
+    :func:`~repro.kernels.parallel.dense_lane_levels`, advanced by one
+    ``√c·P @ X`` product per level; scipy's CSR-times-dense product
+    accumulates each column in the mat-vec's order, so lane ``b`` reproduces
+    ``hop_ppr_vectors(..., truncation_threshold=threshold)`` for
+    ``sources[b]`` exactly.  Propagation is exact: ``threshold`` (Lemma 2's,
+    or ``None`` for dense hops) decides only which entries each stored hop
+    keeps, never what the next level receives.  The sparsification is
+    batched: one boolean mask over the transposed (lanes, n) hop matrix
+    yields every lane's surviving entries in a single pass (row-major
+    ``nonzero`` order is each lane's ascending node order).
     """
-    source = check_node_index(source, graph.num_nodes, "source")
-    ops = operator if operator is not None else TransitionOperator(graph, decay)
-    current = np.zeros(graph.num_nodes, dtype=np.float64)
-    current[source] = 1.0
-    rows = [current.copy()]
-    for _ in range(num_hops):
-        current = ops.decayed_backward(current)
-        rows.append(current.copy())
-    return np.vstack(rows)
+    num_hops = check_positive_int(num_hops, "num_hops", minimum=0)
+    if threshold is not None:
+        check_positive(threshold, "threshold")
+    num_nodes = operator.graph.num_nodes
+    starts = np.array([check_node_index(s, num_nodes, "source") for s in sources],
+                      dtype=np.int64)
+    residual_factor = 1.0 - operator.sqrt_c
+    hops: List[List[object]] = [[] for _ in range(starts.shape[0])]
+    totals = np.zeros((num_nodes, starts.shape[0]), dtype=np.float64)
+    for first, _, state in dense_lane_levels(operator.matrix, starts, num_hops,
+                                             operator.sqrt_c):
+        lanes = state.shape[1]
+        hop_matrix = residual_factor * state
+        totals[:, first:first + lanes] += hop_matrix
+        by_lane = np.ascontiguousarray(hop_matrix.T)            # (lanes, n)
+        if threshold is None:
+            for b in range(lanes):
+                hops[first + b].append(by_lane[b])
+            continue
+        mask = by_lane >= threshold
+        rows, cols = np.nonzero(mask)                            # row-major order
+        splits = np.searchsorted(rows, np.arange(1, lanes))
+        for b, (idx, val) in enumerate(zip(np.split(cols, splits),
+                                           np.split(by_lane[mask], splits))):
+            hops[first + b].append(SparseVector(idx.astype(np.int64), val))
+
+    return [HopPPR(source=int(source), decay=operator.decay, num_hops=num_hops,
+                   hops=hops[b], total=np.ascontiguousarray(totals[:, b]),
+                   truncated=threshold is not None,
+                   truncation_threshold=threshold or 0.0)
+            for b, source in enumerate(starts)]
 
 
-def ppr_vector(graph: DiGraph, source: int, *, decay: float = 0.6,
-               tolerance: float = 1e-12, max_hops: int = 200,
-               operator: Optional[TransitionOperator] = None) -> np.ndarray:
-    """The full Personalized PageRank vector π_i = Σ_ℓ π_i^ℓ to high precision.
-
-    Iterates hops until the remaining walk mass (which decays as c^{ℓ/2})
-    drops below ``tolerance``.
-    """
-    source = check_node_index(source, graph.num_nodes, "source")
-    check_positive(tolerance, "tolerance")
-    ops = operator if operator is not None else TransitionOperator(graph, decay)
-    residual_factor = 1.0 - ops.sqrt_c
-    current = np.zeros(graph.num_nodes, dtype=np.float64)
-    current[source] = 1.0
-    total = np.zeros(graph.num_nodes, dtype=np.float64)
-    for _ in range(max_hops):
-        total += residual_factor * current
-        current = ops.decayed_backward(current)
-        if current.sum() < tolerance:
-            break
-    return total
-
-
-__all__ = ["HopPPR", "hop_ppr_vectors", "hitting_probability_vectors", "ppr_vector"]
+__all__ = ["HopPPR", "hop_ppr_batch", "hop_ppr_vectors"]

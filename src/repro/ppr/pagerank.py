@@ -1,21 +1,16 @@
-"""Global PageRank and power-iteration Personalized PageRank.
+"""Global PageRank by power iteration.
 
 PRSim's average-case complexity is stated in terms of ‖π‖² where π is the
-*global* PageRank vector; the experiments report it for context, and the
-dataset-report example prints it.  Power-iteration PPR with a restart vector
-is also the textbook "exact" method the paper cites as precedent for
-computing PageRank ground truths in O(m log 1/ε) time.
+*global* PageRank vector; PRSim picks its hubs by it, and the dataset-report
+example prints it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.graph.transition import TransitionOperator
-from repro.utils.validation import check_probability, check_positive, check_vector_length
+from repro.utils.validation import check_probability, check_positive
 
 
 def pagerank(graph: DiGraph, *, damping: float = 0.85, tolerance: float = 1e-10,
@@ -47,31 +42,4 @@ def pagerank(graph: DiGraph, *, damping: float = 0.85, tolerance: float = 1e-10,
     return rank
 
 
-def personalized_pagerank_power(graph: DiGraph, restart: np.ndarray, *,
-                                alpha: float = 0.2, tolerance: float = 1e-12,
-                                max_iterations: int = 500,
-                                operator: Optional[TransitionOperator] = None,
-                                decay: float = 0.6) -> np.ndarray:
-    """Personalized PageRank with restart distribution ``restart`` on reverse edges.
-
-    Solves π = α·restart + (1 − α)·P·π by power iteration, where ``P`` is the
-    reverse transition matrix (the direction √c-walks move).  With
-    α = 1 − √c this equals Σ_ℓ (1 − √c)(√c P)^ℓ restart, i.e. the PPR vectors
-    used throughout the paper.
-    """
-    restart = check_vector_length(np.asarray(restart, dtype=np.float64), graph.num_nodes,
-                                  "restart")
-    check_probability(alpha, "alpha", inclusive_low=False, inclusive_high=False)
-    ops = operator if operator is not None else TransitionOperator(graph, decay)
-
-    rank = restart.copy()
-    for _ in range(max_iterations):
-        updated = alpha * restart + (1.0 - alpha) * ops.step_backward(rank)
-        if np.abs(updated - rank).sum() < tolerance:
-            rank = updated
-            break
-        rank = updated
-    return rank
-
-
-__all__ = ["pagerank", "personalized_pagerank_power"]
+__all__ = ["pagerank"]

@@ -1,188 +1,13 @@
-"""Local (forward) push computation of ℓ-hop PPR vectors.
+"""The old name of ExactSim's phase 1, kept for one reader.
 
-PRSim precomputes ℓ-hop PPR values π_j^ℓ(k) for target nodes with a *local
-push* algorithm (Andersen-Chung-Lang style) instead of full matrix-vector
-products: mass below a threshold ``r_max`` is never propagated, so the work
-is proportional to the number of entries above the threshold rather than to
-the graph size.  The same primitive powers the ProbeSim-style baseline.
-
-Push operates on the reverse edges (a √c-walk moves to in-neighbours), so a
-node's residual is spread over its in-neighbours weighted by 1/d_in.
-
-Frontier-kernel design
-----------------------
-Each hop is one call into :func:`repro.kernels.push_frontier`: the residual
-frontier lives in an array-backed :class:`~repro.kernels.SparseVector`, the
-``r_max`` rule is a boolean mask, the in-neighbour slices of every surviving
-node are gathered from the dual-CSR arrays in a single ``np.repeat`` pass and
-scattered back with ``np.bincount``.  No Python loop touches an edge; the
-cost per level is O(frontier edges) of vectorized work.  Mass accounting is
-exact: sub-threshold drops, dangling-node absorption and the tail beyond the
-hop horizon are accumulated into ``residual_mass``, so
-``sum(estimates) + residual_mass == 1`` up to round-off.
-
-:func:`forward_push_hop_ppr_batch` pushes B sources *simultaneously* through
-shared CSR slices (one gather per level for the whole batch) — the variant
-the experiment harness uses when it precomputes many query sources at once.
+``perfbench/layers.py`` rebinds ``forward_push_hop_ppr_batch`` as its
+``ppr.push`` layer; the tracer then wraps every module attribute holding this
+object, so the span covers :func:`~repro.ppr.hop_ppr.hop_ppr_batch` wherever
+it is called.  The alias goes once the benchmark names the new function.
 """
 
-from __future__ import annotations
+from repro.ppr.hop_ppr import hop_ppr_batch
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+forward_push_hop_ppr_batch = hop_ppr_batch
 
-import numpy as np
-
-from repro.graph.digraph import DiGraph
-from repro.kernels.frontier import push_frontier, push_frontier_batch
-from repro.kernels.sparsevec import SparseVector
-from repro.utils.validation import check_node_index, check_positive, check_positive_int
-
-
-@dataclass
-class PushResult:
-    """Sparse ℓ-hop PPR approximation produced by :func:`forward_push_hop_ppr`.
-
-    ``levels[ℓ]`` is the array-backed sparse vector of approximate
-    π_source^ℓ values; every true value is underestimated by at most
-    ``r_max`` (standard push guarantee).  ``residual_mass`` accounts for all
-    mass that never became an estimate — sub-threshold drops, dangling-node
-    absorption and the tail beyond the hop horizon — so
-    ``sum of estimates + residual_mass == 1`` up to round-off.
-
-    ``estimates`` is kept as a backward-compatible view: a list of plain
-    ``dict``s materialized lazily from the arrays.
-    """
-
-    source: int
-    decay: float
-    r_max: float
-    levels: List[SparseVector]
-    residual_mass: float
-    pushed_entries: int
-    _estimates: List[Dict[int, float]] = field(default=None, repr=False, compare=False)
-
-    @property
-    def estimates(self) -> List[Dict[int, float]]:
-        """Per-hop ``node → value`` dict views of :attr:`levels` (lazy)."""
-        if self._estimates is None:
-            self._estimates = [level.to_dict() for level in self.levels]
-        return self._estimates
-
-    def hop_dense(self, level: int, num_nodes: int) -> np.ndarray:
-        vector = np.zeros(num_nodes, dtype=np.float64)
-        if 0 <= level < len(self.levels):
-            vector[self.levels[level].indices] = self.levels[level].values
-        return vector
-
-    def total_dense(self, num_nodes: int) -> np.ndarray:
-        vector = np.zeros(num_nodes, dtype=np.float64)
-        for level in self.levels:
-            level.add_into(vector)
-        return vector
-
-    def memory_bytes(self) -> int:
-        """Actual storage of the array-backed representation.
-
-        8 bytes per int64 index + 8 bytes per float64 value per stored entry,
-        plus the (tiny) per-level array object overhead — unlike the seed's
-        ``entries * 16`` guess over dicts, this is the real payload since the
-        entries *are* contiguous arrays now.
-        """
-        return sum(level.memory_bytes() for level in self.levels)
-
-
-def forward_push_hop_ppr(graph: DiGraph, source: int, num_hops: int, r_max: float, *,
-                         decay: float = 0.6) -> PushResult:
-    """Compute truncated ℓ-hop PPR vectors of ``source`` by local push.
-
-    Residual mass ``r^ℓ(v)`` is maintained per (hop, node).  A push at hop ℓ
-    converts the residual into an estimate contribution of (1 − √c)·r and
-    forwards √c·r/d_in(v) of residual to each in-neighbour at hop ℓ+1.
-    Residuals below ``r_max`` are dropped, bounding the error of every
-    estimated entry by the accumulated dropped mass ≤ r_max per entry in the
-    usual push analysis; the drops — together with mass absorbed at dangling
-    nodes and the un-stopped tail beyond hop ``num_hops`` — are accumulated
-    once into ``residual_mass`` so the full unit of walk mass is accounted
-    for.  Each hop is one vectorized :func:`repro.kernels.push_frontier`
-    call over the reverse CSR arrays.
-    """
-    source = check_node_index(source, graph.num_nodes, "source")
-    num_hops = check_positive_int(num_hops, "num_hops", minimum=0)
-    check_positive(r_max, "r_max")
-
-    sqrt_c = float(np.sqrt(decay))
-    frontier = SparseVector(np.array([source], dtype=np.int64),
-                            np.array([1.0], dtype=np.float64))
-    levels: List[SparseVector] = []
-    residual_mass = 0.0
-    pushed_entries = 0
-    for level in range(num_hops + 1):
-        step = push_frontier(graph.in_indptr, graph.in_indices, frontier,
-                             r_max=r_max, sqrt_c=sqrt_c, num_nodes=graph.num_nodes,
-                             expand=level < num_hops)
-        levels.append(step.emitted)
-        residual_mass += step.dropped_mass + step.absorbed_mass
-        pushed_entries += step.pushed_entries
-        frontier = step.frontier
-
-    return PushResult(source=source, decay=decay, r_max=r_max, levels=levels,
-                      residual_mass=residual_mass, pushed_entries=pushed_entries)
-
-
-def forward_push_hop_ppr_batch(graph: DiGraph, sources: Sequence[int], num_hops: int,
-                               r_max: float, *, decay: float = 0.6
-                               ) -> List[PushResult]:
-    """Push B sources simultaneously through shared CSR slices.
-
-    Equivalent to ``[forward_push_hop_ppr(graph, s, ...) for s in sources]``
-    but with one gather/scatter pass per level for the whole batch: the COO
-    frontier ``(batch row, node, mass)`` is expanded in a single
-    ``np.repeat`` over the shared reverse-CSR arrays and re-aggregated per
-    ``(row, node)`` key, so the per-source overhead of B separate Python
-    loops collapses into B-fold wider array operations.
-    """
-    num_hops = check_positive_int(num_hops, "num_hops", minimum=0)
-    check_positive(r_max, "r_max")
-    source_ids = [check_node_index(int(s), graph.num_nodes, "source") for s in sources]
-    batch_size = len(source_ids)
-    if batch_size == 0:
-        return []
-
-    sqrt_c = float(np.sqrt(decay))
-
-    rows = np.arange(batch_size, dtype=np.int64)
-    cols = np.asarray(source_ids, dtype=np.int64)
-    vals = np.ones(batch_size, dtype=np.float64)
-
-    # Per-level emitted triplets plus per-source accounting accumulators.
-    emitted: List[tuple] = []
-    residual_mass = np.zeros(batch_size, dtype=np.float64)
-    pushed_entries = np.zeros(batch_size, dtype=np.int64)
-
-    for level in range(num_hops + 1):
-        step = push_frontier_batch(graph.in_indptr, graph.in_indices,
-                                   rows, cols, vals, r_max=r_max, sqrt_c=sqrt_c,
-                                   num_nodes=graph.num_nodes,
-                                   num_rows=batch_size,
-                                   expand=level < num_hops)
-        emitted.append((step.emit_rows, step.emit_cols, step.emit_values))
-        residual_mass += step.dropped_mass + step.absorbed_mass
-        pushed_entries += step.pushed_entries
-        rows, cols, vals = step.rows, step.cols, step.values
-
-    results: List[PushResult] = []
-    for b, source in enumerate(source_ids):
-        levels = []
-        for level_rows, level_cols, level_vals in emitted:
-            lo = int(np.searchsorted(level_rows, b))
-            hi = int(np.searchsorted(level_rows, b + 1))
-            levels.append(SparseVector(level_cols[lo:hi], level_vals[lo:hi]))
-        results.append(PushResult(source=source, decay=decay, r_max=r_max,
-                                  levels=levels,
-                                  residual_mass=float(residual_mass[b]),
-                                  pushed_entries=int(pushed_entries[b])))
-    return results
-
-
-__all__ = ["PushResult", "forward_push_hop_ppr", "forward_push_hop_ppr_batch"]
+__all__ = ["forward_push_hop_ppr_batch"]

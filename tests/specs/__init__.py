@@ -19,7 +19,9 @@ no caller of the library needs them, and they live here instead of in
 * :mod:`specs.probes` — PRSim's per-hub reverse walks and ProbeSim's
   per-node probes;
 * :mod:`specs.hop_matrices` — SLING's hop matrices by sparse × sparse
-  products.
+  products;
+* :mod:`specs.ppr` — hitting probabilities, converged PPR vectors and
+  power-iteration PPR, the references for :mod:`repro.ppr.hop_ppr`.
 
 ``tests/`` is on ``sys.path`` under pytest, so tests import these as
 ``from specs.walks import ReferenceWalkEngine``.  A script outside

@@ -1,8 +1,7 @@
 """Dict-based reference implementations of the frontier kernels.
 
-These are the seed's original pure-Python loops, preserved verbatim (modulo
-the exact mass accounting the vectorized kernels added) as *executable
-specifications*: ``tests/test_kernels.py`` asserts that the array kernels in
+These are the seed's original pure-Python loops, preserved verbatim as
+*executable specifications*: ``tests/test_kernels.py`` asserts that the array kernels in
 :mod:`repro.kernels.frontier` reproduce them to 1e-12 on random power-law
 graphs including dangling nodes and self-loops.  They are deliberately slow —
 never call them from production paths.
@@ -24,42 +23,6 @@ from repro.kernels.frontier import _scatter_add, csr_gather
 from repro.kernels.sparsevec import SparseVector
 
 Distribution = Dict[int, float]
-
-
-def _reference_push_frontier(graph: DiGraph, frontier: Distribution, *,
-                             r_max: float, sqrt_c: float, expand: bool = True
-                             ) -> Tuple[Distribution, Distribution, float, float, int, int]:
-    """One push level, neighbour-by-neighbour (the seed's inner loop).
-
-    Returns ``(emitted, next_frontier, dropped, absorbed, pushed, traversed)``
-    mirroring :class:`repro.kernels.frontier.PushLevel`.
-    """
-    stop_probability = 1.0 - sqrt_c
-    emitted: Distribution = defaultdict(float)
-    next_frontier: Distribution = defaultdict(float)
-    dropped = 0.0
-    absorbed = 0.0
-    pushed = 0
-    traversed = 0
-    for node, mass in frontier.items():
-        if mass < r_max:
-            dropped += mass
-            continue
-        emitted[node] += stop_probability * mass
-        pushed += 1
-        if not expand:
-            absorbed += sqrt_c * mass
-            continue
-        neighbors = graph.in_neighbors(node)
-        degree = neighbors.shape[0]
-        if degree == 0:
-            absorbed += sqrt_c * mass
-            continue
-        share = sqrt_c * mass / degree
-        traversed += degree
-        for neighbor in neighbors:
-            next_frontier[int(neighbor)] += share
-    return dict(emitted), dict(next_frontier), dropped, absorbed, pushed, traversed
 
 
 def _reference_propagate_distribution(graph: DiGraph, distribution: Distribution
@@ -130,37 +93,10 @@ def _reference_propagate_batch(graph: DiGraph,
     return results, traversed
 
 
-def _reference_forward_push_hop_ppr(graph: DiGraph, source: int, num_hops: int,
-                                    r_max: float, *, decay: float = 0.6
-                                    ) -> Tuple[List[Distribution], float, int]:
-    """The seed's full ``forward_push_hop_ppr`` loop with exact accounting.
-
-    Returns ``(estimates, residual_mass, pushed_entries)``; ``residual_mass``
-    includes sub-threshold drops, dangling-node absorption and the horizon
-    tail so ``sum(estimates) + residual_mass == 1`` up to round-off.
-    """
-    import numpy as np
-
-    sqrt_c = float(np.sqrt(decay))
-    estimates: List[Distribution] = []
-    residual: Distribution = {source: 1.0}
-    residual_mass = 0.0
-    pushed_entries = 0
-    for level in range(num_hops + 1):
-        emitted, residual, dropped, absorbed, pushed, _ = _reference_push_frontier(
-            graph, residual, r_max=r_max, sqrt_c=sqrt_c, expand=level < num_hops)
-        estimates.append(emitted)
-        residual_mass += dropped + absorbed
-        pushed_entries += pushed
-    return estimates, residual_mass, pushed_entries
-
-
 __all__ = [
     "Distribution",
-    "_reference_forward_push_hop_ppr",
     "_reference_propagate_batch",
     "_reference_propagate_distribution",
     "_reference_propagate_transpose",
-    "_reference_push_frontier",
     "propagate_transpose",
 ]

@@ -14,9 +14,9 @@ from repro.diagonal.local import (
 from repro.diagonal.parsim_approx import parsim_diagonal
 from repro.graph.digraph import DiGraph
 from repro.graph.transition import reverse_transition_matrix
-from repro.ppr.hop_ppr import ppr_vector
 from specs.algorithm3 import first_meeting_probabilities
 from specs.exact_diagonal import exact_diagonal, exact_diagonal_entry
+from specs.ppr import ppr_vector
 
 DECAY = 0.6
 

@@ -258,61 +258,68 @@ class TestAlgorithmInterface:
         assert engine._operator is context.operator(DECAY)
 
 
-class TestBatchedPushPath:
-    """Above _DENSE_BATCH_MAX_NODES the batch rides the push kernel."""
+class TestExactPhaseOneAtScale:
+    """Phase 1 is exact on graphs of any size, not only on small ones.
+
+    5,000 nodes is above the 4,096 where phase 1 once switched to a local
+    push that dropped every residual below Lemma 2's threshold."""
 
     @pytest.fixture(scope="class")
     def large_graph(self):
         from repro.graph.generators import power_law_graph
         return power_law_graph(5_000, 4.0, directed=False, seed=33)
 
-    def test_push_path_selected_and_close_to_dense_phase_1(self, large_graph):
-        assert large_graph.num_nodes > ExactSim._DENSE_BATCH_MAX_NODES
-        epsilon = 5e-2
-        config = ExactSimConfig(epsilon=epsilon, decay=DECAY, seed=5,
-                                max_total_samples=20_000)
-        sources = [3, 11]
-        pushed = ExactSim(large_graph, config).single_source_batch(sources)
-        # The reference runs phase 1 as the dense recursion on the same graph.
-        reference = ExactSim(large_graph, config)
-        reference._DENSE_BATCH_MAX_NODES = large_graph.num_nodes
-        dense = reference.single_source_batch(sources)
-        for push_result, dense_result in zip(pushed, dense):
-            # Both are within ε of the truth, so they agree within 2ε.
-            difference = np.max(np.abs(push_result.scores - dense_result.scores))
-            assert difference <= 2 * epsilon
-            # The push path stores truncated sparse hops, not dense columns.
-            assert push_result.stats["ppr_nonzero_entries"] > 0
+    @pytest.mark.parametrize("variant", [ExactSimConfig, ExactSimConfig.basic],
+                             ids=["exactsim", "exactsim-basic"])
+    def test_batch_hops_equal_per_source_hops(self, large_graph, variant):
+        from repro.ppr.hop_ppr import hop_ppr_batch, hop_ppr_vectors
 
-    def test_basic_batch_never_truncates(self, large_graph):
-        """Batched exactsim-basic must stay the untruncated basic algorithm."""
-        from repro.ppr.hop_ppr import hop_ppr_vectors
-
-        epsilon = 5e-2
-        config = ExactSimConfig.basic(epsilon=epsilon, decay=DECAY, seed=5,
-                                      max_total_samples=5_000)
+        config = variant(epsilon=5e-2, decay=DECAY, seed=5,
+                         max_total_samples=5_000)
+        threshold = config.truncation_threshold()
         sources = [3, 11]
         engine = ExactSim(large_graph, config)
         iterations = config.num_iterations()
-        # Phase 1 of the batch is the dense recursion: every hop vector must
-        # be bit-identical to the sequential path and never truncated —
-        # batching must not smuggle the Lemma 2 truncation into the basic
-        # algorithm.
-        batched_hops = engine._hop_ppr_batch(sources, iterations)
-        for source, hop_ppr in zip(sources, batched_hops):
-            reference = hop_ppr_vectors(large_graph, source, iterations,
-                                        decay=DECAY, truncation_threshold=None,
-                                        operator=engine._operator)
-            assert not hop_ppr.truncated
+        references = [hop_ppr_vectors(large_graph, source, iterations,
+                                      decay=DECAY,
+                                      truncation_threshold=threshold,
+                                      operator=engine._operator)
+                      for source in sources]
+        batched = hop_ppr_batch(engine._operator, sources, iterations, threshold)
+        for hop_ppr, reference in zip(batched, references):
+            assert hop_ppr.truncated == (threshold is not None)
+            assert np.array_equal(hop_ppr.total, reference.total)
             for level in range(iterations + 1):
                 assert np.array_equal(hop_ppr.hop_dense(level),
                                       reference.hop_dense(level))
-        # Phase 2 is one aggregated sampling call for the whole batch (its
-        # RNG stream differs from the per-source loop), so end-to-end the
-        # batch agrees with the sequential loop within the ε guarantee.
-        sequential = [ExactSim(large_graph, config).single_source(s)
-                      for s in sources]
-        batched = ExactSim(large_graph, config).single_source_batch(sources)
-        for loop_result, batch_result in zip(sequential, batched):
-            difference = np.max(np.abs(loop_result.scores - batch_result.scores))
-            assert difference <= 2 * epsilon
+        for result, reference in zip(engine.single_source_batch(sources),
+                                     references):
+            assert result.stats["ppr_squared_norm"] == reference.squared_norm
+            assert (result.stats["ppr_nonzero_entries"]
+                    == reference.nonzero_entries())
+
+
+class TestNativePairAccuracy:
+    """``single_pair`` lands within ε of PowerMethod at hubs."""
+
+    @pytest.fixture(scope="class")
+    def hub_pairs(self):
+        from repro.baselines.power_method import simrank_matrix
+        from repro.graph.generators import power_law_graph
+
+        graph = power_law_graph(2_000, 3.2, exponent=2.3, directed=False,
+                                seed=505)
+        truth = simrank_matrix(graph, decay=DECAY, tolerance=1e-6)
+        hubs = np.argsort(-graph.in_degrees, kind="stable")[:6]
+        pairs = [(int(hub), int(graph.in_neighbors(int(hub))[0]))
+                 for hub in hubs]
+        return graph, truth, pairs
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    def test_hub_pairs_within_epsilon(self, hub_pairs, epsilon):
+        graph, truth, pairs = hub_pairs
+        engine = ExactSim(graph, ExactSimConfig(epsilon=epsilon, decay=DECAY,
+                                                seed=7))
+        errors = [abs(engine.single_pair(i, j).score - truth[i, j])
+                  for i, j in pairs]
+        assert max(errors) <= epsilon

@@ -23,21 +23,16 @@ from repro.kernels.frontier import (
     propagate_batch,
     propagate_batch_transpose,
     propagate_distribution,
-    push_frontier,
 )
 from repro.kernels.sparsevec import SparseVector
-from repro.ppr.push import forward_push_hop_ppr, forward_push_hop_ppr_batch
 from specs.frontier import (
-    _reference_forward_push_hop_ppr,
     _reference_propagate_distribution,
     _reference_propagate_transpose,
-    _reference_push_frontier,
     propagate_transpose,
 )
 from specs.probes import coo_probe_batch
 
 DECAY = 0.6
-SQRT_C = float(np.sqrt(DECAY))
 TOLERANCE = 1e-12
 
 
@@ -99,52 +94,6 @@ class TestCsrGather:
         targets, counts = csr_gather(toy_graph.in_indptr, toy_graph.in_indices,
                                      np.empty(0, dtype=np.int64))
         assert targets.size == 0 and counts.size == 0
-
-
-# --------------------------------------------------------------------------- #
-# push_frontier
-# --------------------------------------------------------------------------- #
-class TestPushFrontier:
-    @settings(max_examples=40, deadline=None)
-    @given(graph=graph_strategy, seed=st.integers(0, 2**16),
-           size=st.integers(1, 40), r_max=st.sampled_from([1e-1, 1e-2, 1e-4]),
-           expand=st.booleans())
-    def test_matches_reference(self, graph, seed, size, r_max, expand):
-        frontier = _random_frontier(graph, seed, size)
-        level = push_frontier(graph.in_indptr, graph.in_indices,
-                              SparseVector.from_dict(frontier),
-                              r_max=r_max, sqrt_c=SQRT_C,
-                              num_nodes=graph.num_nodes, expand=expand)
-        emitted, nxt, dropped, absorbed, pushed, traversed = \
-            _reference_push_frontier(graph, frontier, r_max=r_max,
-                                     sqrt_c=SQRT_C, expand=expand)
-        n = graph.num_nodes
-        assert np.max(np.abs(level.emitted.to_dense(n) - _dense(emitted, n)),
-                      initial=0.0) < TOLERANCE
-        assert np.max(np.abs(level.frontier.to_dense(n) - _dense(nxt, n)),
-                      initial=0.0) < TOLERANCE
-        assert level.dropped_mass == pytest.approx(dropped, abs=TOLERANCE)
-        assert level.absorbed_mass == pytest.approx(absorbed, abs=TOLERANCE)
-        assert level.pushed_entries == pushed
-        assert level.traversed_edges == traversed
-
-    def test_empty_frontier(self, toy_graph):
-        level = push_frontier(toy_graph.in_indptr, toy_graph.in_indices,
-                              SparseVector.empty(), r_max=1e-3, sqrt_c=SQRT_C,
-                              num_nodes=toy_graph.num_nodes)
-        assert level.emitted.nnz == 0 and level.frontier.nnz == 0
-        assert level.dropped_mass == 0.0 and level.traversed_edges == 0
-
-    def test_mass_conservation_single_level(self, collab_graph):
-        frontier = _random_frontier(collab_graph, 3, 20)
-        total_in = sum(frontier.values())
-        level = push_frontier(collab_graph.in_indptr, collab_graph.in_indices,
-                              SparseVector.from_dict(frontier),
-                              r_max=1e-2, sqrt_c=SQRT_C,
-                              num_nodes=collab_graph.num_nodes)
-        total_out = (level.emitted.sum() + level.frontier.sum() +
-                     level.dropped_mass + level.absorbed_mass)
-        assert total_out == pytest.approx(total_in, abs=1e-12)
 
 
 # --------------------------------------------------------------------------- #
@@ -308,50 +257,6 @@ class TestProbeKernel:
                                    np.empty(0, dtype=np.int64),
                                    np.empty(0), 3, 1e-3, out)
         assert np.array_equal(out, np.ones(20))
-
-
-# --------------------------------------------------------------------------- #
-# full push: vectorized vs seed loop, batch vs single
-# --------------------------------------------------------------------------- #
-class TestForwardPushEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(graph=graph_strategy, source_pick=st.integers(0, 2**16),
-           num_hops=st.integers(0, 12), r_max=st.sampled_from([1e-1, 1e-3, 1e-5]))
-    def test_matches_reference_implementation(self, graph, source_pick,
-                                              num_hops, r_max):
-        source = source_pick % graph.num_nodes
-        result = forward_push_hop_ppr(graph, source, num_hops, r_max, decay=DECAY)
-        estimates, residual, pushed = _reference_forward_push_hop_ppr(
-            graph, source, num_hops, r_max, decay=DECAY)
-        assert len(result.levels) == len(estimates)
-        for level, expected in zip(result.levels, estimates):
-            assert np.max(np.abs(level.to_dense(graph.num_nodes) -
-                                 _dense(expected, graph.num_nodes)),
-                          initial=0.0) < TOLERANCE
-        assert result.residual_mass == pytest.approx(residual, abs=TOLERANCE)
-        assert result.pushed_entries == pushed
-
-    @settings(max_examples=15, deadline=None)
-    @given(graph=graph_strategy, seed=st.integers(0, 2**16),
-           num_hops=st.integers(0, 10))
-    def test_batch_matches_single_source(self, graph, seed, num_hops):
-        rng = np.random.default_rng(seed)
-        sources = rng.choice(graph.num_nodes,
-                             size=min(4, graph.num_nodes), replace=False)
-        batched = forward_push_hop_ppr_batch(graph, sources, num_hops, 1e-3,
-                                             decay=DECAY)
-        for source, result in zip(sources, batched):
-            single = forward_push_hop_ppr(graph, int(source), num_hops, 1e-3,
-                                          decay=DECAY)
-            assert np.max(np.abs(result.total_dense(graph.num_nodes) -
-                                 single.total_dense(graph.num_nodes)),
-                          initial=0.0) < TOLERANCE
-            assert result.residual_mass == pytest.approx(
-                single.residual_mass, abs=TOLERANCE)
-            assert result.pushed_entries == single.pushed_entries
-
-    def test_batch_empty_sources(self, toy_graph):
-        assert forward_push_hop_ppr_batch(toy_graph, [], 4, 1e-3) == []
 
 
 # --------------------------------------------------------------------------- #

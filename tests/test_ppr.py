@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph.transition import TransitionOperator, reverse_transition_matrix
-from repro.ppr.hop_ppr import hitting_probability_vectors, hop_ppr_vectors, ppr_vector
-from repro.ppr.pagerank import pagerank, personalized_pagerank_power
-from repro.ppr.push import forward_push_hop_ppr
+from repro.kernels import parallel
+from repro.ppr.hop_ppr import hop_ppr_batch, hop_ppr_vectors
+from repro.ppr.pagerank import pagerank
+from specs.ppr import hitting_probability_vectors, personalized_pagerank_power, ppr_vector
 
 DECAY = 0.6
 SQRT_C = np.sqrt(DECAY)
@@ -73,6 +74,31 @@ class TestHopPPR:
         assert np.allclose(first.total, second.total)
 
 
+class TestHopPPRBatch:
+    @pytest.mark.parametrize("threshold", [None, 1e-3])
+    def test_lane_chunks_match_per_source_hops(self, collab_graph, monkeypatch,
+                                               threshold):
+        """Chunks of two lanes (three chunks for five sources) change no bit."""
+        operator = TransitionOperator(collab_graph, DECAY)
+        sources = [0, 7, 3, 7, 12]
+        monkeypatch.setattr(parallel, "DENSE_LANE_BYTES",
+                            2 * 8 * collab_graph.num_nodes)
+        batched = hop_ppr_batch(operator, sources, 6, threshold)
+        for source, hop_ppr in zip(sources, batched):
+            reference = hop_ppr_vectors(collab_graph, source, 6, decay=DECAY,
+                                        truncation_threshold=threshold,
+                                        operator=operator)
+            assert hop_ppr.source == source
+            assert np.array_equal(hop_ppr.total, reference.total)
+            for level in range(7):
+                assert np.array_equal(hop_ppr.hop_dense(level),
+                                      reference.hop_dense(level))
+
+    def test_empty_batch(self, collab_graph):
+        assert hop_ppr_batch(TransitionOperator(collab_graph, DECAY), [], 4,
+                             1e-3) == []
+
+
 class TestHittingAndFullPPR:
     def test_hitting_probability_shape(self, collab_graph):
         vectors = hitting_probability_vectors(collab_graph, 0, 5, decay=DECAY)
@@ -97,70 +123,6 @@ class TestHittingAndFullPPR:
                                                   alpha=1.0 - SQRT_C, decay=DECAY,
                                                   tolerance=1e-14)
         assert np.allclose(full, alternative, atol=1e-8)
-
-
-class TestForwardPush:
-    def test_push_underestimates_dense_hops(self, collab_graph):
-        push = forward_push_hop_ppr(collab_graph, 3, 6, r_max=1e-4, decay=DECAY)
-        dense = hop_ppr_vectors(collab_graph, 3, 6, decay=DECAY)
-        for level in range(7):
-            approx = push.hop_dense(level, collab_graph.num_nodes)
-            exact = dense.hop_dense(level)
-            assert np.all(approx <= exact + 1e-12)
-
-    def test_push_error_shrinks_with_r_max(self, collab_graph):
-        dense = hop_ppr_vectors(collab_graph, 3, 6, decay=DECAY)
-        coarse = forward_push_hop_ppr(collab_graph, 3, 6, r_max=1e-2, decay=DECAY)
-        fine = forward_push_hop_ppr(collab_graph, 3, 6, r_max=1e-5, decay=DECAY)
-        coarse_error = np.abs(coarse.total_dense(collab_graph.num_nodes) - dense.total).max()
-        fine_error = np.abs(fine.total_dense(collab_graph.num_nodes) - dense.total).max()
-        assert fine_error <= coarse_error
-
-    def test_residual_plus_estimates_account_for_all_mass(self, collab_graph):
-        push = forward_push_hop_ppr(collab_graph, 3, 30, r_max=1e-3, decay=DECAY)
-        total_estimate = push.total_dense(collab_graph.num_nodes).sum()
-        # estimates + dropped residual + un-stopped tail mass ≈ 1.
-        assert total_estimate <= 1.0 + 1e-9
-        assert total_estimate + push.residual_mass <= 1.0 + 1e-6
-
-    def test_push_memory_accounting(self, collab_graph):
-        push = forward_push_hop_ppr(collab_graph, 3, 4, r_max=1e-3, decay=DECAY)
-        assert push.pushed_entries > 0
-        # Array-backed storage: one int64 index + one float64 value per entry.
-        stored_entries = sum(level.nnz for level in push.levels)
-        assert push.memory_bytes() == stored_entries * 16
-
-    def test_residual_mass_conservation_across_seeds(self):
-        """Regression: estimates + residual_mass account for the full unit of mass.
-
-        The seed implementation silently lost mass absorbed at dangling nodes
-        and the tail beyond the hop horizon; the kernel-based push accumulates
-        every drop exactly once.
-        """
-        from repro.graph.generators import power_law_graph
-        for seed in (0, 7, 42, 2020):
-            graph = power_law_graph(150, 4.0, exponent=2.1, directed=True,
-                                    seed=seed)
-            push = forward_push_hop_ppr(graph, seed % graph.num_nodes, 12,
-                                        r_max=1e-4, decay=DECAY)
-            total_estimate = push.total_dense(graph.num_nodes).sum()
-            assert total_estimate + push.residual_mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_estimates_dict_view_matches_reference(self, collab_graph):
-        """The backward-compat dict views carry the seed implementation's content."""
-        from specs.frontier import _reference_forward_push_hop_ppr
-        push = forward_push_hop_ppr(collab_graph, 3, 5, r_max=1e-3, decay=DECAY)
-        expected_levels, _, _ = _reference_forward_push_hop_ppr(
-            collab_graph, 3, 5, 1e-3, decay=DECAY)
-        assert len(push.estimates) == len(expected_levels)
-        for view, expected in zip(push.estimates, expected_levels):
-            assert set(view) == set(expected)
-            for node, value in expected.items():
-                assert view[node] == pytest.approx(value, abs=1e-12)
-
-    def test_invalid_r_max(self, collab_graph):
-        with pytest.raises(ValueError):
-            forward_push_hop_ppr(collab_graph, 3, 4, r_max=0.0)
 
 
 class TestPageRank:

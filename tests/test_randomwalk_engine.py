@@ -5,8 +5,8 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import ring_graph, star_graph
-from repro.ppr.hop_ppr import hitting_probability_vectors
 from repro.randomwalk.engine import SqrtCWalkEngine, WalkBatch
+from specs.ppr import hitting_probability_vectors
 
 DECAY = 0.6
 

@@ -50,9 +50,9 @@ CONFIGS = {
 #: through one count-aggregated engine call: four one-source calls and one
 #: four-source call draw different RNG schedules, so the batch agrees with
 #: the loop only within the ε accuracy guarantee (2ε: both sides are
-#: ε-accurate).  The push-kernel phase 1 above
-#: ``ExactSim._DENSE_BATCH_MAX_NODES`` is tolerance-tested against the
-#: dense one in tests/test_exactsim.py.
+#: ε-accurate).  Phase 1 is exact at every graph size, and
+#: tests/test_exactsim.py pins it ``==`` to the per-source hop vectors on a
+#: graph above 4,096 nodes.
 BATCH_TOLERANCE = {"exactsim": 1e-1, "exactsim-basic": 1e-1}
 
 ALL_METHODS = sorted(CONFIGS)
