@@ -5,7 +5,8 @@ baseline its evaluation depends on:
 
 * :mod:`repro.graph` — CSR directed graphs, generators, IO, dataset registry;
 * :mod:`repro.randomwalk` — vectorised √c-walk simulation;
-* :mod:`repro.ppr` — ℓ-hop Personalized PageRank, local push, PageRank;
+* :mod:`repro.ppr` — exact ℓ-hop Personalized PageRank (per source, or
+  batched as dense lanes) and PageRank;
 * :mod:`repro.diagonal` — estimators of the diagonal correction matrix D;
 * :mod:`repro.core` — the ExactSim algorithm (basic and optimized);
 * :mod:`repro.baselines` — PowerMethod, MC, Linearization, ParSim, PRSim, ProbeSim;

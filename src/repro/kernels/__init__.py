@@ -29,7 +29,8 @@ Layout:
   plus ``dense_lane_levels``, the chunked dense-lane propagation of
   ExactSim's phase 1 and of the PRSim and SLING index builds, which runs on
   ``parallel_spmm``, and ``pruned_lane_levels``, which stores its levels as
-  CSR matrices.
+  CSR matrices cut by ``pruned_rows`` (the rule ExactSim's stored hops use
+  too).
 
 The original dict-based loops are kept with the tests, in
 ``tests/specs/frontier.py``, as executable specifications for the

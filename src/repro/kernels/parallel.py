@@ -58,8 +58,10 @@ __all__ = [
     "default_num_threads",
     "dense_lane_levels",
     "get_num_threads",
+    "lane_rows",
     "parallel_spmm",
     "pruned_lane_levels",
+    "pruned_rows",
     "run_blocks",
     "set_num_threads",
 ]
@@ -247,19 +249,25 @@ def dense_lane_levels(matrix, starts: np.ndarray, iterations: int,
                 state *= scale
 
 
-def _pruned_rows(state: np.ndarray, threshold: float,
-                 snapshot_scale: float) -> sparse.csr_matrix:
-    """The lanes of ``snapshot_scale · state`` as CSR rows, keeping entries
-    ≥ ``threshold``.
+def lane_rows(state: np.ndarray, scale: float) -> np.ndarray:
+    """The lanes of ``scale · state`` as the rows of one C-ordered array.
 
-    One transpose copy makes the lane-major scan contiguous, which halves
-    the cost of the mask over a strided view, and leaves each row's column
-    indices sorted.  The temporaries die with the call, before the next
-    level's product allocates.
+    One transpose copy makes every lane-major scan contiguous, which halves
+    the cost of a mask over a strided view, and the scale is applied to that
+    copy in place.
     """
     rows = np.array(state.T, order="C")
-    if snapshot_scale != 1.0:
-        rows *= snapshot_scale
+    if scale != 1.0:
+        rows *= scale
+    return rows
+
+
+def pruned_rows(rows: np.ndarray, threshold: float) -> sparse.csr_matrix:
+    """``rows`` as a CSR matrix keeping the entries ≥ ``threshold``.
+
+    Each row's column indices come out sorted (row-major ``flatnonzero``
+    order).  This is the one pruning rule of every stored lane level.
+    """
     keep = rows >= threshold
     flat = np.flatnonzero(keep)
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
@@ -276,10 +284,13 @@ def pruned_lane_levels(matrix, starts: np.ndarray, iterations: int,
     keeping the entries ≥ ``threshold``; only the stored snapshots are
     pruned, the state propagates exactly.  Each chunk's lanes are one block
     of rows, stacked in chunk order.  SLING's hop matrices and PRSim's hub
-    index are both this call.
+    index are both this call; ExactSim's phase 1 cuts its stored hops by
+    the same rule.
     """
     blocks: List[List[sparse.csr_matrix]] = [[] for _ in range(iterations + 1)]
     for _, level, state in dense_lane_levels(matrix, starts, iterations, scale):
-        blocks[level].append(_pruned_rows(state, threshold, snapshot_scale))
+        # The temporaries die with the call, before the next level's
+        # product allocates.
+        blocks[level].append(pruned_rows(lane_rows(state, snapshot_scale), threshold))
     return [parts[0] if len(parts) == 1 else sparse.vstack(parts, format="csr")
             for parts in blocks]

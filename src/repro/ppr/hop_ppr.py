@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.sparse import sparsify_to_vector
 from repro.graph.digraph import DiGraph
 from repro.graph.transition import TransitionOperator
-from repro.kernels.parallel import dense_lane_levels
+from repro.kernels.parallel import dense_lane_levels, lane_rows, pruned_rows
 from repro.kernels.sparsevec import SparseVector
 from repro.utils.validation import check_node_index, check_positive, check_positive_int
 
@@ -139,10 +139,10 @@ def hop_ppr_batch(operator: TransitionOperator, sources: Sequence[int],
     ``hop_ppr_vectors(..., truncation_threshold=threshold)`` for
     ``sources[b]`` exactly.  Propagation is exact: ``threshold`` (Lemma 2's,
     or ``None`` for dense hops) decides only which entries each stored hop
-    keeps, never what the next level receives.  The sparsification is
-    batched: one boolean mask over the transposed (lanes, n) hop matrix
-    yields every lane's surviving entries in a single pass (row-major
-    ``nonzero`` order is each lane's ascending node order).
+    keeps, never what the next level receives.  A level's hops are the rows
+    of one (lanes × n) copy (:func:`~repro.kernels.parallel.lane_rows`), and
+    the sparse ones are cut from it by the pruning rule of the SLING and
+    PRSim builds (:func:`~repro.kernels.parallel.pruned_rows`).
     """
     num_hops = check_positive_int(num_hops, "num_hops", minimum=0)
     if threshold is not None:
@@ -152,26 +152,21 @@ def hop_ppr_batch(operator: TransitionOperator, sources: Sequence[int],
                       dtype=np.int64)
     residual_factor = 1.0 - operator.sqrt_c
     hops: List[List[object]] = [[] for _ in range(starts.shape[0])]
-    totals = np.zeros((num_nodes, starts.shape[0]), dtype=np.float64)
+    totals = np.zeros((starts.shape[0], num_nodes), dtype=np.float64)
     for first, _, state in dense_lane_levels(operator.matrix, starts, num_hops,
                                              operator.sqrt_c):
-        lanes = state.shape[1]
-        hop_matrix = residual_factor * state
-        totals[:, first:first + lanes] += hop_matrix
-        by_lane = np.ascontiguousarray(hop_matrix.T)            # (lanes, n)
+        rows = lane_rows(state, residual_factor)                 # (lanes, n)
+        totals[first:first + rows.shape[0]] += rows
         if threshold is None:
-            for b in range(lanes):
-                hops[first + b].append(by_lane[b])
+            for b, row in enumerate(rows, first):
+                hops[b].append(row)
             continue
-        mask = by_lane >= threshold
-        rows, cols = np.nonzero(mask)                            # row-major order
-        splits = np.searchsorted(rows, np.arange(1, lanes))
-        for b, (idx, val) in enumerate(zip(np.split(cols, splits),
-                                           np.split(by_lane[mask], splits))):
-            hops[first + b].append(SparseVector(idx.astype(np.int64), val))
+        level = pruned_rows(rows, threshold)
+        for b, (lo, hi) in enumerate(zip(level.indptr[:-1], level.indptr[1:]), first):
+            hops[b].append(SparseVector(level.indices[lo:hi], level.data[lo:hi]))
 
     return [HopPPR(source=int(source), decay=operator.decay, num_hops=num_hops,
-                   hops=hops[b], total=np.ascontiguousarray(totals[:, b]),
+                   hops=hops[b], total=totals[b],
                    truncated=threshold is not None,
                    truncation_threshold=threshold or 0.0)
             for b, source in enumerate(starts)]
