@@ -35,8 +35,9 @@ def simrank_matrix(graph: DiGraph, *, decay: float = 0.6, tolerance: float = 1e-
     """The exact SimRank matrix of ``graph`` by the power method.
 
     Iterates until the worst-case remaining error c^t drops below
-    ``tolerance`` (or ``max_iterations`` is hit).  Memory is O(n²); intended
-    for ground-truth computation on small graphs only.
+    ``tolerance`` (or ``max_iterations`` is hit).  Memory is O(n²), about
+    three n × n float64 arrays at the peak; intended for ground-truth
+    computation on small graphs only.
     """
     check_positive(tolerance, "tolerance")
     num_nodes = graph.num_nodes
@@ -50,9 +51,14 @@ def simrank_matrix(graph: DiGraph, *, decay: float = 0.6, tolerance: float = 1e-
     iterations = min(max_iterations,
                      int(np.ceil(np.log(1.0 / tolerance) / np.log(1.0 / decay))) + 1)
     for _ in range(iterations):
-        # S <- c * Pᵀ S P, computed as two sparse-dense products.
-        propagated = transition.T @ (similarity @ transition)
-        similarity = decay * np.asarray(propagated)
+        # S <- c * Pᵀ S P, computed as two sparse-dense products.  The old S
+        # is released before the second product and the scale is applied in
+        # place, so no product runs beside an extra n² array.
+        right = similarity @ transition
+        del similarity
+        similarity = np.asarray(transition.T @ right)
+        del right
+        similarity *= decay
         np.fill_diagonal(similarity, 1.0)
     return similarity
 

@@ -7,10 +7,11 @@ The algorithm has three phases:
    (densely, or sparsely truncated per Lemma 2: the threshold decides which
    entries are stored, never what propagates) plus their sum π_i.
 2. **Diagonal phase** (lines 6-8): distribute a total walk-pair budget
-   R = 6·log n/((1 − √c)⁴ε²) over the nodes — proportionally to π_i(k)
-   (basic) or π_i(k)² (optimized, Lemma 3) — and estimate D(k, k) for every
-   node that received samples, with Algorithm 2 (basic) or Algorithm 3
-   (optimized, local deterministic exploitation).
+   R = 6·log n/((1 − √c)⁴ε²) over the nodes — proportionally to
+   π_i(k) − π_i⁰(k) (basic) or its square (optimized, Lemma 3), since level
+   0 feeds only S(i, i) = 1 — and estimate D(k, k) for every node that
+   received samples, with Algorithm 2 (basic) or Algorithm 3 (optimized,
+   local deterministic exploitation).
 3. **Back-substitution phase** (lines 9-13): s⁰ = D̂·π_i^L/(1 − √c), then
    s^ℓ = √c·Pᵀ·s^{ℓ-1} + D̂·π_i^{L-ℓ}/(1 − √c); the answer is s^L.
 
@@ -40,7 +41,8 @@ import numpy as np
 from repro.baselines.base import QUERY_SINGLE_PAIR, SimRankAlgorithm
 from repro.core.config import ExactSimConfig
 from repro.core.result import SinglePairResult, SingleSourceResult
-from repro.core.sampling import allocate_proportional, allocate_squared, total_sample_budget
+from repro.core.sampling import (allocate_proportional, allocate_squared,
+                                 cap_allocation, total_sample_budget)
 from repro.diagonal.basic import estimate_diagonal_basic_batch
 from repro.diagonal.local import DistributionCache, estimate_diagonal_local_batch
 from repro.graph.context import GraphContext
@@ -201,7 +203,7 @@ class ExactSim(SimRankAlgorithm):
                 # would be pure waste.  Restricting the *support* instead of
                 # re-normalising the budget keeps the pair's error within
                 # the single-source bound while strictly shrinking phase 2.
-                allocation, alloc_stats = self._allocate_samples(hop_i.total)
+                allocation, alloc_stats = self._allocate_samples(hop_i)
                 allocation = np.where(hop_j.total > 0.0, allocation, 0)
                 stats.update(alloc_stats)
                 stats["samples_realised"] = float(allocation.sum())
@@ -238,26 +240,40 @@ class ExactSim(SimRankAlgorithm):
     # ------------------------------------------------------------------ #
     # phases
     # ------------------------------------------------------------------ #
-    def _allocate_samples(self, total_weights: np.ndarray
+    def _allocate_samples(self, hop_ppr: HopPPR
                           ) -> tuple[np.ndarray, Dict[str, float]]:
-        """Phase 2 sample allocation over ``total_weights``; returns (R(·), stats).
+        """Phase 2 sample allocation for one source; returns (R(·), stats).
 
-        ``total_weights`` is π_i for a single-source query; the pair query
-        passes π_i restricted to the target's reachable support.
+        Lemma 3 weighs D̂(k) by π_i(k) because D̂(k)'s error reaches S(i, j)
+        through Σ_ℓ π_i^ℓ(k)·π_j^ℓ(k) / (1 − √c)², which its bound caps by
+        max_ℓ π_j^ℓ(k) · Σ_ℓ π_i^ℓ(k).  For j ≠ i the ℓ = 0 term vanishes at
+        every k, since π_i⁰ = (1 − √c)·e_i and π_j⁰ = (1 − √c)·e_j.  So the
+        cap holds with Σ_{ℓ≥1} π_i^ℓ(k) = π_i(k) − π_i⁰(k) in place of π_i(k),
+        and so does every bound Lemma 3 builds on it; S(i, i) is set to 1,
+        not estimated.  The allocation is therefore by π_i − π_i⁰: the
+        source's weight drops by 1 − √c, exactly the level-0 entry
+        :func:`~repro.ppr.hop_ppr.hop_ppr_batch` adds first, so a source no
+        walk returns to gets 0 pairs.  The pair query allocates the same way
+        and then restricts the allocation to the target's support.
+
+        ``samples_capped`` is 1 whenever ``max_total_samples`` scaled the
+        allocation down, wherever the realised total lands.
         """
         config = self.config
+        weights = hop_ppr.total.copy()
+        weights[hop_ppr.source] -= 1.0 - config.sqrt_c
         budget = total_sample_budget(self.graph.num_nodes, config.effective_epsilon,
                                      decay=config.decay,
                                      failure_constant=config.failure_constant)
+        allocate = (allocate_squared if config.use_squared_sampling
+                    else allocate_proportional)
+        allocation, requested = allocate(weights, budget)
         cap = config.max_total_samples
-        if config.use_squared_sampling:
-            allocation, realised = allocate_squared(total_weights, budget, cap=cap)
-        else:
-            allocation, realised = allocate_proportional(total_weights, budget, cap=cap)
+        allocation, realised = cap_allocation(allocation, weights, cap)
         stats = {
             "sample_budget": float(budget),
             "samples_realised": float(realised),
-            "samples_capped": float(1.0 if (cap is not None and realised >= cap) else 0.0),
+            "samples_capped": float(cap is not None and requested > cap),
             "nodes_sampled": float(int(np.count_nonzero(allocation))),
         }
         return allocation, stats
@@ -276,7 +292,7 @@ class ExactSim(SimRankAlgorithm):
         allocations: List[np.ndarray] = []
         per_source_stats: List[Dict[str, float]] = []
         for hop_ppr in hop_pprs:
-            allocation, stats = self._allocate_samples(hop_ppr.total)
+            allocation, stats = self._allocate_samples(hop_ppr)
             allocations.append(allocation)
             per_source_stats.append(stats)
 

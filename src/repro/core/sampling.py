@@ -37,23 +37,17 @@ def allocate_proportional(ppr: np.ndarray, total_budget: int, *,
 
     Returns the per-node allocation and the realised total (which exceeds R by
     at most the number of non-zero PPR entries because of the ceilings).  With
-    ``cap`` the allocation is rescaled so the realised total does not exceed
-    the cap — the practical concession a pure-Python substrate needs for very
-    small ε, recorded by the caller in the result stats.
+    ``cap`` the allocation is rescaled to about the cap
+    (:func:`cap_allocation`) — the practical concession a pure-Python
+    substrate needs for very small ε, recorded by the caller in the result
+    stats.
     """
     ppr = np.asarray(ppr, dtype=np.float64)
     if total_budget < 0:
         raise ValueError("total_budget must be non-negative")
     allocation = np.ceil(total_budget * ppr).astype(np.int64)
     allocation[ppr <= 0.0] = 0
-    realised = int(allocation.sum())
-    if cap is not None and realised > cap:
-        scale = cap / float(realised)
-        allocation = np.floor(allocation * scale).astype(np.int64)
-        # Keep at least one sample on every node that originally had some.
-        allocation[(allocation == 0) & (ppr > 0.0)] = 1
-        realised = int(allocation.sum())
-    return allocation, realised
+    return cap_allocation(allocation, ppr, cap)
 
 
 def allocate_squared(ppr: np.ndarray, total_budget: int, *,
@@ -68,10 +62,24 @@ def allocate_squared(ppr: np.ndarray, total_budget: int, *,
         raise ValueError("total_budget must be non-negative")
     allocation = np.ceil(total_budget * ppr * ppr).astype(np.int64)
     allocation[ppr <= 0.0] = 0
+    return cap_allocation(allocation, ppr, cap)
+
+
+def cap_allocation(allocation: np.ndarray, ppr: np.ndarray,
+                   cap: Optional[int]) -> Tuple[np.ndarray, int]:
+    """``allocation`` scaled down to about ``cap`` pairs if it asks for more.
+
+    Returns the allocation and its realised total.  Each count is scaled by
+    cap/total and floored, and every node with π_i(k) > 0 whose count
+    floors to 0 keeps one pair, so the realised total can land below the
+    cap or pass it by at most the number of such nodes.  Callers that need
+    to know whether the cap bound compare the uncapped total with it.
+    """
     realised = int(allocation.sum())
     if cap is not None and realised > cap:
         scale = cap / float(realised)
         allocation = np.floor(allocation * scale).astype(np.int64)
+        # Keep at least one sample on every node that originally had some.
         allocation[(allocation == 0) & (ppr > 0.0)] = 1
         realised = int(allocation.sum())
     return allocation, realised
@@ -81,4 +89,5 @@ __all__ = [
     "total_sample_budget",
     "allocate_proportional",
     "allocate_squared",
+    "cap_allocation",
 ]

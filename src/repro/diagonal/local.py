@@ -70,11 +70,27 @@ whether that level was just propagated or found in the cache.
 The sampling side rides the count-aggregated walk engine: lightly sampled
 nodes form one batched pair-meeting call, and the Algorithm 3 tail estimates
 of all heavy nodes are issued as a second batched call with per-origin
-non-stop prefixes.  Of a heavy node's R(k) tail pairs only the ~c·R(k) that
-survive their first post-prefix coin walk the ℓ(k)-step prefix: the kernel
-draws that coin up front (:mod:`repro.randomwalk.aggregate`), which moves
-the draws but not the distribution of the met count, so c^ℓ(k)·met/R(k)
-and its Bernstein bound stay as they are.
+non-stop prefixes.
+
+Tails sized by their range
+--------------------------
+A tail sample is Y ∈ {0, c^ℓ(k)}: c^ℓ(k) if the pair, walked ℓ(k) non-stop
+steps, first meets after them.  Its mean is the tail T ≤ 1 − D(k, k), so
+Var(Y) ≤ c^ℓ(k)·(1 − D).  A heavy node therefore walks
+
+    R′(k) = min(R(k), ⌈R(k)·c^ℓ(k)/(1 − c)⌉)
+
+tail pairs, not R(k), and estimates T by c^ℓ(k)·met/R′(k).  The min binds
+only where c^ℓ(k) ≥ 1 − c (ℓ(k) ≤ 1 at c = 0.6), and there R′ is R(k) and
+nothing changes.  Elsewhere R′ ≥ R(k)·c^ℓ(k)/(1 − c), so the mean of R′
+samples has variance ≤ c^ℓ(k)(1 − D)/R′ ≤ (1 − c)(1 − D)/R(k)
+≤ D(1 − D)/R(k), because D ≥ 1 − c (two √c-walks meet with probability at
+most c), and each sample moves it by at most c^ℓ(k)/R′ ≤ (1 − c)/R(k)
+≤ 1/R(k).  Both are no worse than those of R(k) plain Algorithm 2 pairs, so
+Lemma 3's Bernstein bound holds as it is.  Of the R′ pairs only the ~c·R′
+that survive their first post-prefix coin walk the ℓ(k)-step prefix: the
+kernel draws that coin up front (:mod:`repro.randomwalk.aggregate`), which
+moves the draws but not the distribution of the met count.
 """
 
 from __future__ import annotations
@@ -505,10 +521,12 @@ def _exploit_deterministic_batch(graph: DiGraph, cache: DistributionCache,
 
 
 def _needs_tail(chosen_level: int, num_pairs: int, decay: float) -> bool:
-    """Whether the tail beyond ℓ(k) is worth sampling at this budget.
+    """Whether the tail beyond ℓ(k) is worth sampling at R(k) = ``num_pairs``.
 
-    If the surviving-pair probability c^ℓ(k) is already below the resolution
-    of the sample budget there is nothing worth sampling.
+    The tail is at most c^ℓ(k); when c^ℓ(k)·R(k) < 1 that is below the
+    resolution 1/R(k) of R(k) plain pairs and nothing is sampled.  When it
+    holds, the tail walks R′(k) = min(R(k), ⌈R(k)·c^ℓ(k)/(1 − c)⌉) pairs
+    (module docstring), at least ⌈1/(1 − c)⌉: 3 at c = 0.6.
     """
     return (decay ** chosen_level) * num_pairs >= 1.0
 
@@ -533,7 +551,8 @@ def estimate_diagonal_local_batch(graph: DiGraph,
        a heavy node allocated by several sources (or a neighbourhood
        overlapping another's) materialises its distributions once;
     3. the tail estimates of every heavy node across every source form one
-       aggregated pair-meeting call with per-origin non-stop prefixes ℓ(k).
+       aggregated pair-meeting call with per-origin non-stop prefixes ℓ(k),
+       R′(k) pairs per tail (module docstring).
     """
     from repro.diagonal.basic import (_apply_pair_meetings, _checked_allocation,
                                       _default_diagonal)
@@ -586,10 +605,13 @@ def estimate_diagonal_local_batch(graph: DiGraph,
     if tail_nodes:
         pairs = np.asarray(tail_pairs, dtype=np.int64)
         levels = np.asarray(tail_levels, dtype=np.int64)
+        survival = decay ** levels.astype(np.float64)
+        walked = np.minimum(pairs, np.ceil(pairs * survival / (1.0 - decay))
+                            .astype(np.int64))
         met = walker.pair_meet_counts(np.asarray(tail_nodes, dtype=np.int64),
-                                      pairs, max_steps=max_steps,
+                                      walked, max_steps=max_steps,
                                       skip_steps=levels)
-        tails = (decay ** levels.astype(np.float64)) * met / pairs
+        tails = survival * met / walked
         for source_index, node, tail in zip(tail_sources, tail_nodes, tails):
             diagonal = diagonals[source_index]
             diagonal[node] = min(max(diagonal[node] - float(tail), 0.0), 1.0)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.baselines.power_method import simrank_matrix
 from repro.core.config import ExactSimConfig
 from repro.core.exactsim import ExactSim
 from repro.core.result import SingleSourceResult, TopKResult
+from repro.core.sampling import total_sample_budget
+from repro.graph.datasets import load_dataset
 from repro.metrics.accuracy import max_error, precision_at_k
+from repro.ppr.hop_ppr import hop_ppr_vectors
 
 DECAY = 0.6
 
@@ -130,6 +134,20 @@ class TestStatsAndInterfaces:
         assert result.stats["samples_capped"] == 1.0
         assert result.stats["samples_realised"] <= 5_000 + collab_graph.num_nodes
 
+    def test_cap_that_lands_below_itself_is_recorded(self, collab_graph):
+        """A cap that scaled the allocation down is recorded wherever the
+        realised total lands: at ε = 1e-2 source 5's floored allocation
+        realises 4,950 pairs under the 5,000 cap, and its pair query
+        allocates the same way before it restricts to the target."""
+        config = ExactSimConfig(epsilon=1e-2, decay=DECAY, seed=7,
+                                max_total_samples=5_000)
+        engine = ExactSim(collab_graph, config)
+        single = engine.single_source(5).stats
+        pair = engine.single_pair(5, 9).stats
+        assert single["samples_realised"] < 5_000
+        assert single["samples_capped"] == 1.0
+        assert pair["samples_capped"] == 1.0
+
     def test_invalid_source_rejected(self, collab_graph):
         engine = ExactSim(collab_graph, ExactSimConfig(epsilon=1e-1))
         with pytest.raises(ValueError):
@@ -160,6 +178,72 @@ class TestStatsAndInterfaces:
         top = ExactSim(collab_graph, ExactSimConfig(
             epsilon=1e-2, seed=7, max_total_samples=2_000_000)).top_k(1, k=5)
         assert top.k == 5
+
+
+class TestAllocationBeyondLevelZero:
+    """Phase 2 allocates by π_i − π_i⁰: level 0 feeds only S(i, i) = 1."""
+
+    @pytest.mark.parametrize("variant", ["optimized", "basic"])
+    def test_source_pairs_follow_its_return_mass(self, toy_graph, monkeypatch,
+                                                 variant):
+        """Node 5 of the toy graph has no return path, so it gets 0 pairs
+        on itself; node 2 lies on the cycle 2 → 3 → 4 → 2 and gets
+        ⌈R·(π_2(2) − (1 − √c))²⌉ (⌈R·(π_2(2) − (1 − √c))⌉ basic) uncapped,
+        in a batch and in a pair query alike."""
+        make = (ExactSimConfig if variant == "optimized"
+                else ExactSimConfig.basic)
+        config = make(epsilon=0.2, decay=DECAY, seed=3, max_total_samples=None)
+        engine = ExactSim(toy_graph, config)
+        recorded = []
+        original = engine._diagonal_from_allocations
+
+        def recording(allocations):
+            recorded.extend(allocation.copy() for allocation in allocations)
+            return original(allocations)
+
+        monkeypatch.setattr(engine, "_diagonal_from_allocations", recording)
+        engine.single_source_batch([5, 2])
+        engine.single_pair(2, 3)
+        no_return, on_cycle, pair = recorded
+        assert no_return[5] == 0 and no_return.sum() > 0
+        budget = total_sample_budget(toy_graph.num_nodes,
+                                     config.effective_epsilon, decay=DECAY,
+                                     failure_constant=config.failure_constant)
+        weight = hop_ppr_vectors(
+            toy_graph, 2, config.num_iterations(), decay=DECAY,
+            truncation_threshold=config.truncation_threshold()).total[2] \
+            - (1.0 - config.sqrt_c)
+        assert weight > 0.0
+        scaled = budget * weight * weight if variant == "optimized" \
+            else budget * weight
+        assert on_cycle[2] == int(np.ceil(scaled))
+        assert pair[2] == on_cycle[2]
+
+
+class TestBenchmarkConfigExactness:
+    def test_gq_sources_within_epsilon(self):
+        """At perfbench's ``exactsim-gq`` config (GQ, ε = 1e-4, the 5×10⁵
+        pair cap, ℓ(k) ≤ 8, seed 7), 48 sources in batches of 8, one per
+        in-degree stratum, land within ε of PowerMethod.  Allocating by π_i
+        (level 0 included) with every tail walking R(k) pairs read
+        1.2–1.7e-4 here."""
+        graph = load_dataset("GQ")
+        truth = simrank_matrix(graph, decay=DECAY, tolerance=1e-12)
+        config = ExactSimConfig(epsilon=1e-4, decay=DECAY, seed=7,
+                                max_total_samples=500_000, max_walk_steps=64,
+                                max_exploit_level=8, failure_constant=6.0)
+        engine = ExactSim(graph, config)
+        rng = np.random.default_rng(5)
+        order = np.lexsort((rng.random(graph.num_nodes), graph.in_degrees))
+        strata = [rng.permutation(part)[:6]
+                  for part in np.array_split(order, 8)]
+        worst = 0.0
+        for round_index in range(6):
+            batch = [int(part[round_index]) for part in strata]
+            for result in engine.single_source_batch(batch):
+                worst = max(worst, max_error(result.scores,
+                                             truth[result.source]))
+        assert worst <= 1e-4, worst
 
 
 class TestResultTypes:

@@ -230,32 +230,44 @@ class TestBatchedExploitEquivalence:
             decay=DECAY, max_level=20)
         assert repeat[0] == first and repeat[1] == first
 
-    def test_entry_local_rides_batched_exploration(self, walk_graph):
+    def test_entry_local_rides_batched_exploration(self, collab_graph):
         """The production estimate of a heavy node is built on the spec's
-        ℓ(k) and mass: its tail walks skip exactly ℓ(k) non-stop steps, and
-        D(k, k) = 1 − mass − c^ℓ(k) · met / R."""
-        node = int(np.argmax(walk_graph.in_degrees))
-        chosen, mass = exploit_deterministic_reference(
-            walk_graph, node, 400, decay=DECAY, max_level=20)
+        ℓ(k) and mass: its tail walks skip exactly ℓ(k) non-stop steps with
+        R′ = min(R, ⌈R·c^ℓ(k)/(1 − c)⌉) pairs, and
+        D(k, k) = 1 − mass − c^ℓ(k) · met / R′.  At R = 100 (ℓ(k) = 1) the
+        min keeps R′ = R; at R = 3,000 (ℓ(k) = 3) the tail walks ⌈0.54·R⌉.
+        Both tails meet at least once, so the divisor shows."""
+        node = int(np.argmax(collab_graph.in_degrees))
         calls = []
 
         class RecordingEngine(SqrtCWalkEngine):
             def pair_meet_counts(self, start_nodes, pair_counts, **options):
                 met = super().pair_meet_counts(start_nodes, pair_counts,
                                                **options)
-                calls.append((start_nodes, options["skip_steps"], met))
+                calls.append((start_nodes, pair_counts,
+                              options["skip_steps"], met))
                 return met
 
-        allocation = np.zeros(walk_graph.num_nodes, dtype=np.int64)
-        allocation[node] = 400
-        diagonal = estimate_diagonal_local_batch(
-            walk_graph, [allocation], decay=DECAY,
-            engine=RecordingEngine(walk_graph, DECAY, seed=3))[0]
-        (starts, skip_steps, met), = calls
-        assert starts.tolist() == [node]
-        assert np.asarray(skip_steps).tolist() == [chosen]
-        expected = 1.0 - mass - DECAY ** chosen * met[0] / 400
-        assert diagonal[node] == pytest.approx(expected, abs=1e-12)
+        for num_pairs, level in ((100, 1), (3000, 3)):
+            chosen, mass = exploit_deterministic_reference(
+                collab_graph, node, num_pairs, decay=DECAY, max_level=20)
+            assert chosen == level
+            walked = min(num_pairs, int(np.ceil(
+                num_pairs * DECAY ** chosen / (1.0 - DECAY))))
+            assert (walked == num_pairs) == (level == 1)
+            allocation = np.zeros(collab_graph.num_nodes, dtype=np.int64)
+            allocation[node] = num_pairs
+            calls.clear()
+            diagonal = estimate_diagonal_local_batch(
+                collab_graph, [allocation], decay=DECAY,
+                engine=RecordingEngine(collab_graph, DECAY, seed=3))[0]
+            (starts, pair_counts, skip_steps, met), = calls
+            assert starts.tolist() == [node]
+            assert np.asarray(pair_counts).tolist() == [walked]
+            assert np.asarray(skip_steps).tolist() == [chosen]
+            assert met[0] > 0
+            expected = 1.0 - mass - DECAY ** chosen * met[0] / walked
+            assert diagonal[node] == pytest.approx(expected, abs=1e-12)
 
     def test_first_meeting_matches_reference_recursion(self, directed_graph):
         node = int(np.argmax(directed_graph.in_degrees))

@@ -560,12 +560,17 @@ class TestWireFormat:
             return outcome.result.stats, outcome_to_wire(outcome)
 
         capped = {"epsilon": 5e-2, "seed": 7, "max_total_samples": 10}
+        # The floors leave source 5's scaled-down allocation at 4,950 pairs,
+        # under this cap, and the answer is flagged all the same.
+        below = {"epsilon": 1e-2, "seed": 7, "max_total_samples": 5_000}
         roomy = {"epsilon": 0.5, "seed": 7, "max_total_samples": 10 ** 9}
+        assert wire(below, SingleSourceQuery(5))[0]["samples_realised"] < 5_000
         for query in (SingleSourceQuery(5), SinglePairQuery(5, 9),
                       TopKQuery(5, 3)):
-            stats, payload = wire(capped, query)
-            assert stats["samples_capped"] == 1.0
-            assert payload["samples_capped"] is True
+            for config in (capped, below):
+                stats, payload = wire(config, query)
+                assert stats["samples_capped"] == 1.0
+                assert payload["samples_capped"] is True
             stats, payload = wire(roomy, query)
             assert stats["samples_capped"] == 0.0
             assert "samples_capped" not in payload
