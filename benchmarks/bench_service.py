@@ -15,15 +15,15 @@ Three workload families:
 * ``single_pair`` — per method with a native pair path (ExactSim, ProbeSim,
   SLING, MC): N native ``single_pair`` calls vs N full ``single_source``
   passes (what the derived fallback costs per pair).
-* ``native_top_k`` — the certified early-stopping top-k of SLING,
-  Linearization and PRSim vs truncating a full pass, with the certification
-  depth recorded.  Regimes are chosen where the paper's serving story lives
-  (fine ε); the expected shape — measured honestly — is: SLING wins big on
-  the small undirected graphs at fine ε (its per-level column-maxima tails
-  certify at a fraction of the depth), Linearization wins on the directed
-  large graphs (sparse similarity ⇒ large k-gaps), and PRSim stays near
-  parity (its probe work concentrates in mid levels below the certification
-  point — recorded as an anti-target).
+* ``native_top_k`` — SLING's certified early-stopping top-k vs truncating a
+  full pass, with the certification depth recorded.  Regimes are chosen
+  where the paper's serving story lives (fine ε); the expected shape is that
+  SLING wins on the small undirected graphs at fine ε, where its per-level
+  column-maxima tails certify at a fraction of the depth.  SLING is the only
+  method with a native top-k: PRSim's and Linearization's early-stopping
+  top-k did not pay on the measured graphs (README's routing table) and
+  were removed, so their top-k *is* the derived path this family compares
+  against.
 * ``serving`` — planner throughput on a mixed pair/top-k workload: cold
   coalesced batch vs per-query loop vs warm (second pass served from the
   LRU cache).
@@ -134,11 +134,8 @@ def bench_native_top_k(graph, method, config, sources, k, repeats):
     derived_s = _best(
         lambda: [derived.single_source(source).top_k(k) for source in sources],
         repeats)
-    used = float(np.mean([answer.stats.get("levels_used",
-                                           answer.stats.get("depth_used", 0.0))
-                          for answer in answers]))
-    total = float(answers[0].stats.get("levels_total",
-                                       answers[0].stats.get("depth_total", 0.0)))
+    used = float(np.mean([answer.stats["levels_used"] for answer in answers]))
+    total = float(answers[0].stats["levels_total"])
     return {
         "k": k,
         "num_queries": len(sources),
@@ -590,9 +587,6 @@ def main() -> int:
         # (dataset, method): config — regimes where each method's
         # certification story plays out (see module docstring).
         ("GQ", "sling"): {"epsilon": 1e-4, "seed": SEED},
-        ("GQ", "prsim"): {"epsilon": 1e-3, "seed": SEED},
-        ("IT", "linearization"): {"samples_per_node": 60, "seed": SEED,
-                                  "epsilon": 1e-4},
         ("IT", "sling"): {"epsilon": 1e-3, "seed": SEED},
     }
 

@@ -386,10 +386,10 @@ class SimRankAlgorithm(abc.ABC):
     def top_k(self, source: int, k: int = 500) -> TopKResult:
         """Answer a top-k query (derived: truncate a full single-source pass).
 
-        Index-based methods whose query accumulates per-level contributions
-        override this with a native path that stops refining once the k-th
-        score gap exceeds the remaining tail bound, and declare ``top_k`` in
-        :attr:`native_capabilities`.
+        A method whose native path beats the full pass on measured graphs
+        overrides this and declares ``top_k`` in :attr:`native_capabilities`
+        (SLING, which stops accumulating hop levels once the k-th score gap
+        exceeds the remaining tail bound).
         """
         from repro.core.result import derive_from_single_source
 

@@ -10,6 +10,9 @@ ExactSim with the precomputed D.
 
 ``samples_per_node`` plays the role of the error parameter ε in the paper's
 sweeps: the D estimation error scales as 1/sqrt(samples_per_node).
+
+Pair and top-k queries take the entry or the top k of the single-source
+vector, as the paper answers top-k (§1).
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  SimRankAlgorithm, check_unit_interval,
-                                  truncation_depth)
-from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
+from repro.baselines.base import (IndexPersistenceError, SimRankAlgorithm,
+                                  check_unit_interval, truncation_depth)
+from repro.core.result import SingleSourceResult
 from repro.diagonal.basic import estimate_diagonal_basic
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
@@ -39,9 +41,11 @@ class LinearizationSimRank(SimRankAlgorithm):
 
     name = "linearization"
     index_based = True
-    #: Top-k runs the back-substitution at an adaptively deepened truncation
-    #: depth instead of the full ε-depth (see :meth:`top_k`).
-    native_capabilities = frozenset({QUERY_TOP_K})
+    #: Both query types are derived from :meth:`single_source`.  A top-k
+    #: that deepened the back-substitution until the k-th score gap
+    #: certified its set was slower than the full-depth pass on every
+    #: measured graph but one (README's routing table).
+    native_capabilities = frozenset()
 
     def __init__(self, graph: DiGraph, *, decay: float = 0.6, epsilon: float = 1e-3,
                  samples_per_node: Optional[int] = None, seed: SeedLike = None,
@@ -98,75 +102,6 @@ class LinearizationSimRank(SimRankAlgorithm):
     def single_source(self, source: int) -> SingleSourceResult:
         return self.single_source_batch([source])[0]
 
-    def top_k(self, source: int, k: int = 500) -> TopKResult:
-        """Top-k at an adaptive truncation depth.
-
-        The linearized sum S = Σ_ℓ (√c Pᵀ)^ℓ D π_i^ℓ / (1 − √c) has
-        non-negative terms bounded entrywise by c^ℓ, so a depth-d answer is
-        below the full answer by at most c^{d+1}/(1 − c).  The query runs
-        the back-substitution at depth 4, 8, 16, … (hop vectors are shared
-        across restarts) and stops as soon as the k-th score gap certifies
-        the top-k set against that tail — or the full ε-depth is reached,
-        where the answer equals the derived path's.  Worst case the restarts
-        add ≤ 2× the full back-substitution; the typical case certifies at a
-        fraction of the ε-depth.
-        """
-        source = check_node_index(source, self.graph.num_nodes, "source")
-        self.ensure_prepared()
-        assert self._diagonal is not None
-        timer = Timer()
-        full_depth = self.num_iterations()
-        set_certified = False
-        degraded = False
-        bound = 0.0
-        with timer:
-            deadline = active_deadline()
-            sqrt_c = self._operator.sqrt_c
-            residual = 1.0 - sqrt_c
-            scale = 1.0 / residual
-            hops = []                      # π_i^0 … π_i^depth, grown on demand
-            walk = np.zeros(self.graph.num_nodes, dtype=np.float64)
-            walk[source] = 1.0
-            depth = min(4, full_depth)
-            while True:
-                while len(hops) <= depth:
-                    hops.append(residual * walk)
-                    walk = self._operator.decayed_backward(walk)
-                current = scale * self._diagonal * hops[depth]
-                for level in range(1, depth + 1):
-                    current = self._operator.decayed_forward(current)
-                    current += scale * self._diagonal * hops[depth - level]
-                if depth >= full_depth:
-                    break
-                # Terms beyond depth d are entrywise ≤ max(D)·‖walk_{d+1}‖₁·
-                # (√c)^{m−d−1}·(√c)^m/(1−√c)·(1−√c); summing the geometric
-                # series gives max(D)·‖walk_{d+1}‖₁·(√c)^{d+1}/(1 − c) — the
-                # a-priori c^{d+1}/(1 − c) sharpened by the walk's actual
-                # surviving mass and the diagonal's actual maximum.
-                tail = (float(self._diagonal.max()) * float(walk.sum())
-                        * sqrt_c ** (depth + 1) / (1.0 - self.decay))
-                if top_k_set_certified(current, k, tail, exclude=source):
-                    set_certified = True
-                    break
-                if deadline is not None and deadline.expired():
-                    # Degraded stop at the depth boundary: the depth-d answer
-                    # stands, with the same suffix tail as its error bound.
-                    degraded = True
-                    bound = tail
-                    break
-                depth = min(2 * depth, full_depth)
-            np.clip(current, 0.0, 1.0, out=current)
-            answer = SingleSourceResult(source=source, scores=current,
-                                        algorithm=self.name).top_k(k)
-        answer.query_seconds = timer.elapsed
-        answer.stats = {"native_top_k": 1.0, "depth_used": float(depth),
-                        "depth_total": float(full_depth),
-                        "certified": float(set_certified)}
-        if degraded:
-            answer.stats["degraded"] = 1.0
-            answer.stats["certified_bound"] = float(bound)
-        return answer
-
     #: Sources processed per batched-query chunk: the batch keeps
     #: (iterations + 1) dense (num_nodes × chunk) hop planes alive, so the
     #: chunk bounds that working set to a few tens of MB on the large graphs.
@@ -210,13 +145,15 @@ class LinearizationSimRank(SimRankAlgorithm):
                         # deadline: the back-substitution consumes hops
                         # deepest-first, so its prefix is *not* a valid
                         # partial answer, but running the full substitution
-                        # at a shallower depth d is — below the true answer
-                        # by at most max(D)·‖walk_{d+1}‖₁·(√c)^{d+1}/(1 − c)
-                        # (the :meth:`top_k` tail), taken per source from
-                        # each column's own surviving walk mass.  Hop 0
-                        # always completes, so the overrun past an expired
-                        # deadline is one back-substitution at the
-                        # truncated depth.
+                        # at a shallower depth d is.  Every term of the
+                        # linearized sum is non-negative, and the level-m
+                        # term (m > d) is entrywise at most max(D)·
+                        # ‖walk_{d+1}‖₁·(√c)^{m−d−1}·(√c)^m, so the answer is
+                        # low by at most max(D)·‖walk_{d+1}‖₁·(√c)^{d+1}/(1 − c),
+                        # taken per source from each column's own surviving
+                        # walk mass.  Hop 0 always completes, so the overrun
+                        # past an expired deadline is one back-substitution
+                        # at the truncated depth.
                         depth = level - 1
                         window = slice(chunk_start, chunk_start + len(chunk))
                         depths[window] = depth

@@ -16,7 +16,9 @@ of PRSim's probe sampling: cheap, ε-accurate handling of the light tail).
 
 The ``epsilon`` knob drives the index truncation threshold, the on-the-fly
 threshold and the per-hub D samples, reproducing the preprocessing-time /
-index-size / accuracy trade-off of Figures 3, 4, 7 and 8.
+index-size / accuracy trade-off of Figures 3, 4, 7 and 8.  Pair and top-k
+queries take the entry or the top k of the single-source vector, as the
+paper answers top-k (§1).
 
 Index construction is batched: *all* hubs' reverse hop vectors advance
 level-synchronously as the columns of dense (num_nodes × hubs) states —
@@ -45,10 +47,9 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 from scipy import sparse
 
-from repro.baselines.base import (QUERY_TOP_K, IndexPersistenceError,
-                                  SimRankAlgorithm, check_unit_interval,
-                                  truncation_depth)
-from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
+from repro.baselines.base import (IndexPersistenceError, SimRankAlgorithm,
+                                  check_unit_interval, truncation_depth)
+from repro.core.result import SingleSourceResult
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.kernels.frontier import accumulate_probes
@@ -68,10 +69,10 @@ class PRSim(SimRankAlgorithm):
 
     name = "prsim"
     index_based = True
-    #: Top-k accumulates the per-level hub + on-the-fly contributions in
-    #: increasing level order and stops once the k-th score gap exceeds the
-    #: remaining c^ℓ tail (see :meth:`top_k`).
-    native_capabilities = frozenset({QUERY_TOP_K})
+    #: Both query types are derived from :meth:`single_source`.  A top-k
+    #: that stopped at the first level certifying its set tied with or lost
+    #: to the full pass on every measured graph (README's routing table).
+    native_capabilities = frozenset()
 
     def __init__(self, graph: DiGraph, *, decay: float = 0.6, epsilon: float = 1e-3,
                  hub_fraction: float = 0.1, seed: SeedLike = None,
@@ -88,9 +89,6 @@ class PRSim(SimRankAlgorithm):
         # threshold: its arrays are the CSR arrays of the hubs × n G_ℓ.
         self._hub_levels: List[sparse.csc_matrix] = []
         self._diagonal: Optional[np.ndarray] = None
-        # Per-(hub, level) index maxima (top-k tail bounds); rebuilt lazily
-        # whenever the hub index changes.
-        self._hubmax: Optional[np.ndarray] = None
 
     def num_iterations(self) -> int:
         return truncation_depth(self.epsilon, self.decay)
@@ -142,7 +140,6 @@ class PRSim(SimRankAlgorithm):
         self._hubs = hubs
         self._hub_levels = hub_levels
         self._diagonal = diagonal
-        self._hubmax = None
 
     def _on_graph_rebound(self) -> None:
         self._engine = SqrtCWalkEngine(self.graph, self.decay, seed=self._seed)
@@ -227,7 +224,6 @@ class PRSim(SimRankAlgorithm):
             stacked[level * num_hubs:(level + 1) * num_hubs].T
             for level in range(iterations + 1)]
         self._diagonal = diagonal
-        self._hubmax = None
 
     # ------------------------------------------------------------------ #
     # query
@@ -262,8 +258,9 @@ class PRSim(SimRankAlgorithm):
             # The hub read-off above is one cheap pass; the probe batches are
             # the expensive part and each level's is a degraded-stop boundary:
             # skipping the probes from level ℓ on leaves an error of at most
-            # Σ_{m ≥ ℓ} scale·(1 − √c)·(√c)^m·Σ_{probe k} π_i^m(k)·D(k) —
-            # the same per-level probe cap the top-k tails use.
+            # Σ_{m ≥ ℓ} scale·(1 − √c)·(√c)^m·Σ_{probe k} π_i^m(k)·D(k),
+            # since every entry of a probe's level-m reverse hop vector is
+            # at most (1 − √c)·(√c)^m.
             deadline = active_deadline()
             sqrt_c = self._operator.sqrt_c
             residual = 1.0 - sqrt_c
@@ -296,109 +293,6 @@ class PRSim(SimRankAlgorithm):
                                   query_seconds=timer.elapsed,
                                   preprocessing_seconds=self.preprocessing_seconds,
                                   stats=stats)
-
-    def _hub_level_maxima(self) -> np.ndarray:
-        """Max stored index value per (hub position, level), cached per index.
-
-        ``hubmax[p, ℓ] = max_j π_j^ℓ(hub_p)`` bounds how much any node's
-        score can gain from hub p on level ℓ; one O(nnz) pass per index
-        serves every subsequent top-k query's tail bounds.
-        """
-        if self._hubmax is None:
-            self._hubmax = np.stack(
-                [level.max(axis=0).toarray().ravel()
-                 for level in self._hub_levels], axis=1)
-        return self._hubmax
-
-    def top_k(self, source: int, k: int = 500) -> TopKResult:
-        """Top-k with per-level early stopping under an exact suffix tail.
-
-        The single-source answer is a sum of per-level contributions (the
-        hub read-off plus the on-the-fly reverse batch of that level).  The
-        level-ℓ term is entrywise at most
-
-            T_ℓ = scale · [ Σ_{hub k} π_i^ℓ(k)·D(k)·hubmax_ℓ(k)
-                            + (1 − √c)·(√c)^ℓ · Σ_{probe k} π_i^ℓ(k)·D(k) ],
-
-        with the hub part read off the cached per-(hub, level) index maxima
-        and the probe part bounded by the reverse-walk mass cap (√c)^ℓ over
-        the level's actual probe candidates.  The hop-PPR vectors are cheap
-        (one sparse mat-vec per level, which the derived path pays too), so
-        they are computed to full depth up front; what early stopping skips
-        is exactly the *deep reverse batches* — the expensive part, whose
-        per-level cost grows with the probe depth.
-        """
-        source = check_node_index(source, self.graph.num_nodes, "source")
-        self.ensure_prepared()
-        assert self._hubs is not None and self._diagonal is not None
-        timer = Timer()
-        iterations = self.num_iterations()
-        levels_used = iterations + 1
-        with timer:
-            num_nodes = self.graph.num_nodes
-            sqrt_c = self._operator.sqrt_c
-            residual = 1.0 - sqrt_c
-            scale = 1.0 / residual ** 2
-            coarse_threshold = residual * self.epsilon
-            is_hub = np.zeros(num_nodes, dtype=bool)
-            is_hub[self._hubs] = True
-            hubmax = self._hub_level_maxima()
-
-            hops: List[np.ndarray] = []
-            walk = np.zeros(num_nodes, dtype=np.float64)
-            walk[source] = 1.0
-            term_bounds = np.empty(iterations + 1, dtype=np.float64)
-            diag_hubs = self._diagonal[self._hubs]
-            for level in range(iterations + 1):
-                hop_vector = residual * walk
-                hops.append(hop_vector)
-                hub_part = float(np.sum(hop_vector[self._hubs] * diag_hubs
-                                        * hubmax[:, level]))
-                probe_mask = (hop_vector > coarse_threshold) & ~is_hub
-                probe_part = (residual * sqrt_c ** level
-                              * float(np.sum(hop_vector[probe_mask]
-                                             * self._diagonal[probe_mask])))
-                term_bounds[level] = scale * (hub_part + probe_part)
-                if level < iterations:
-                    walk = self._operator.decayed_backward(walk)
-            # tails[ℓ] = Σ_{m ≥ ℓ} T_m: the most the levels from ℓ on can add.
-            tails = np.concatenate([np.cumsum(term_bounds[::-1])[::-1], [0.0]])
-
-            deadline = active_deadline()
-            degraded = False
-            set_certified = False
-            scores = np.zeros(num_nodes, dtype=np.float64)
-            for level in range(iterations + 1):
-                if deadline is not None and level > 0 and deadline.expired():
-                    # Degraded stop: the accumulated prefix stands, with the
-                    # remaining suffix tail as its certified error bound.
-                    levels_used = level
-                    degraded = True
-                    break
-                hop_vector = hops[level]
-                hub_level = self._hub_levels[level]
-                if hub_level.nnz:
-                    scores += hub_level @ (scale * diag_hubs
-                                           * hop_vector[self._hubs])
-                self._accumulate_probes(scores, level, hop_vector, is_hub)
-                if level < iterations and tails[level + 1] < 1.0 \
-                        and top_k_set_certified(
-                            scores, k, float(tails[level + 1]), exclude=source):
-                    levels_used = level + 1
-                    set_certified = True
-                    break
-            np.clip(scores, 0.0, 1.0, out=scores)
-            scores[source] = 1.0
-            answer = SingleSourceResult(source=source, scores=scores,
-                                        algorithm=self.name).top_k(k)
-        answer.query_seconds = timer.elapsed
-        answer.stats = {"native_top_k": 1.0, "levels_used": float(levels_used),
-                        "levels_total": float(iterations + 1),
-                        "certified": float(set_certified)}
-        if degraded:
-            answer.stats["degraded"] = 1.0
-            answer.stats["certified_bound"] = float(tails[levels_used])
-        return answer
 
     def _accumulate_probes(self, scores: np.ndarray, level: int,
                            hop_vector: np.ndarray, is_hub: np.ndarray) -> None:

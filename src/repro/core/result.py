@@ -46,15 +46,18 @@ class SingleSourceResult:
         return float(self.scores[node])
 
     def top_k(self, k: int, *, include_source: bool = False) -> "TopKResult":
-        """The ``k`` nodes most similar to the source (ties broken by node id)."""
+        """The ``k`` nodes most similar to the source, by non-increasing
+        score (ties broken by node id).
+
+        The source itself is left out unless ``include_source`` is set, so
+        the answer holds at most n − 1 nodes.
+        """
         if k < 1:
             raise ValueError("k must be positive")
-        scores = self.scores.copy()
-        if not include_source and 0 <= self.source < scores.shape[0]:
-            scores[self.source] = -np.inf
-        k = min(k, scores.shape[0])
-        # argsort on (-score, node id) gives a deterministic order.
-        order = np.lexsort((np.arange(scores.shape[0]), -scores))
+        # lexsort on (-score, node id) gives a deterministic order.
+        order = np.lexsort((np.arange(self.scores.shape[0]), -self.scores))
+        if not include_source:
+            order = order[order != self.source]
         nodes = order[:k]
         return TopKResult(source=self.source, nodes=nodes.astype(np.int64),
                           scores=self.scores[nodes].astype(np.float64),
@@ -165,13 +168,16 @@ def top_k_set_certified(scores: np.ndarray, k: int, tail_bound: float, *,
     if tail_bound <= 0.0:
         return True
     effective = scores
+    candidates = scores.shape[0]
     if exclude is not None and 0 <= exclude < scores.shape[0]:
         effective = scores.copy()
         effective[exclude] = -np.inf
-    if k >= effective.shape[0]:
-        # The set is trivially final (every node is in it), but certifying
-        # here would freeze the *ranking* at the first partial sum; refuse
-        # so callers keep refining and return fully-accumulated scores.
+        candidates -= 1
+    if k >= candidates:
+        # The set is trivially final (every candidate is in it), but
+        # certifying here would freeze the *ranking* at the first partial
+        # sum; refuse so callers keep refining and return fully-accumulated
+        # scores.
         return False
     top = np.partition(effective, -(k + 1))[-(k + 1):]   # k+1 largest, unordered
     top.sort()

@@ -15,8 +15,6 @@ the algorithm layer executes it:
   taxonomy, and re-exported deadline primitives;
 * :mod:`repro.service.faults` — deterministic fault injection for
   resilience testing;
-* :mod:`repro.service.adaptive` — adaptive top-k refinement over any
-  registered method's accuracy knob;
 * :mod:`repro.service.workers` — the supervised multi-process worker pool
   (fork + shared-memory index segments, crash recovery, exactly-once
   re-dispatch);
@@ -38,7 +36,6 @@ from repro.graph.updates import (
     WalCorruptionError,
     apply_edge_batch,
 )
-from repro.service.adaptive import RefinedTopK, refine_top_k
 from repro.service.faults import FaultPlan, FaultRule, InjectedFault
 from repro.service.frontend import Frontend, aiter_lines, parse_wire_line
 from repro.service.planner import (
@@ -105,7 +102,6 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "QueryValidationError",
-    "RefinedTopK",
     "ResultCache",
     "ROUTE_CACHED",
     "ROUTE_CACHED_DERIVED",
@@ -127,7 +123,6 @@ __all__ = [
     "parse_wire_line",
     "query_from_dict",
     "query_to_dict",
-    "refine_top_k",
     "result_to_dict",
     "validate_query",
 ]

@@ -125,11 +125,9 @@ ROUTE_FALLBACK = "fallback"
 PathLike = Union[str, Path]
 
 #: How many per-query override instances (a wire ε other than the configured
-#: one) a planner keeps alive, least recently used first out.  At least the
-#: number of rounds of an adaptive top-k refinement (ε from 1e-1 down to
-#: 1e-5 by factors of 10 is five), so one refinement never rebuilds its own
-#: earlier rounds; each instance can hold an index, and an ExactSim one a
-#: distribution cache of up to 64 MB.
+#: one) a planner keeps alive, least recently used first out.  Each instance
+#: can hold an index, and an ExactSim one a distribution cache of up to
+#: 64 MB.
 OVERRIDE_INSTANCES = 8
 
 
@@ -356,8 +354,7 @@ class QueryPlanner:
         first construction of a persistable method the planner auto-loads
         its persisted index from ``index_dir`` (and otherwise saves a
         freshly built one there when ``save_indices`` is set).  ``config``
-        overrides the planner's per-method config (a wire ε, or the
-        accuracy knob the adaptive top-k refinement sweeps); such an
+        overrides the planner's per-method config (a wire ε); such an
         override instance never touches ``index_dir``, and the planner keeps
         the :data:`OVERRIDE_INSTANCES` most recently used ones.
         """

@@ -175,8 +175,9 @@ def result_to_dict(result: QueryResult, *,
 
     Single-source answers are previewed (their full vector has one float per
     graph node): the line carries the top-``preview_k`` nodes plus the score
-    mass, which is what a serving client typically consumes; clients needing
-    the full vector issue ``top_k`` with ``k = n`` or use the library API.
+    mass, which is what a serving client typically consumes.  A ``top_k``
+    with ``k = n`` lists every node but the source (whose score is 1) in
+    rank order; clients needing the vector by node id use the library API.
     """
     if isinstance(result, SinglePairResult):
         return {"type": KIND_SINGLE_PAIR, "source": result.source,

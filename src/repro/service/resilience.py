@@ -29,7 +29,6 @@ from repro.utils.deadline import (  # noqa: F401  (re-exported)
     CHECKPOINT_BATCH,
     CHECKPOINT_KINDS,
     CHECKPOINT_LEVEL,
-    CHECKPOINT_REFINE_ROUND,
     CHECKPOINT_WALK_BATCH,
     Deadline,
     DeadlineExceeded,
@@ -193,7 +192,6 @@ __all__ = [
     "CHECKPOINT_BATCH",
     "CHECKPOINT_KINDS",
     "CHECKPOINT_LEVEL",
-    "CHECKPOINT_REFINE_ROUND",
     "CHECKPOINT_WALK_BATCH",
     "CircuitBreaker",
     "Deadline",

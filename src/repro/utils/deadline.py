@@ -3,8 +3,7 @@
 A :class:`Deadline` is a wall-clock compute budget that the level-synchronous
 loops check *cooperatively* at their natural boundaries — one check per
 propagation level (:mod:`repro.kernels.multiprop`), per aggregated walk step
-(:mod:`repro.randomwalk`), per top-k refinement round
-(:mod:`repro.service.adaptive`).  Nothing is preempted: a loop that never
+(:mod:`repro.randomwalk`).  Nothing is preempted: a loop that never
 reaches a checkpoint never notices the deadline, and a checkpoint costs one
 context-variable read plus a clock read, which is negligible next to the
 numpy work each level performs (the serving bench records the overhead).
@@ -26,8 +25,9 @@ Two ways a loop can react to expiry:
 * **degrade** — loops whose partial state *is* a certified partial answer
   (the suffix-tail accumulations of SLING/PRSim/Linearization) instead poll
   :meth:`Deadline.expired` and return a degraded result carrying the
-  remaining-tail error bound; see the ``top_k``/``single_source``
-  implementations of those methods.
+  remaining-tail error bound; see SLING's ``top_k`` and the
+  ``single_source``/``single_source_batch`` implementations of the three
+  methods.
 
 This module lives in :mod:`repro.utils` (not :mod:`repro.service`) so the
 kernels and the walk engine can import it without creating an import cycle
@@ -43,11 +43,9 @@ from typing import Callable, Optional
 #: Checkpoint kinds — the loop boundaries at which expiry can surface.
 CHECKPOINT_LEVEL = "level"              # one propagation level (multiprop, hop loops)
 CHECKPOINT_WALK_BATCH = "walk-batch"    # one aggregated/compacted walk step
-CHECKPOINT_REFINE_ROUND = "refine-round"  # one adaptive top-k refinement round
 CHECKPOINT_BATCH = "batch"              # one serving-layer batch boundary
 
-CHECKPOINT_KINDS = (CHECKPOINT_LEVEL, CHECKPOINT_WALK_BATCH,
-                    CHECKPOINT_REFINE_ROUND, CHECKPOINT_BATCH)
+CHECKPOINT_KINDS = (CHECKPOINT_LEVEL, CHECKPOINT_WALK_BATCH, CHECKPOINT_BATCH)
 
 
 class DeadlineExceeded(RuntimeError):
@@ -170,7 +168,6 @@ __all__ = [
     "CHECKPOINT_BATCH",
     "CHECKPOINT_KINDS",
     "CHECKPOINT_LEVEL",
-    "CHECKPOINT_REFINE_ROUND",
     "CHECKPOINT_WALK_BATCH",
     "Deadline",
     "DeadlineExceeded",

@@ -14,7 +14,7 @@ paths replaced:
 * the query paths that read the hub index as flat COO triplets with one
   weighted ``np.bincount`` and run every probe batch as COO steps
   (:func:`coo_probe_batch`, :func:`prsim_single_source_reference`,
-  :func:`prsim_top_k_reference`, :func:`probesim_single_source_reference`).
+  :func:`probesim_single_source_reference`).
 
 They take the algorithm instance whose operator, graph, index and
 thresholds they read.  ``tests/test_multiprop.py``, ``tests/test_kernels.py``
@@ -31,7 +31,6 @@ from scipy import sparse
 
 from repro.baselines.prsim import PRSim
 from repro.baselines.probesim import ProbeSim
-from repro.core.result import SingleSourceResult, TopKResult, top_k_set_certified
 from repro.graph.transition import TransitionOperator
 from repro.kernels.frontier import propagate_batch_transpose
 from repro.kernels.sparsevec import SparseVector
@@ -188,78 +187,6 @@ def prsim_single_source_reference(prsim: PRSim, source: int) -> np.ndarray:
     return scores
 
 
-def prsim_top_k_reference(prsim: PRSim, source: int, k: int) -> TopKResult:
-    """PRSim's early-stopped top-k: per level, the level's flat-index
-    entries (grouped by a stable argsort) as one ``np.bincount``, then the
-    level's COO probe batch, until the top-k set is certified."""
-    prsim.ensure_prepared()
-    num_nodes = prsim.graph.num_nodes
-    iterations = prsim.num_iterations()
-    hubs, diagonal = prsim._hubs, prsim._diagonal
-    sqrt_c = prsim._operator.sqrt_c
-    residual = 1.0 - sqrt_c
-    scale = 1.0 / residual ** 2
-    coarse_threshold = residual * prsim.epsilon
-    is_hub = np.zeros(num_nodes, dtype=bool)
-    is_hub[hubs] = True
-    positions, level_tags, cols, vals = flat_hub_index(prsim)
-    by_level = np.argsort(level_tags, kind="stable")
-    level_bounds = np.searchsorted(level_tags[by_level],
-                                   np.arange(iterations + 2))
-    hubmax = np.zeros((hubs.shape[0], iterations + 1), dtype=np.float64)
-    if vals.size:
-        np.maximum.at(hubmax, (positions, level_tags), vals)
-
-    hops: List[np.ndarray] = []
-    walk = np.zeros(num_nodes, dtype=np.float64)
-    walk[source] = 1.0
-    term_bounds = np.empty(iterations + 1, dtype=np.float64)
-    diag_hubs = diagonal[hubs]
-    for level in range(iterations + 1):
-        hop_vector = residual * walk
-        hops.append(hop_vector)
-        hub_part = float(np.sum(hop_vector[hubs] * diag_hubs
-                                * hubmax[:, level]))
-        probe_mask = (hop_vector > coarse_threshold) & ~is_hub
-        probe_part = (residual * sqrt_c ** level
-                      * float(np.sum(hop_vector[probe_mask]
-                                     * diagonal[probe_mask])))
-        term_bounds[level] = scale * (hub_part + probe_part)
-        if level < iterations:
-            walk = prsim._operator.decayed_backward(walk)
-    tails = np.concatenate([np.cumsum(term_bounds[::-1])[::-1], [0.0]])
-
-    levels_used = iterations + 1
-    set_certified = False
-    scores = np.zeros(num_nodes, dtype=np.float64)
-    for level in range(iterations + 1):
-        hop_vector = hops[level]
-        lo, hi = level_bounds[level], level_bounds[level + 1]
-        if hi > lo:
-            entries = by_level[lo:hi]
-            hub_nodes = hubs[positions[entries]]
-            entry_weights = (scale * diagonal[hub_nodes]
-                             * hop_vector[hub_nodes])
-            scores += np.bincount(cols[entries],
-                                  weights=vals[entries] * entry_weights,
-                                  minlength=num_nodes)
-        _prsim_probe_level(prsim, scores, level, hop_vector, is_hub)
-        if level < iterations and tails[level + 1] < 1.0 \
-                and top_k_set_certified(
-                    scores, k, float(tails[level + 1]), exclude=source):
-            levels_used = level + 1
-            set_certified = True
-            break
-    np.clip(scores, 0.0, 1.0, out=scores)
-    scores[source] = 1.0
-    answer = SingleSourceResult(source=source, scores=scores,
-                                algorithm=prsim.name).top_k(k)
-    answer.stats = {"native_top_k": 1.0, "levels_used": float(levels_used),
-                    "levels_total": float(iterations + 1),
-                    "certified": float(set_certified)}
-    return answer
-
-
 def probesim_single_source_reference(probesim: ProbeSim,
                                      source: int) -> np.ndarray:
     """ProbeSim's single-source scores with every step's probes as COO
@@ -284,5 +211,5 @@ def probesim_single_source_reference(probesim: ProbeSim,
 
 __all__ = ["HubIndex", "build_hub_vectors_reference", "coo_probe_batch",
            "flat_hub_index", "probe", "prsim_single_source_reference",
-           "prsim_top_k_reference", "probesim_single_source_reference",
+           "probesim_single_source_reference",
            "reverse_hop_vectors"]

@@ -255,10 +255,24 @@ class TestResultTypes:
         included = result.top_k(10, include_source=True)
         assert included.nodes[0] == 2
 
+    def test_top_k_ranks_by_score_and_never_lists_the_source(self):
+        result = SingleSourceResult(source=1, scores=np.array([0.2, 1.0, 0.5]))
+        top = result.top_k(3)
+        assert top.nodes.tolist() == [2, 0]
+        assert top.scores.tolist() == [0.5, 0.2]
+        included = result.top_k(3, include_source=True)
+        assert included.nodes.tolist() == [1, 2, 0]
+        assert included.scores.tolist() == [1.0, 0.5, 0.2]
+        # A 1-node graph has no node to rank but the source.
+        lone = SingleSourceResult(source=0, scores=np.array([1.0]))
+        assert lone.top_k(1).k == 0
+        assert lone.top_k(1, include_source=True).nodes.tolist() == [0]
+
     def test_top_k_k_larger_than_n(self, toy_graph, toy_simrank):
         result = SingleSourceResult(source=1, scores=toy_simrank[1].copy())
         top = result.top_k(100)
-        assert top.k == toy_graph.num_nodes - 1 + 0 or top.k <= toy_graph.num_nodes
+        assert top.k == toy_graph.num_nodes - 1
+        assert 1 not in top.nodes
 
     def test_top_k_invalid_k(self, toy_simrank):
         result = SingleSourceResult(source=0, scores=toy_simrank[0].copy())

@@ -48,14 +48,18 @@ from repro.service import (
     TopKQuery,
     deadline_scope,
     query_from_dict,
-    refine_top_k,
     validate_query,
 )
 from repro.service.faults import adversarial_jsonl, flip_byte, truncate_file
-from repro.service.planner import ROUTE_DERIVED, ROUTE_FALLBACK, ROUTE_NATIVE
+from repro.service.planner import (
+    ROUTE_CACHED,
+    ROUTE_CACHED_DERIVED,
+    ROUTE_DERIVED,
+    ROUTE_FALLBACK,
+    ROUTE_NATIVE,
+)
 from repro.service.resilience import (
     CHECKPOINT_LEVEL,
-    CHECKPOINT_REFINE_ROUND,
     CHECKPOINT_WALK_BATCH,
     STATE_CLOSED,
     STATE_HALF_OPEN,
@@ -155,38 +159,6 @@ class TestCheckpointKinds:
                 algorithm.single_source(5)
         assert info.value.checkpoint == CHECKPOINT_WALK_BATCH
 
-    def test_refine_round_checkpoint_in_adaptive(self, graph):
-        planner = make_planner(graph, cache_entries=0)
-        # Expired before the first round: no partial answer exists, so the
-        # refinement re-raises rather than fabricating a result.
-        with deadline_scope(Deadline(-1.0)):
-            with pytest.raises(DeadlineExceeded) as info:
-                refine_top_k(planner, "sling", 5, 5,
-                             initial=1e-1, refine=lambda e: e / 10.0,
-                             stop=lambda e: e <= 1e-3)
-        assert info.value.checkpoint == CHECKPOINT_REFINE_ROUND
-
-    def test_refine_degrades_after_first_round(self, graph):
-        planner = make_planner(graph, cache_entries=0)
-        clock = [0.0]
-        deadline = Deadline(1.0, clock=lambda: clock[0])
-
-        calls = {"count": 0}
-        refine_fn_orig = lambda e: e / 10.0
-
-        def refine_and_expire(value):
-            # Burn the budget after the first completed round.
-            clock[0] = 2.0
-            return refine_fn_orig(value)
-
-        with deadline_scope(deadline):
-            refined = refine_top_k(planner, "sling", 5, 5,
-                                   initial=1e-1, refine=refine_and_expire,
-                                   stop=lambda e: e <= 1e-4)
-        assert refined.degraded
-        assert refined.refinement_rounds == 1
-        assert refined.top_k.k == 5
-
 
 # --------------------------------------------------------------------------- #
 # degraded certified answers dominate the true error
@@ -222,8 +194,17 @@ class TestCertifiedDegradedAnswers:
             answer = algorithm.top_k(5, 5)
         assert answer.stats["degraded"] == 1.0
         assert answer.stats["certified_bound"] > 0.0
-        assert answer.stats["certified"] == 0.0
+        if name == "sling":                      # the native early stop
+            assert answer.stats["certified"] == 0.0
         assert len(answer.nodes) == 5            # still a full top-k answer
+        # Through the planner the degraded answer is served, never cached.
+        planner = make_planner(graph)
+        first = planner.execute(TopKQuery(5, 5, method=name),
+                                deadline_ms=EXPIRED_MS)
+        assert first.degraded and first.result.stats["certified_bound"] > 0.0
+        second = planner.execute(TopKQuery(5, 5, method=name))
+        assert second.plan.route not in (ROUTE_CACHED, ROUTE_CACHED_DERIVED)
+        assert not second.degraded
 
     def test_batch_degrades_per_chunk(self, name, graph):
         algorithm = registry.create(name, graph, CONFIGS[name])

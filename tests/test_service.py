@@ -23,6 +23,7 @@ from repro.core.result import (
     top_k_set_certified,
 )
 from repro.graph.context import GraphContext
+from repro.graph.digraph import DiGraph
 from repro.service import (
     QueryPlanner,
     ResultCache,
@@ -32,7 +33,6 @@ from repro.service import (
     outcome_to_wire,
     query_from_dict,
     query_to_dict,
-    refine_top_k,
     result_to_dict,
 )
 from repro.service.planner import (
@@ -151,7 +151,7 @@ class TestPlannerConformance:
 # --------------------------------------------------------------------------- #
 # native paths agree with their derived fallbacks
 # --------------------------------------------------------------------------- #
-NATIVE_TOP_K_METHODS = ["sling", "linearization", "prsim"]
+NATIVE_TOP_K_METHODS = ["sling"]
 DETERMINISTIC_NATIVE_PAIR_METHODS = ["sling", "mc", "power-method"]
 
 
@@ -199,6 +199,8 @@ def test_top_k_set_certified_helper():
     assert top_k_set_certified(scores, 2, 0.0)
     # Degenerate k: refuse to certify so callers keep accumulating levels.
     assert not top_k_set_certified(scores, 5, 0.01)
+    # With the source excluded, k = n − 1 already takes every candidate.
+    assert not top_k_set_certified(scores, 4, 0.01, exclude=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -334,6 +336,35 @@ class TestCoalescing:
         assert outcome.plan.route == ROUTE_NATIVE
         assert outcome.result.stats.get("native_single_pair") == 1.0
 
+    @pytest.mark.parametrize("name", ["prsim", "linearization"])
+    def test_top_k_and_pair_share_one_single_source_pass(
+            self, name, service_graph, monkeypatch):
+        # PRSim and Linearization answer top-k from the single-source
+        # vector: a top-k and a pair on one source cost one batch call, and
+        # the cached vector answers a later pair on that source.
+        expected = registry.create(name, service_graph,
+                                   CONFIGS[name]).single_source(5)
+        planner = make_planner(service_graph)
+        algorithm = planner.instance(name)
+        seen = []
+        original = type(algorithm).single_source_batch
+
+        def recording(self, sources):
+            seen.append(list(sources))
+            return original(self, sources)
+
+        monkeypatch.setattr(type(algorithm), "single_source_batch", recording)
+        top, pair = planner.answer([TopKQuery(5, K, method=name),
+                                    SinglePairQuery(5, 9, method=name)])
+        assert seen == [[5]]
+        assert top.plan.route == pair.plan.route == ROUTE_DERIVED
+        assert np.array_equal(top.result.nodes, expected.top_k(K).nodes)
+        assert np.array_equal(top.result.scores, expected.top_k(K).scores)
+        assert pair.result.score == expected.scores[9]
+        later = planner.execute(SinglePairQuery(5, 23, method=name))
+        assert later.plan.route == ROUTE_CACHED_DERIVED
+        assert seen == [[5]]
+
 
 # --------------------------------------------------------------------------- #
 # planner plumbing
@@ -375,8 +406,8 @@ class TestPlannerPlumbing:
         assert rows["sling"]["top_k"] == "native"
         assert rows["parsim"]["single_pair"] == "derived"
         assert rows["exactsim"]["single_pair"] == "native"
-        assert rows["linearization"]["top_k"] == "native"
-        assert rows["prsim"]["top_k"] == "native"
+        assert rows["linearization"]["top_k"] == "derived"
+        assert rows["prsim"]["top_k"] == "derived"
 
     def test_index_auto_load(self, service_graph, tmp_path):
         built = registry.create("mc", service_graph, CONFIGS["mc"]).preprocess()
@@ -492,28 +523,6 @@ class TestOverrideInstances:
 
 
 # --------------------------------------------------------------------------- #
-# adaptive refinement through the planner
-# --------------------------------------------------------------------------- #
-class TestAdaptiveRefinement:
-    def test_refines_until_stable(self, service_graph):
-        planner = make_planner(service_graph, cache_entries=0)
-        refined = refine_top_k(
-            planner, "sling", 5, K,
-            initial=1e-1, refine=lambda e: e / 10.0, stop=lambda e: e <= 1e-4,
-            stable_rounds=2)
-        assert refined.refinement_rounds == len(refined.parameters)
-        assert refined.parameters[0] == pytest.approx(1e-1)
-        assert refined.top_k.k == K
-        assert refined.total_query_seconds >= 0.0
-
-    def test_rejects_methods_without_sweep_parameter(self, service_graph):
-        planner = make_planner(service_graph)
-        with pytest.raises(ValueError, match="no sweep parameter"):
-            refine_top_k(planner, "power-method", 5, K,
-                         initial=1.0, refine=lambda v: v, stop=lambda v: True)
-
-
-# --------------------------------------------------------------------------- #
 # wire format
 # --------------------------------------------------------------------------- #
 class TestWireFormat:
@@ -551,6 +560,28 @@ class TestWireFormat:
         assert vector["type"] == "single_source"
         assert vector["num_nodes"] == service_graph.num_nodes
         assert len(vector["top_nodes"]) == 10
+
+    @pytest.mark.parametrize("name", ["prsim", "sling"])
+    def test_top_k_of_the_whole_graph_ranks_every_other_node(self, name,
+                                                              toy_graph):
+        # k = n is a valid wire query: it ranks the n − 1 other nodes by
+        # their full-depth scores, and k = n − 1 gives the same ranking.
+        n = toy_graph.num_nodes
+        vector = registry.create(name, toy_graph,
+                                 CONFIGS[name]).single_source(1).scores
+        planner = make_planner(toy_graph, cache_entries=0)
+        for k in (n, n - 1):
+            payload = outcome_to_wire(
+                planner.execute(TopKQuery(1, k, method=name)))
+            assert payload["k"] == n - 1
+            assert sorted(payload["nodes"]) == [0, 2, 3, 4, 5]
+            assert payload["scores"] == [vector[j] for j in payload["nodes"]]
+            assert payload["scores"] == sorted(payload["scores"], reverse=True)
+        # On a 1-node graph no node but the source is left to rank.
+        lone = DiGraph.from_edges([], num_nodes=1, name="lone")
+        payload = outcome_to_wire(
+            make_planner(lone).execute(TopKQuery(0, 1, method=name)))
+        assert payload["k"] == 0 and payload["nodes"] == []
 
     def test_capped_sampling_budget_is_flagged_on_the_wire(self, service_graph):
         def wire(config, query):
