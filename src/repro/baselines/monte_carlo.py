@@ -6,6 +6,15 @@ single-source query for node ``i`` pairs up the r-th stored walk of ``i`` with
 the r-th stored walk of every other node ``j`` and reports the fraction of
 pairs that meet (same node, same step) as the estimate of S(i, j).
 
+Only the cells (step t ≥ 1, replica r) where the source's own walk is still
+alive can hold a meeting, so the query does not scan every stored walk.  It
+reads an inverse of the store instead: for each cell, the nodes grouped by
+the position of their r-th walk, one bucket per live source cell.  Its cost
+follows the source's live walks and the meetings they find, not L·r·n.  The
+inverse is derived from the store whenever the store is built or restored,
+so preprocessing and index loads pay for it, not a query; it is never
+persisted, and :meth:`MonteCarloSimRank.index_bytes` counts it.
+
 The two knobs ``(walk_length, walks_per_node)`` are exactly the ``(L, r)``
 parameters the paper sweeps from (5, 50) to (5000, 50000); the method's
 O(n·log n/ε²) preprocessing is the complexity term that makes it infeasible
@@ -14,7 +23,7 @@ at the exactness target.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +58,8 @@ class MonteCarloSimRank(SimRankAlgorithm):
         # Index layout: positions[t, r, v] = node visited at step t by the r-th
         # walk started from v (−1 once the walk has stopped).
         self._index: Optional[np.ndarray] = None
+        # The store grouped by position, set with it (:func:`_walk_inverse`).
+        self._inverse: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # preprocessing
@@ -77,6 +88,7 @@ class MonteCarloSimRank(SimRankAlgorithm):
             index[:, first:first + replicas, :] = batch.positions.reshape(
                 self.walk_length + 1, replicas, num_nodes).astype(np.int32)
         self._index = index
+        self._inverse = _walk_inverse(index)
 
     def _on_graph_rebound(self) -> None:
         # Walk engines snapshot the CSR arrays at construction; a fresh
@@ -92,12 +104,25 @@ class MonteCarloSimRank(SimRankAlgorithm):
 
     def _restore_index(self, payload: Mapping[str, np.ndarray]) -> None:
         walks = np.asarray(payload["walks"], dtype=np.int32)
-        if walks.ndim != 3 or walks.shape[2] != self.graph.num_nodes:
+        num_nodes = self.graph.num_nodes
+        if walks.ndim != 3 or walks.shape[2] != num_nodes:
             raise IndexPersistenceError("walk store has incompatible shape")
+        # A build stores the start and at least one step, of at least one
+        # replica: with no replica every score would be 0/0.
+        if walks.shape[0] < 2 or walks.shape[1] < 1:
+            raise IndexPersistenceError(
+                f"walk store of shape {walks.shape} holds no step or no replica")
+        # Positions are nodes or −1: anything else would move scores
+        # silently, and the inverse indexes its buckets by position.
+        if walks.size and (walks.min() < -1 or walks.max() >= num_nodes):
+            raise IndexPersistenceError(
+                "walk store holds a position outside [-1, n)")
+        inverse = _walk_inverse(walks)
         # Adopt the stored walk parameters: they are properties of the index.
         self.walk_length = int(walks.shape[0] - 1)
         self.walks_per_node = int(walks.shape[1])
         self._index = walks
+        self._inverse = inverse
 
     # ------------------------------------------------------------------ #
     # queries
@@ -105,20 +130,28 @@ class MonteCarloSimRank(SimRankAlgorithm):
     def single_source(self, source: int) -> SingleSourceResult:
         source = check_node_index(source, self.graph.num_nodes, "source")
         self.ensure_prepared()
-        assert self._index is not None
+        assert self._index is not None and self._inverse is not None
         timer = Timer()
         with timer:
-            index = self._index
-            # source_walks[t, r]: node of the r-th source walk at step t.
-            source_walks = index[:, :, source]
-            # A pair (source walk r, walk r of node j) meets if at any step t>=1
-            # both are alive and on the same node.
-            met = np.zeros((self.walks_per_node, self.graph.num_nodes), dtype=bool)
-            for step in range(1, self.walk_length + 1):
-                source_at_step = source_walks[step][:, np.newaxis]       # (r, 1)
-                others_at_step = index[step]                             # (r, n)
-                met |= (source_at_step >= 0) & (source_at_step == others_at_step)
-            scores = met.mean(axis=0)
+            starts, members = self._inverse
+            replicas, num_nodes = self.walks_per_node, self.graph.num_nodes
+            # A pair (source walk r, walk r of node j) meets if at some step
+            # t ≥ 1 both are alive on the same node, i.e. j is in the bucket
+            # of one of the source's live cells (t, r).
+            source_walks = self._index[1:, :, source]
+            steps, rows = np.nonzero(source_walks >= 0)
+            keys = (steps * replicas + rows) * num_nodes + source_walks[steps, rows]
+            lows = starts[keys]
+            sizes = starts[keys + 1] - lows
+            ends = np.cumsum(sizes)
+            # One gather reads the buckets back to back.
+            met_nodes = members[np.arange(ends[-1] if ends.size else 0)
+                                + np.repeat(lows - ends + sizes, sizes)]
+            met = np.zeros(replicas * num_nodes, dtype=bool)
+            met[np.repeat(rows * num_nodes, sizes) + met_nodes] = True
+            # Whole counts over R: the same floats as the mean of met's rows.
+            scores = np.bincount(np.flatnonzero(met) % num_nodes,
+                                 minlength=num_nodes) / replicas
             scores[source] = 1.0
         return SingleSourceResult(source=source, scores=scores.astype(np.float64),
                                   algorithm=self.name, query_seconds=timer.elapsed,
@@ -159,7 +192,47 @@ class MonteCarloSimRank(SimRankAlgorithm):
                                        "walk_length": float(self.walk_length)})
 
     def index_bytes(self) -> int:
-        return int(self._index.nbytes) if self._index is not None else 0
+        """The walk store's bytes plus its inverse's, which queries read."""
+        if self._index is None or self._inverse is None:
+            return 0
+        starts, members = self._inverse
+        return int(self._index.nbytes + starts.nbytes + members.nbytes)
+
+
+def _walk_inverse(index: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The walk store ``index[t, r, v]`` grouped by position.
+
+    Returns ``(starts, members)``: bucket ``((t − 1)·R + r)·n + p`` holds, in
+    ascending order, the nodes j whose r-th walk is on node p at step
+    t ≥ 1, ``members[starts[key]:starts[key + 1]]``.  Stopped walks (−1)
+    are in no bucket.  One counting pass and one sort per step build it,
+    so the transient arrays stay the size of one step of the store.
+    """
+    steps, replicas, num_nodes = index.shape[0] - 1, index.shape[1], index.shape[2]
+    step_keys = replicas * num_nodes
+    # Offsets reach the count of live walks, at most steps·R·n.
+    starts = np.zeros(steps * step_keys + 1,
+                      dtype=np.int32 if steps * step_keys < 2**31 else np.int64)
+    members = []
+    filled = 0
+    for step in range(1, steps + 1):
+        positions = index[step].reshape(-1)
+        alive = np.flatnonzero(positions >= 0)
+        nodes = alive % num_nodes
+        # alive − j is r·n, so this is the bucket r·n + p of the step.
+        keys = alive - nodes
+        keys += positions[alive]
+        ends = starts[(step - 1) * step_keys + 1:step * step_keys + 1]
+        np.cumsum(np.bincount(keys, minlength=step_keys), out=ends)
+        ends += filled
+        # Sorting the distinct values key·n + j orders the buckets and each
+        # bucket's members in one pass.
+        keys *= num_nodes
+        keys += nodes
+        keys.sort()
+        members.append((keys % num_nodes).astype(np.int32))
+        filled += alive.size
+    return starts, np.concatenate(members)
 
 
 __all__ = ["MonteCarloSimRank"]

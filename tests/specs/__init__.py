@@ -20,6 +20,8 @@ no caller of the library needs them, and they live here instead of in
   per-node probes;
 * :mod:`specs.hop_matrices` — SLING's hop matrices by sparse × sparse
   products;
+* :mod:`specs.monte_carlo` — MC's single-source query as a scan of every
+  stored walk;
 * :mod:`specs.ppr` — hitting probabilities, converged PPR vectors and
   power-iteration PPR, the references for :mod:`repro.ppr.hop_ppr`.
 

@@ -123,8 +123,12 @@ class TestMonteCarlo:
                                       walk_length=5, seed=1)
         assert algorithm.index_bytes() == 0
         algorithm.preprocess()
-        expected = (5 + 1) * 10 * collab_graph.num_nodes * 4
-        assert algorithm.index_bytes() == expected
+        # The int32 walk store, plus its int32 inverse: one bucket start per
+        # (step, replica, position) and the end, one member per live walk.
+        store = (5 + 1) * 10 * collab_graph.num_nodes * 4
+        starts = (5 * 10 * collab_graph.num_nodes + 1) * 4
+        members = np.count_nonzero(algorithm._index[1:] >= 0) * 4
+        assert algorithm.index_bytes() == store + starts + members
         assert algorithm.preprocessing_seconds > 0.0
 
     def test_index_based_flag(self, collab_graph):
