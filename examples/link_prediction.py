@@ -6,9 +6,11 @@ edges, and checks that ExactSim's similarity ranks the hidden (true) endpoints
 above random non-edges — and that it respects the community structure.
 
 Link prediction is a *pair* workload, so the example issues typed
-:class:`SinglePairQuery` requests through the query planner: pairs sharing a
-left endpoint coalesce into one single-source pass, repeated pairs come out
-of the LRU result cache, and the community check rides :class:`TopKQuery`.
+:class:`SinglePairQuery` requests through the query planner.  An ExactSim
+pair is an entry of its source's single-source vector, so every pair of the
+batch reads a vector from one coalesced ``single_source_batch`` call and
+keeps its ε guarantee; repeated pairs come out of the LRU result cache, and
+the community check rides :class:`TopKQuery`.
 
 Run with:  python examples/link_prediction.py
 """
@@ -40,8 +42,8 @@ def main() -> None:
           f"{observed_graph.num_edges} directed edges")
 
     # Score hidden pairs and an equal number of random non-edges with typed
-    # pair queries: the planner coalesces pairs sharing a left endpoint into
-    # one single-source pass and serves repeats from its result cache.
+    # pair queries: the planner reads them off one coalesced batch of
+    # single-source vectors and serves repeats from its result cache.
     planner = QueryPlanner(
         observed_graph, default_method="exactsim", cache_entries=512,
         method_configs={"exactsim": {"epsilon": 1e-3, "decay": DECAY, "seed": 5,

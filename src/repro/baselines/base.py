@@ -25,8 +25,8 @@ way:
 * **Capability-declared query types** — :meth:`single_pair` and :meth:`top_k`
   always work (derived from a single-source pass by default); a method that
   overrides one with a genuinely cheaper native path declares it in
-  :attr:`SimRankAlgorithm.native_capabilities`, which the service planner
-  reads to route typed queries to the cheapest capable path.
+  :attr:`SimRankAlgorithm.native_capabilities`, and the service planner
+  then runs that kind natively every time.
 * **Index persistence** — :meth:`save_index` / :meth:`load_index` write and
   read an npz snapshot of the method's index so expensive preprocessing
   survives the process.  Subclasses expose their index through the

@@ -258,9 +258,9 @@ def _method_config(args: argparse.Namespace, method: str, *,
 
     With ``accepted_params_only``, ``--param`` entries the method's spec
     does not accept are dropped instead of passed through: the answer
-    command configures *every* registered method (fallback routing may
-    instantiate any of them), and e.g. a parsim-only ``iterations`` must
-    not poison sling's config.  Single-method commands keep the strict
+    command configures *every* registered method (a stream line may name
+    any of them), and e.g. a parsim-only ``iterations`` must not poison
+    sling's config.  Single-method commands keep the strict
     pass-through so a mistyped key still fails loudly.
 
     ε — from ``--epsilon`` or ``--param epsilon=`` — must be positive and
@@ -350,9 +350,8 @@ def _command_answer(args: argparse.Namespace) -> int:
         # Every registered method gets its config from the generic flags, so
         # a stream line naming any method ("method": "prsim") just works.
         # The chosen default method keeps strict --param checking; the rest
-        # only take the params their spec accepts (fallback routing may
-        # instantiate any of them, and e.g. a parsim-only "iterations" must
-        # not poison sling's config).
+        # only take the params their spec accepts (a parsim-only
+        # "iterations" must not poison sling's config).
         method_configs = {
             name: _method_config(args, name,
                                  accepted_params_only=(name != method))

@@ -28,8 +28,11 @@ one dense ``P @ X`` product per level at every graph size
 :func:`repro.ppr.hop_ppr.hop_ppr_vectors`), phase 2 samples the whole batch
 in one aggregated walk-engine call, and phase 3 back-substitutes every
 source at once with sparse-times-dense-matrix products.
-:meth:`~ExactSim.single_source` is a batch of one, and
-:meth:`~ExactSim.single_pair` runs the same phase 1 on its two endpoints.
+:meth:`~ExactSim.single_source` is a batch of one.  A pair or top-k answer
+is read off the source's vector (the base class's ``single_pair`` and
+``top_k``, and the service planner's coalesced pass), so it keeps the
+vector's ε guarantee: a pair-local path that skipped phase 3 cost
+0.96–1.04× of a full pass (median per graph and ε) and was removed.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import QUERY_SINGLE_PAIR, SimRankAlgorithm
+from repro.baselines.base import SimRankAlgorithm
 from repro.core.config import ExactSimConfig
-from repro.core.result import SinglePairResult, SingleSourceResult
+from repro.core.result import SingleSourceResult
 from repro.core.sampling import (allocate_proportional, allocate_squared,
                                  cap_allocation, total_sample_budget)
 from repro.diagonal.basic import estimate_diagonal_basic_batch
@@ -76,10 +79,6 @@ class ExactSim(SimRankAlgorithm):
 
     name = "exactsim"
     index_based = False
-    #: A pair query runs only the two endpoints' phase 1 and the per-level
-    #: weighted dots over their shared support — no back-substitution over
-    #: the whole graph (see :meth:`single_pair`).
-    native_capabilities = frozenset({QUERY_SINGLE_PAIR})
 
     def __init__(self, graph: DiGraph, config: Optional[ExactSimConfig] = None, *,
                  context: Optional[GraphContext] = None):
@@ -169,74 +168,6 @@ class ExactSim(SimRankAlgorithm):
                 stats=stats))
         return results
 
-    def single_pair(self, source: int, target: int) -> SinglePairResult:
-        """Answer S(source, target) with pair-local work only.
-
-        Via the ℓ-hop identity S(i, j) = Σ_ℓ Σ_k π_i^ℓ(k)·D(k,k)·π_j^ℓ(k)
-        / (1 − √c)², a pair needs the exact phase-1 hop-PPR vectors of its
-        two endpoints (one two-lane :func:`~repro.ppr.hop_ppr.hop_ppr_batch`
-        call, the same hops a single-source query stores) and the diagonal
-        estimates on their *shared* support — phase 3's L back-substitution
-        passes over the whole graph never run, and the phase-2 walk budget is
-        allocated only to nodes both walks can actually meet at (nodes
-        outside the target's reachable set contribute nothing to this one
-        entry).
-        """
-        source = check_node_index(source, self.graph.num_nodes, "source")
-        target = check_node_index(target, self.graph.num_nodes, "target")
-        config = self.config
-        timer = Timer()
-        stats: Dict[str, float] = {"native_single_pair": 1.0}
-        with timer:
-            if source == target:
-                score = 1.0
-            else:
-                num_iterations = config.num_iterations()
-                hop_i, hop_j = hop_ppr_batch(self._operator, [source, target],
-                                             num_iterations,
-                                             config.truncation_threshold())
-                # Allocate exactly as the single-source pass would (same
-                # per-node R(k), hence the same D̂(k) accuracy and the same
-                # Algorithm 3 exploration depths), then drop the nodes the
-                # target cannot meet the source at: D(k, k) enters this
-                # entry through the product π_i(k)·π_j(k), so their samples
-                # would be pure waste.  Restricting the *support* instead of
-                # re-normalising the budget keeps the pair's error within
-                # the single-source bound while strictly shrinking phase 2.
-                allocation, alloc_stats = self._allocate_samples(hop_i)
-                allocation = np.where(hop_j.total > 0.0, allocation, 0)
-                stats.update(alloc_stats)
-                stats["samples_realised"] = float(allocation.sum())
-                stats["pair_support"] = float(np.count_nonzero(allocation))
-                if not np.any(hop_j.total > 0.0):
-                    score = 0.0
-                else:
-                    diagonal = self._diagonal_from_allocations([allocation])[0]
-                    scale = 1.0 / (1.0 - config.sqrt_c) ** 2
-                    score = scale * sum(
-                        self._pair_level_dot(hop_i.hops[level],
-                                             hop_j.hops[level], diagonal)
-                        for level in range(num_iterations + 1))
-                    score = float(np.clip(score, 0.0, 1.0))
-                stats["iterations"] = float(num_iterations)
-        return SinglePairResult(source=source, target=target, score=score,
-                                algorithm=self.name, query_seconds=timer.elapsed,
-                                stats=stats)
-
-    @staticmethod
-    def _pair_level_dot(hop_i, hop_j, diagonal: np.ndarray) -> float:
-        """Σ_k hop_i(k) · diagonal(k) · hop_j(k) for two hops of one call.
-
-        Both are dense (basic) or both sparse (Lemma 2); a sparse pair is
-        evaluated on the shorter support, gathered from the other.
-        """
-        if isinstance(hop_i, np.ndarray):
-            return float(np.einsum("k,k,k->", hop_i, diagonal, hop_j))
-        if hop_j.nnz < hop_i.nnz:
-            hop_i, hop_j = hop_j, hop_i
-        return float(np.sum(hop_i.values * diagonal[hop_i.indices]
-                            * hop_j.gather(hop_i.indices)))
-
     # ------------------------------------------------------------------ #
     # phases
     # ------------------------------------------------------------------ #
@@ -253,8 +184,7 @@ class ExactSim(SimRankAlgorithm):
         not estimated.  The allocation is therefore by π_i − π_i⁰: the
         source's weight drops by 1 − √c, exactly the level-0 entry
         :func:`~repro.ppr.hop_ppr.hop_ppr_batch` adds first, so a source no
-        walk returns to gets 0 pairs.  The pair query allocates the same way
-        and then restricts the allocation to the target's support.
+        walk returns to gets 0 pairs.
 
         ``samples_capped`` is 1 whenever ``max_total_samples`` scaled the
         allocation down, wherever the realised total lands.

@@ -107,11 +107,14 @@ class GraphContext:
         batch.validate(self.graph.num_nodes)
         version_to = self._graph_version + 1
         if fault_plan is not None:
-            fault_plan.on_route_call("update", "wal_append", None)
+            # Imported here: the service layer sits above the graph layer.
+            from repro.service.faults import UPDATE_APPLY, UPDATE_WAL_APPEND
+
+            fault_plan.on_route_call("update", UPDATE_WAL_APPEND, None)
         if wal is not None:
             wal.append(batch, version_to)
         if fault_plan is not None:
-            fault_plan.on_route_call("update", "apply", None)
+            fault_plan.on_route_call("update", UPDATE_APPLY, None)
         return self._apply_batch(batch, version_to)
 
     def _apply_batch(self, batch, version_to: int):

@@ -129,9 +129,8 @@ class SparseVector:
     def gather(self, nodes: np.ndarray) -> np.ndarray:
         """``dense[nodes]`` without densifying: zeros where ``nodes`` miss.
 
-        One ``searchsorted`` over the sorted unique indices; the query-plane
-        pair paths use this to evaluate hop vectors at a handful of meeting
-        nodes.
+        One ``searchsorted`` over the sorted unique indices; ProbeSim's pair
+        path uses this to evaluate hop vectors at a handful of meeting nodes.
         """
         gathered = np.zeros(nodes.shape[0], dtype=np.float64)
         if self.nnz:

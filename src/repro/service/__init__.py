@@ -6,11 +6,11 @@ the algorithm layer executes it:
 * :mod:`repro.service.queries` — the typed request model
   (:class:`SingleSourceQuery`, :class:`SinglePairQuery`, :class:`TopKQuery`),
   its JSONL wire format, and graph-aware validation;
-* :mod:`repro.service.planner` — :class:`QueryPlanner`: routes each query to
-  the cheapest capable path (LRU result cache → cached-vector derivation →
-  native method path → coalesced derived fallback → cheapest other method),
-  auto-loading persisted indices, under per-route deadlines and circuit
-  breakers;
+* :mod:`repro.service.planner` — :class:`QueryPlanner`: answers each query
+  with the method it names (LRU result cache → cached-vector derivation →
+  the method's native path → its coalesced derived pass, or a
+  ``route_failed`` error), auto-loading persisted indices, under per-route
+  deadlines and circuit breakers;
 * :mod:`repro.service.resilience` — the circuit breaker, the serving error
   taxonomy, and re-exported deadline primitives;
 * :mod:`repro.service.faults` — deterministic fault injection for
@@ -42,7 +42,6 @@ from repro.service.planner import (
     ROUTE_CACHED,
     ROUTE_CACHED_DERIVED,
     ROUTE_DERIVED,
-    ROUTE_FALLBACK,
     ROUTE_NATIVE,
     QueryOutcome,
     QueryPlan,
@@ -106,7 +105,6 @@ __all__ = [
     "ROUTE_CACHED",
     "ROUTE_CACHED_DERIVED",
     "ROUTE_DERIVED",
-    "ROUTE_FALLBACK",
     "ROUTE_NATIVE",
     "SinglePairQuery",
     "SingleSourceQuery",

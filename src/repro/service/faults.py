@@ -1,19 +1,22 @@
 """Deterministic fault injection for resilience testing.
 
 A :class:`FaultPlan` is a declarative list of :class:`FaultRule`\\ s — "raise
-on the 2nd and 3rd call of PRSim's native route", "add 50 ms latency to every
+on the 2nd and 3rd call of SLING's native route", "add 50 ms latency to every
 derived route", "die with ``os._exit`` at the 1st WAL append" — that the
 planner consults at the top of every route execution and the update plane
 consults at its crash points (``("update", "wal_append"/"apply"/"repair"/
 "swap")``).  The ``exit`` action is the crash-consistency hammer: it kills
-the process as abruptly as SIGKILL at an exact, replayable instant.  Because rules trigger on exact call ordinals of exact
-(method, route) pairs, a fault scenario replays identically run after run:
-the fallback-routing and circuit-breaker tests assert on precise trip counts
-rather than racy timing.
+the process as abruptly as SIGKILL at an exact, replayable instant.  Because
+rules trigger on exact call ordinals of exact (method, route) pairs, a fault
+scenario replays identically run after run: the route-failure and
+circuit-breaker tests assert on precise trip counts rather than racy timing.
+A rule naming a route no hook fires, or a kind that is not a query kind, is
+refused when it is built, so a typo cannot leave a scenario without its
+fault.
 
 Plans load from JSON (the CLI's ``--fault-plan`` flag) or build in code::
 
-    plan = FaultPlan([FaultRule(method="prsim", route="native", calls=(1, 2))])
+    plan = FaultPlan([FaultRule(method="sling", route="native", calls=(1, 2))])
     planner = QueryPlanner(graph, fault_plan=plan)
 
 The module also hosts the *file*-level corruption helpers
@@ -28,12 +31,28 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.baselines.base import QUERY_KINDS
+
+#: The routes a rule can name, one per hook that consults the plan: the
+#: planner's native and coalesced derived query routes, and the update
+#: plane's crash points (fired with method ``"update"`` and no kind) in the
+#: order one edge batch passes them.  The hooks take their names from here.
+ROUTE_NATIVE = "native"
+ROUTE_DERIVED = "derived"
+UPDATE_WAL_APPEND = "wal_append"
+UPDATE_APPLY = "apply"
+UPDATE_REPAIR = "repair"
+UPDATE_SWAP = "swap"
+_HOOK_ROUTES = (ROUTE_NATIVE, ROUTE_DERIVED, UPDATE_WAL_APPEND, UPDATE_APPLY,
+                UPDATE_REPAIR, UPDATE_SWAP)
+
 
 class InjectedFault(RuntimeError):
     """The error raised by a ``raise``-action fault rule.
 
-    Deliberately a plain ``RuntimeError`` subclass: the planner's fallback
-    routing must treat it exactly like any organic route failure.
+    Deliberately a plain ``RuntimeError`` subclass: the planner must treat
+    it exactly like any organic route failure (a native route retries
+    derived; a failed derived pass answers ``route_failed``).
     """
 
     def __init__(self, rule: "FaultRule", call_index: int):
@@ -49,9 +68,12 @@ class InjectedFault(RuntimeError):
 class FaultRule:
     """One deterministic trigger.
 
-    ``method`` / ``route`` / ``kind`` of ``None`` match anything.  ``calls``
-    lists the 1-based ordinals of *matching* calls on which the rule fires;
-    empty means every matching call.
+    ``method`` / ``route`` / ``kind`` of ``None`` match anything.  ``route``
+    must name a hook (:data:`ROUTE_NATIVE`, :data:`ROUTE_DERIVED` or an
+    update crash point) and ``kind`` a query kind; ``method`` is free-form,
+    since a planner answers any name registered on it.  ``calls`` lists the
+    1-based ordinals of *matching* calls on which the rule fires; empty means
+    every matching call.
     """
 
     action: str = "raise"            # "raise" | "delay" | "exit"
@@ -64,6 +86,12 @@ class FaultRule:
     def __post_init__(self) -> None:
         if self.action not in ("raise", "delay", "exit"):
             raise ValueError(f"unknown fault action: {self.action!r}")
+        if self.route is not None and self.route not in _HOOK_ROUTES:
+            raise ValueError(f"unknown fault route: {self.route!r} "
+                             f"(hooks: {', '.join(_HOOK_ROUTES)})")
+        if self.kind is not None and self.kind not in QUERY_KINDS:
+            raise ValueError(f"unknown fault kind: {self.kind!r} "
+                             f"(query kinds: {', '.join(QUERY_KINDS)})")
         if self.action == "delay" and self.delay_seconds <= 0.0:
             raise ValueError("delay action requires positive delay_seconds")
         if any(int(c) < 1 for c in self.calls):
@@ -222,6 +250,12 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
+    "ROUTE_DERIVED",
+    "ROUTE_NATIVE",
+    "UPDATE_APPLY",
+    "UPDATE_REPAIR",
+    "UPDATE_SWAP",
+    "UPDATE_WAL_APPEND",
     "adversarial_jsonl",
     "flip_byte",
     "truncate_file",

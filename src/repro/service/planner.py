@@ -1,8 +1,8 @@
 """Capability-aware query planner and caching executor.
 
 The planner is the serving layer's brain: callers hand it typed queries
-(:mod:`repro.service.queries`) and it decides, per query, the cheapest
-capable path:
+(:mod:`repro.service.queries`) and it answers each with the method the query
+names, taking the first of these routes that applies:
 
 1. **Result cache** — an LRU over answered queries; a repeated query returns
    without touching the compute substrate, and a cached *single-source
@@ -10,20 +10,16 @@ capable path:
    (``cached-derived``).  Keys incorporate the graph's structural
    fingerprint, so a planner rebuilt over a mutated graph can never serve a
    stale vector.
-2. **Native path** — methods declare what they answer natively
-   (:attr:`~repro.baselines.base.SimRankAlgorithm.native_capabilities`);
-   a pair query on ExactSim runs only the pair-local phases, a top-k query
-   on SLING stops accumulating levels once the k-th gap is certified.
-3. **Derived fallback** — everything else is derived from a single-source
-   pass, and :meth:`QueryPlanner.answer` *coalesces* the single-source work
-   of a whole batch into the vectorized ``single_source_batch`` micro-batch
-   (one batch per method), so concurrent requests on one graph share their
-   CSR passes exactly as the experiment harness does.
-
-Routing between native and coalesced-derived paths uses cost hints: static
-seeds from the graph's size (a native pair is assumed to cost a fraction of
-a full pass) refined by the *observed* per-route seconds of earlier queries,
-so a planner serving traffic converges to measured routing.
+2. **Native path** — a kind the method lists in
+   :attr:`~repro.baselines.base.SimRankAlgorithm.native_capabilities` always
+   runs natively (a SLING top-k stops accumulating levels once the k-th gap
+   is certified; an MC pair compares the two nodes' stored walks).
+3. **Derived path** — every other kind is read off a single-source vector,
+   and :meth:`QueryPlanner.answer` *coalesces* the single-source work of a
+   whole batch into the vectorized ``single_source_batch`` micro-batch (one
+   batch per method and ε), so concurrent requests on one graph share their
+   CSR passes exactly as the experiment harness does.  An ExactSim pair is
+   an entry of its source's vector, so it keeps that vector's ε guarantee.
 
 **Resilience.** Every route execution runs under three guards:
 
@@ -33,18 +29,19 @@ so a planner serving traffic converges to measured routing.
   Linearization) return a *degraded* result carrying ``stats["degraded"]``
   and a ``certified_bound``; loops without a usable prefix raise, and the
   planner converts that into a structured **timeout** outcome
-  (``QueryOutcome.error``) instead of dying.  A timeout never triggers
-  fallback — the budget is spent — and degraded results are never cached.
+  (``QueryOutcome.error``) instead of dying.  A timeout is never retried —
+  the budget is spent — and degraded results are never cached.
 * a per-(method, route) *circuit breaker*: a route that fails repeatedly is
   quarantined and probed with exponential backoff instead of re-failing
   every query (:mod:`repro.service.resilience`).
 * an optional deterministic *fault plan* (:mod:`repro.service.faults`) that
   injects failures/latency at exact call ordinals for resilience testing.
 
-On an organic route failure the planner retries down the cost order:
-native → coalesced-derived → per-source fallback through the cheapest other
-capable method (route ``fallback``); only when every candidate fails does
-the outcome carry a ``route_failed`` error.
+On an organic route failure the planner retries once, inside the same
+method and ε: a failed (or quarantined) native route falls back to the
+coalesced derived pass.  When that pass fails or its breaker refuses it,
+each query of the pool comes back as a ``route_failed`` error naming the
+method and the source; no other method answers in its place.
 
 Index-based methods auto-load their persisted index from ``index_dir`` on
 first touch.  A corrupt or stale index file degrades to a rebuild with a
@@ -79,18 +76,19 @@ from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from repro.algorithms import registry
-from repro.baselines.base import (
-    QUERY_SINGLE_PAIR,
-    QUERY_TOP_K,
-    IndexPersistenceError,
-    SimRankAlgorithm,
-)
+from repro.baselines.base import IndexPersistenceError, SimRankAlgorithm
 from repro.core.result import SingleSourceResult, derive_from_single_source
 from repro.graph.context import GraphContext
 from repro.graph.digraph import DiGraph
 from repro.graph.updates import EdgeBatch, GraphCheckpoint, UpdateLog
 from repro.kernels import parallel as kernel_parallel
-from repro.service.faults import FaultPlan
+from repro.service.faults import (
+    ROUTE_DERIVED,
+    ROUTE_NATIVE,
+    UPDATE_REPAIR,
+    UPDATE_SWAP,
+    FaultPlan,
+)
 from repro.service.queries import (
     KIND_SINGLE_PAIR,
     KIND_SINGLE_SOURCE,
@@ -115,12 +113,11 @@ from repro.service.resilience import (
 
 _LOGGER = logging.getLogger("repro.service.planner")
 
-#: Routes a plan can take (``route`` field of :class:`QueryPlan`).
+#: Routes a plan can take (``route`` field of :class:`QueryPlan`), with
+#: ``ROUTE_NATIVE`` and ``ROUTE_DERIVED``, the two that run a method (their
+#: names live with the fault hooks that fire on them).
 ROUTE_CACHED = "cached"
 ROUTE_CACHED_DERIVED = "cached-derived"
-ROUTE_NATIVE = "native"
-ROUTE_DERIVED = "derived"
-ROUTE_FALLBACK = "fallback"
 
 PathLike = Union[str, Path]
 
@@ -138,9 +135,6 @@ class QueryPlan:
     method: str
     kind: str
     route: str
-    #: Estimated cost in seconds (observed average when available, static
-    #: graph-size seed otherwise); 0.0 for cache routes.
-    cost_hint: float = 0.0
     #: True when the derived single-source work rode a coalesced micro-batch.
     batched: bool = False
 
@@ -307,16 +301,12 @@ class QueryPlanner:
         # Methods whose freshly built index should be persisted once an
         # actual query forces the build (never eagerly at construction).
         self._pending_saves: set = set()
-        # Observed (total_seconds, count) per (method, kind, route): the
-        # planner's cost model starts from static graph-size seeds and
-        # converges to these measurements as traffic flows.
-        self._observations: Dict[Tuple[str, str, str], Tuple[float, int]] = {}
         self._counters: Dict[str, int] = {
             "queries": 0, "native_routes": 0, "derived_routes": 0,
             "cache_routes": 0, "coalesced_batches": 0, "coalesced_queries": 0,
             "index_loads": 0, "index_builds_saved": 0,
             "index_load_failures": 0,
-            "route_failures": 0, "fallback_routes": 0,
+            "route_failures": 0,
             "degraded_answers": 0, "deadline_timeouts": 0,
             "breaker_rejections": 0,
             "updates_applied": 0, "wal_replayed": 0,
@@ -472,7 +462,7 @@ class QueryPlanner:
             # next query rebuild (or reload) against the new graph.
             delta = None
         if self.fault_plan is not None:
-            self.fault_plan.on_route_call("update", "repair", None)
+            self.fault_plan.on_route_call("update", UPDATE_REPAIR, None)
         repairs: List[Dict[str, Any]] = []
         if delta is None:
             self._instances.clear()
@@ -511,7 +501,7 @@ class QueryPlanner:
                 repairs.append({"method": algorithm.name,
                                 "strategy": report["strategy"]})
         if self.fault_plan is not None:
-            self.fault_plan.on_route_call("update", "swap", None)
+            self.fault_plan.on_route_call("update", UPDATE_SWAP, None)
         self.graph = self.context.graph
         self._graph_key = self.graph.fingerprint().tobytes()
         self._graph_version = target
@@ -594,36 +584,6 @@ class QueryPlanner:
                 "could be arbitrarily stale")
 
     # ------------------------------------------------------------------ #
-    # cost model
-    # ------------------------------------------------------------------ #
-    #: Static seed ratios: the assumed cost of a native path relative to a
-    #: full single-source pass, before any observation exists.
-    _NATIVE_SEED_RATIO = {KIND_SINGLE_PAIR: 0.5, KIND_TOP_K: 0.8}
-
-    def _seed_cost(self) -> float:
-        """Static single-source cost seed from the graph's size (seconds).
-
-        Calibrated to the pure-Python substrate: roughly 50 ns per edge per
-        hop level with ~15 levels.  Only the *ratios* between routes matter
-        for planning; observations replace the seed after the first query.
-        """
-        return 7.5e-7 * (self.graph.num_edges + self.graph.num_nodes)
-
-    def _observe(self, method: str, kind: str, route: str, seconds: float) -> None:
-        key = (method, kind, route)
-        total, count = self._observations.get(key, (0.0, 0))
-        self._observations[key] = (total + max(seconds, 0.0), count + 1)
-
-    def _expected_cost(self, method: str, kind: str, route: str) -> float:
-        observed = self._observations.get((method, kind, route))
-        if observed is not None and observed[1] > 0:
-            return observed[0] / observed[1]
-        base = self._seed_cost()
-        if route == ROUTE_NATIVE:
-            return base * self._NATIVE_SEED_RATIO.get(kind, 1.0)
-        return base
-
-    # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
     def _method_of(self, query: Query) -> str:
@@ -664,7 +624,7 @@ class QueryPlanner:
                 epsilon)
 
     def plan(self, query: Query) -> QueryPlan:
-        """The route :meth:`execute` would take for ``query`` right now."""
+        """The route :meth:`answer` takes for ``query`` right now."""
         method = self._method_of(query)
         if self.cache.max_entries:
             if self._peek(self._cache_key(method, query)):
@@ -677,12 +637,8 @@ class QueryPlanner:
         algorithm = self.instance(method, self._query_config(method, query))
         if query.kind in algorithm.native_capabilities \
                 and self.breaker.state((method, ROUTE_NATIVE)) != STATE_OPEN:
-            return QueryPlan(method=method, kind=query.kind, route=ROUTE_NATIVE,
-                             cost_hint=self._expected_cost(method, query.kind,
-                                                           ROUTE_NATIVE))
-        return QueryPlan(method=method, kind=query.kind, route=ROUTE_DERIVED,
-                         cost_hint=self._expected_cost(method, query.kind,
-                                                       ROUTE_DERIVED))
+            return QueryPlan(method=method, kind=query.kind, route=ROUTE_NATIVE)
+        return QueryPlan(method=method, kind=query.kind, route=ROUTE_DERIVED)
 
     def _peek(self, key: Hashable) -> bool:
         """Cache membership without perturbing LRU order or hit counters."""
@@ -693,7 +649,7 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     def execute(self, query: Query, *,
                 deadline_ms: Optional[float] = None) -> QueryOutcome:
-        """Answer one query on the cheapest capable path."""
+        """Answer one query (a batch of one)."""
         return self.answer([query], deadline_ms=deadline_ms)[0]
 
     def prewarm(self, sources: Sequence[int]) -> int:
@@ -731,8 +687,9 @@ class QueryPlanner:
         ``deadline_ms`` overrides the planner default for this call; each
         route execution (one native query, or one coalesced micro-batch)
         runs under its own fresh budget.  Failed queries come back as
-        outcomes with ``error`` set, never as exceptions — only programmer
-        errors (an unknown method name) still raise.
+        outcomes with ``error`` set (``timeout`` or ``route_failed``), never
+        as exceptions — only programmer errors (an unknown method name)
+        still raise.
         """
         self._verify_graph_binding()
         effective_ms = deadline_ms if deadline_ms is not None else self.deadline_ms
@@ -769,14 +726,14 @@ class QueryPlanner:
                         result=result)
                     continue
             # Unknown method names raise here (a caller error, not a route
-            # failure — fallback routing must not mask it).
+            # failure).
             algorithm = self.instance(method, self._query_config(method, query))
-            if self._route_native(query, algorithm, queries):
+            if query.kind in algorithm.native_capabilities:
                 outcome = self._answer_native(query, method, effective_ms)
                 if outcome is not None:
                     outcomes[position] = outcome
                     continue
-                # Native route rejected or failed: retry down the route list.
+                # Native route rejected or failed: retry on the derived pass.
             pending.setdefault((method, epsilon), {}).setdefault(
                 int(query.source), []).append(position)
 
@@ -813,10 +770,10 @@ class QueryPlanner:
         fetched and prepared, and ``call`` runs under a fresh deadline.
         Index construction is amortized across queries, so a per-query
         budget covers query execution only: preparation runs outside the
-        deadline scope.  A timeout spends the budget — no fallback, and no
-        breaker penalty, since a slow route is the cost model's problem, not
-        a fault.  Any other exception is a route failure the caller retries
-        down the route list.
+        deadline scope.  A timeout spends the budget — no retry, and no
+        breaker penalty, since slow is not broken.  Any other exception is a
+        route failure: a native route retries on the derived pass, a derived
+        pass answers ``route_failed``.
         """
         breaker_key = (method, route)
         if not self.breaker.allow(breaker_key):
@@ -837,9 +794,8 @@ class QueryPlanner:
         except Exception as exc:
             self.breaker.record_failure(breaker_key)
             self._counters["route_failures"] += 1
-            _LOGGER.warning("route-failed method=%s route=%s kind=%s error=%r; "
-                            "retrying down the route list", method, route,
-                            kind, exc)
+            _LOGGER.warning("route-failed method=%s route=%s kind=%s error=%r",
+                            method, route, kind, exc)
             return _RouteRun(error=exc)
         self.breaker.record_success(breaker_key)
         self._flush_pending_save(method, algorithm)
@@ -882,20 +838,22 @@ class QueryPlanner:
         if not self._note_degraded(result):
             self.cache.put(self._cache_key(method, query), result)
         self._counters["native_routes"] += 1
-        self._observe(method, query.kind, ROUTE_NATIVE, result.query_seconds)
         return QueryOutcome(
             query=query,
-            plan=QueryPlan(method=method, kind=query.kind, route=ROUTE_NATIVE,
-                           cost_hint=self._expected_cost(method, query.kind,
-                                                         ROUTE_NATIVE)),
+            plan=QueryPlan(method=method, kind=query.kind, route=ROUTE_NATIVE),
             result=result)
 
     def _answer_pool(self, method: str, epsilon: Optional[float],
                      by_source: Dict[int, List[int]], queries: Sequence[Query],
                      outcomes: List[Optional[QueryOutcome]],
                      effective_ms: Optional[float]) -> None:
-        """Answer one (method, ε) pool: coalesced batch, then fallback."""
+        """Answer one (method, ε) pool with one coalesced batch.
+
+        When the batch raises or its breaker refuses it, every query of the
+        pool gets a ``route_failed`` error naming the method and its source.
+        """
         sources = sorted(by_source)
+        batched = len(sources) > 1
         run = self._run_route(
             method, ROUTE_DERIVED, KIND_SINGLE_SOURCE,
             {"epsilon": epsilon} if epsilon is not None else None,
@@ -907,14 +865,23 @@ class QueryPlanner:
                 for position in by_source[source]:
                     outcomes[position] = self._timeout_outcome(
                         queries[position], method, ROUTE_DERIVED, run.timeout,
-                        batched=len(sources) > 1)
+                        batched=batched)
             return
         if run.value is None:
-            # Last rung of the route list: per-source fallback through the
-            # cheapest other capable method.
+            cause = (repr(run.error) if run.error is not None
+                     else "its circuit breaker is open")
             for source in sources:
-                self._answer_fallback(method, source, by_source[source],
-                                      queries, outcomes, effective_ms)
+                for position in by_source[source]:
+                    query = queries[position]
+                    outcomes[position] = QueryOutcome(
+                        query=query,
+                        plan=QueryPlan(method=method, kind=query.kind,
+                                       route=ROUTE_DERIVED, batched=batched),
+                        error=error_record(
+                            ERROR_ROUTE_FAILED,
+                            f"{method} failed the {query.kind} query on "
+                            f"source {source}: {cause}",
+                            detail={"method": method, "source": int(source)}))
             return
 
         group_queries = sum(len(positions) for positions in by_source.values())
@@ -925,107 +892,20 @@ class QueryPlanner:
             self._counters["coalesced_batches"] += 1
             self._counters["coalesced_queries"] += group_queries
         for source, vector in zip(sources, run.value):
-            self._answer_from_vector(method, ROUTE_DERIVED, source, epsilon,
-                                     vector, by_source[source], queries,
-                                     outcomes, batched=len(sources) > 1)
-
-    def _answer_from_vector(self, method: str, route: str, source: int,
-                            epsilon: Optional[float],
-                            vector: SingleSourceResult, positions: List[int],
-                            queries: Sequence[Query],
-                            outcomes: List[Optional[QueryOutcome]], *,
-                            batched: bool = False) -> None:
-        """Cache a computed vector and answer the queries at ``positions``.
-
-        A fallback vector comes from another method than the queries name,
-        so only the coalesced route caches the derived answers under the
-        queries' own keys.
-        """
-        if not _is_degraded(vector):
-            self.cache.put(self._source_key(method, source, epsilon), vector)
-        self._observe(method, KIND_SINGLE_SOURCE, ROUTE_DERIVED,
-                      vector.query_seconds)
-        cost_hint = self._expected_cost(method, KIND_SINGLE_SOURCE,
-                                        ROUTE_DERIVED)
-        for position in positions:
-            query = queries[position]
-            self._counters["derived_routes" if route == ROUTE_DERIVED
-                           else "fallback_routes"] += 1
-            result = (vector if query.kind == KIND_SINGLE_SOURCE
-                      else self._derive(query, vector))
-            if not self._note_degraded(result) and route == ROUTE_DERIVED:
-                self.cache.put(self._cache_key(method, query), result)
-            outcomes[position] = QueryOutcome(
-                query=query,
-                plan=QueryPlan(method=method, kind=query.kind, route=route,
-                               cost_hint=cost_hint, batched=batched),
-                result=result)
-
-    def _fallback_candidates(self, failed_method: str) -> List[str]:
-        """Other registry methods, cheapest expected single-source first."""
-        names = [name for name in registry.available() if name != failed_method]
-        return sorted(names, key=lambda name: (
-            self._expected_cost(name, KIND_SINGLE_SOURCE, ROUTE_DERIVED), name))
-
-    def _answer_fallback(self, failed_method: str, source: int,
-                         positions: List[int], queries: Sequence[Query],
-                         outcomes: List[Optional[QueryOutcome]],
-                         effective_ms: Optional[float]) -> None:
-        last_error: Optional[BaseException] = None
-        for candidate in self._fallback_candidates(failed_method):
-            run = self._run_route(
-                candidate, ROUTE_FALLBACK, KIND_SINGLE_SOURCE, None,
-                lambda algorithm: algorithm.single_source(source),
-                effective_ms)
-            if run.timeout is not None:
-                for position in positions:
-                    outcomes[position] = self._timeout_outcome(
-                        queries[position], candidate, ROUTE_FALLBACK,
-                        run.timeout)
-                return
-            if run.value is None:
-                last_error = run.error if run.error is not None else last_error
-                continue
-            self._answer_from_vector(candidate, ROUTE_FALLBACK, source, None,
-                                     run.value, positions, queries, outcomes)
-            return
-        # Every rung failed (or was quarantined).
-        message = (f"all routes failed for {queries[positions[0]].kind} query "
-                   f"on source {source}")
-        if last_error is not None:
-            message += f" (last error: {last_error!r})"
-        for position in positions:
-            query = queries[position]
-            outcomes[position] = QueryOutcome(
-                query=query,
-                plan=QueryPlan(method=failed_method, kind=query.kind,
-                               route=ROUTE_FALLBACK),
-                error=error_record(ERROR_ROUTE_FAILED, message,
-                                   detail={"method": failed_method,
-                                           "source": int(source)}))
-
-    def _route_native(self, query: Query, algorithm: SimRankAlgorithm,
-                      batch: Sequence[Query]) -> bool:
-        """Whether ``query`` should take the native path (cost-aware).
-
-        A native-capable query normally does; the exception is a batch
-        carrying several pair/top-k queries for the *same* (method, source)
-        — there, one coalesced single-source pass answers all of them, so
-        the planner compares ``siblings × native_cost`` against one derived
-        pass and keeps the batch together when that is cheaper.
-        """
-        if query.kind not in algorithm.native_capabilities:
-            return False
-        method = self._method_of(query)
-        siblings = sum(
-            1 for other in batch
-            if other.kind == query.kind and other.source == query.source
-            and self._method_of(other) == method)
-        if siblings <= 1:
-            return True
-        native = self._expected_cost(method, query.kind, ROUTE_NATIVE)
-        derived = self._expected_cost(method, KIND_SINGLE_SOURCE, ROUTE_DERIVED)
-        return siblings * native < derived
+            if not _is_degraded(vector):
+                self.cache.put(self._source_key(method, source, epsilon), vector)
+            for position in by_source[source]:
+                query = queries[position]
+                self._counters["derived_routes"] += 1
+                result = (vector if query.kind == KIND_SINGLE_SOURCE
+                          else self._derive(query, vector))
+                if not self._note_degraded(result):
+                    self.cache.put(self._cache_key(method, query), result)
+                outcomes[position] = QueryOutcome(
+                    query=query,
+                    plan=QueryPlan(method=method, kind=query.kind,
+                                   route=ROUTE_DERIVED, batched=batched),
+                    result=result)
 
     def _execute_native(self, query: Query,
                         algorithm: SimRankAlgorithm) -> QueryResult:
@@ -1143,5 +1023,4 @@ __all__ = [
     "ROUTE_CACHED_DERIVED",
     "ROUTE_NATIVE",
     "ROUTE_DERIVED",
-    "ROUTE_FALLBACK",
 ]

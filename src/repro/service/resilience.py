@@ -1,8 +1,9 @@
 """Serving-layer resilience primitives: circuit breaker and error taxonomy.
 
-The planner's fallback routing (:mod:`repro.service.planner`) retries a
-failed query down its cost-ordered route list; this module supplies the two
-pieces that make retrying safe under *repeated* failure:
+The planner (:mod:`repro.service.planner`) retries a failed native route on
+the same method's derived pass and answers ``route_failed`` when that pass
+fails too; this module supplies the two pieces that keep *repeated* failure
+cheap and legible:
 
 * :class:`CircuitBreaker` — per-(method, route) failure quarantine.  A route
   that keeps raising is **open**ed after ``failure_threshold`` consecutive
@@ -40,7 +41,7 @@ from repro.utils.deadline import (  # noqa: F401  (re-exported)
 #: Structured error codes of the serving layer (the ``error.code`` field of a
 #: failed outcome / JSONL error line).
 ERROR_TIMEOUT = "timeout"                # deadline expired, no certified degrade
-ERROR_ROUTE_FAILED = "route_failed"      # every candidate route raised
+ERROR_ROUTE_FAILED = "route_failed"      # the named method's routes failed
 ERROR_VALIDATION = "invalid_query"       # the query itself is malformed
 ERROR_PARSE = "parse_error"              # the wire line was not a query object
 ERROR_OVERLOADED = "overloaded"          # admission control shed the query

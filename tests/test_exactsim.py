@@ -137,8 +137,8 @@ class TestStatsAndInterfaces:
     def test_cap_that_lands_below_itself_is_recorded(self, collab_graph):
         """A cap that scaled the allocation down is recorded wherever the
         realised total lands: at ε = 1e-2 source 5's floored allocation
-        realises 4,950 pairs under the 5,000 cap, and its pair query
-        allocates the same way before it restricts to the target."""
+        realises 4,950 pairs under the 5,000 cap, and a pair on that source,
+        read off the same single-source pass, carries the flag too."""
         config = ExactSimConfig(epsilon=1e-2, decay=DECAY, seed=7,
                                 max_total_samples=5_000)
         engine = ExactSim(collab_graph, config)
@@ -147,6 +147,22 @@ class TestStatsAndInterfaces:
         assert single["samples_realised"] < 5_000
         assert single["samples_capped"] == 1.0
         assert pair["samples_capped"] == 1.0
+
+    def test_pair_is_an_entry_of_the_single_source_vector(self, collab_graph):
+        """A pair answer is the source's vector read at the target, so it
+        keeps the vector's ε guarantee: two fresh engines of one seeded
+        config agree to the bit, pair by pair."""
+        config = ExactSimConfig(epsilon=1e-2, decay=DECAY, seed=7,
+                                max_total_samples=20_000)
+        pairs = [(5, 9), (0, 3), (12, 5), (5, 5), (30, 2)]
+        by_pair = ExactSim(collab_graph, config)
+        by_source = ExactSim(collab_graph, config)
+        for source, target in pairs:
+            pair = by_pair.single_pair(source, target)
+            vector = by_source.single_source(source)
+            assert pair.score == vector.scores[target]
+            assert "native_single_pair" not in pair.stats
+            assert pair.stats["derived_from_single_source"] == 1.0
 
     def test_invalid_source_rejected(self, collab_graph):
         engine = ExactSim(collab_graph, ExactSimConfig(epsilon=1e-1))
@@ -189,7 +205,7 @@ class TestAllocationBeyondLevelZero:
         """Node 5 of the toy graph has no return path, so it gets 0 pairs
         on itself; node 2 lies on the cycle 2 → 3 → 4 → 2 and gets
         ⌈R·(π_2(2) − (1 − √c))²⌉ (⌈R·(π_2(2) − (1 − √c))⌉ basic) uncapped,
-        in a batch and in a pair query alike."""
+        in a batch and in the single-source pass a pair query reads."""
         make = (ExactSimConfig if variant == "optimized"
                 else ExactSimConfig.basic)
         config = make(epsilon=0.2, decay=DECAY, seed=3, max_total_samples=None)
@@ -397,8 +413,9 @@ class TestExactPhaseOneAtScale:
                     == reference.nonzero_entries())
 
 
-class TestNativePairAccuracy:
-    """``single_pair`` lands within ε of PowerMethod at hubs."""
+class TestPairAccuracy:
+    """``single_pair``, an entry of the source's single-source vector, lands
+    within ε of PowerMethod at hubs."""
 
     @pytest.fixture(scope="class")
     def hub_pairs(self):

@@ -1,4 +1,4 @@
-"""Resilience suite: deadlines, degraded answers, fallback routing, faults.
+"""Resilience suite: deadlines, degraded answers, route failures, faults.
 
 Four pillars, mirroring the serving layer's failure taxonomy:
 
@@ -15,9 +15,10 @@ Four pillars, mirroring the serving layer's failure taxonomy:
   decreasing ``indptr``, a missing hop level) fail the load the same way,
   an interrupted save leaves the previous index bit-identical, and the
   planner degrades a bad auto-load to a logged rebuild;
-* **fault-injected serving** — deterministic fault plans drive the
-  fallback route list (native → derived → cheapest other method), and a
-  10k-line adversarial JSONL stream runs end-to-end with zero process
+* **fault-injected serving** — deterministic fault plans drive the one
+  retry a query gets (native → the same method's derived pass) and the
+  ``route_failed`` error that names the method when that pass fails too,
+  and a 10k-line adversarial JSONL stream runs end-to-end with zero process
   deaths and one output line per input line.
 """
 
@@ -55,7 +56,6 @@ from repro.service.planner import (
     ROUTE_CACHED,
     ROUTE_CACHED_DERIVED,
     ROUTE_DERIVED,
-    ROUTE_FALLBACK,
     ROUTE_NATIVE,
 )
 from repro.service.resilience import (
@@ -332,10 +332,17 @@ class TestFaultPlan:
             FaultPlan([FaultRule(calls=(0,))])
         with pytest.raises(ValueError, match="delay"):
             FaultPlan([FaultRule(action="delay")])
+        # A route no hook fires, or a kind that is not a query kind, matches
+        # no call: the scenario would pass with no fault injected.
+        for route in ("natvie", "fallback"):
+            with pytest.raises(ValueError, match="unknown fault route"):
+                FaultPlan.from_json(json.dumps([{"route": route}]))
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan([FaultRule(kind="pair")])
 
 
 # --------------------------------------------------------------------------- #
-# planner: fallback routing, timeouts, degraded serving
+# planner: native -> derived retry, route failures, timeouts, degraded serving
 # --------------------------------------------------------------------------- #
 class TestFallbackRouting:
     def test_native_failure_falls_back_to_derived(self, graph):
@@ -350,13 +357,20 @@ class TestFallbackRouting:
         assert stats["faults_injected"] == 1.0
 
     def test_derived_failure_falls_back_to_other_method(self, graph):
+        """No other method answers in the named one's place: a failed
+        derived pass comes back ``route_failed`` for the method the query
+        named, and the planner builds no other instance."""
         plan = FaultPlan([FaultRule(method="parsim", route="derived")])
         planner = make_planner(graph, fault_plan=plan, cache_entries=0)
         outcome = planner.execute(SingleSourceQuery(5, method="parsim"))
-        assert outcome.ok
-        assert outcome.plan.route == ROUTE_FALLBACK
-        assert outcome.plan.method != "parsim"
-        assert planner.stats()["fallback_routes"] == 1.0
+        assert not outcome.ok
+        assert outcome.error["code"] == "route_failed"
+        assert outcome.plan.method == "parsim"
+        assert outcome.error["method"] == "parsim"
+        assert outcome.error["source"] == 5
+        assert planner.stats()["route_failures"] == 1.0
+        assert set(planner._instances) == {"parsim"}
+        assert not planner._overrides
 
     def test_exhausted_routes_return_structured_error(self, graph):
         # Everything fails: the outcome carries a route_failed error, the
@@ -393,7 +407,9 @@ class TestFallbackRouting:
         assert outcome.error["checkpoint"] == CHECKPOINT_WALK_BATCH
         stats = planner.stats()
         assert stats["deadline_timeouts"] == 1.0
-        assert stats["fallback_routes"] == 0.0      # budget spent: no retry
+        # The budget is spent: no retry, on this method or another.
+        assert stats["route_failures"] == 0.0
+        assert set(planner._instances) == {"exactsim"}
 
     def test_degraded_answers_served_not_cached(self, graph):
         planner = make_planner(graph)
@@ -727,22 +743,33 @@ class TestAdversarialServing:
 
     def test_fault_plan_flag_drives_fallback(self, graph, edge_list, tmp_path,
                                              capsys):
+        """The injected fault reaches the wire as a ``route_failed`` line
+        for the method the stream asked for, not another method's answer."""
         plan_path = tmp_path / "faults.json"
         plan_path.write_text(json.dumps(
             [{"method": "parsim", "route": "derived"}]))
         queries = tmp_path / "queries.jsonl"
         queries.write_text('{"type": "single_source", "source": 3}\n')
-        # A loose --epsilon keeps whichever fallback method answers cheap.
         code = main(["answer", "--edge-list", edge_list, "--method", "parsim",
                      "--queries", str(queries), "--param", "iterations=5",
                      "--epsilon", "5e-2", "--seed", "7",
                      "--fault-plan", str(plan_path), "--stats"])
         captured = capsys.readouterr()
-        assert code == 0
+        assert code == 1                       # partial failure
         line = json.loads(captured.out.splitlines()[0])
-        assert line["route"] == "fallback"
-        assert line["method"] != "parsim"
+        assert line["code"] == "route_failed"
+        assert line["method"] == "parsim"
         assert '"faults_injected": 1.0' in captured.err
+
+    def test_fault_plan_with_unknown_route_exits_2(self, edge_list, tmp_path,
+                                                   capsys):
+        plan_path = tmp_path / "faults.json"
+        plan_path.write_text(json.dumps(
+            [{"method": "parsim", "route": "natvie"}]))
+        code = main(["answer", "--edge-list", edge_list, "--method", "parsim",
+                     "--queries", "-", "--fault-plan", str(plan_path)])
+        assert code == 2
+        assert "unknown fault route" in capsys.readouterr().err
 
     def test_deadline_flag_degrades_with_bound(self, graph, edge_list,
                                                tmp_path, capsys):

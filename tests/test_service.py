@@ -5,8 +5,9 @@ every registered method must answer all three query kinds through the
 planner — natively or derived — within the method's error bound against the
 PowerMethod oracle, and the native paths must agree with their derived
 fallbacks.  The unit half pins the serving semantics: LRU cache hits,
-derivation from cached vectors, micro-batch coalescing, cost-aware pair
-routing, persisted-index auto-load, and the wire format.
+derivation from cached vectors, micro-batch coalescing, routes fixed by the
+query (never by timings or batch-mates), persisted-index auto-load, and the
+wire format.
 """
 
 from __future__ import annotations
@@ -320,28 +321,22 @@ class TestCoalescing:
 
     def test_same_source_pair_flood_routes_through_one_pass(self, service_graph,
                                                             monkeypatch):
-        # Many pair queries for one source: the cost model (seed ratio 0.5
-        # per native pair) makes one coalesced single-source pass cheaper,
-        # so the planner keeps the flood together even though ExactSim has a
-        # native pair path.
+        # Many pair queries for one source: ExactSim's pairs are entries of
+        # the source's vector, so the whole flood rides one coalesced
+        # single-source pass.
         planner = make_planner(service_graph, cache_entries=0)
         queries = [SinglePairQuery(5, t, method="exactsim") for t in (9, 10, 11)]
         outcomes = planner.answer(queries)
         assert all(o.plan.route == ROUTE_DERIVED for o in outcomes)
         assert planner.stats()["coalesced_batches"] == 1.0
 
-    def test_lone_pair_takes_the_native_path(self, service_graph):
-        planner = make_planner(service_graph, cache_entries=0)
-        outcome = planner.execute(SinglePairQuery(5, 9, method="exactsim"))
-        assert outcome.plan.route == ROUTE_NATIVE
-        assert outcome.result.stats.get("native_single_pair") == 1.0
-
-    @pytest.mark.parametrize("name", ["prsim", "linearization"])
+    @pytest.mark.parametrize("name", ["exactsim", "prsim", "linearization"])
     def test_top_k_and_pair_share_one_single_source_pass(
             self, name, service_graph, monkeypatch):
-        # PRSim and Linearization answer top-k from the single-source
-        # vector: a top-k and a pair on one source cost one batch call, and
-        # the cached vector answers a later pair on that source.
+        # ExactSim, PRSim and Linearization answer pairs and top-k from the
+        # single-source vector: a top-k and a pair on one source cost one
+        # batch call, and the cached vector answers a later pair on that
+        # source.
         expected = registry.create(name, service_graph,
                                    CONFIGS[name]).single_source(5)
         planner = make_planner(service_graph)
@@ -364,6 +359,75 @@ class TestCoalescing:
         later = planner.execute(SinglePairQuery(5, 23, method=name))
         assert later.plan.route == ROUTE_CACHED_DERIVED
         assert seen == [[5]]
+
+
+# --------------------------------------------------------------------------- #
+# the route is a function of the query
+# --------------------------------------------------------------------------- #
+#: Methods whose answers depend on what their instance answered before: each
+#: draws its query-time walks from one stream per instance (ExactSim's
+#: diagonal also depends on its batch-mates), so a coalesced batch, which
+#: answers a repeated source once and its sources in sorted order, moves
+#: them.  Across batch sizes only their routes can be compared.
+HISTORY_DEPENDENT = {"exactsim", "exactsim-basic", "probesim"}
+
+
+def _route_stream(num_nodes):
+    """Every registry method × the three kinds on a few repeated sources, in
+    a seeded order, after two ExactSim pairs on one source (they share a
+    batch at every batch size above 1)."""
+    rng = np.random.default_rng(41)
+    sources = [int(node) for node in rng.choice(num_nodes, size=4,
+                                                replace=False)]
+
+    def target_of(source):
+        return (source + 1 + int(rng.integers(num_nodes - 1))) % num_nodes
+
+    queries = []
+    for method in registry.available():
+        for source in rng.choice(sources, size=2):
+            source = int(source)
+            queries += [SingleSourceQuery(source, method=method),
+                        SinglePairQuery(source, target_of(source),
+                                        method=method),
+                        TopKQuery(source, K, method=method)]
+    head = [SinglePairQuery(sources[0], target_of(sources[0]),
+                            method="exactsim") for _ in range(2)]
+    return head + [queries[i] for i in rng.permutation(len(queries))]
+
+
+def _answer_bytes(result):
+    if isinstance(result, SinglePairResult):
+        return result.score
+    if isinstance(result, TopKResult):
+        return result.nodes.tobytes(), result.scores.tobytes()
+    return result.scores.tobytes()
+
+
+def test_route_is_a_function_of_the_query(service_graph):
+    """Two fresh planners per batch size (1, 3, 8), cache off: every line
+    takes the same route in all six runs — the native path exactly for the
+    kinds its method lists — and the same answer, where its method's
+    answers do not depend on history."""
+    stream = _route_stream(service_graph.num_nodes)
+    runs = []
+    for batch_size in (1, 3, 8):
+        for _ in range(2):
+            planner = make_planner(service_graph, cache_entries=0)
+            outcomes = []
+            for start in range(0, len(stream), batch_size):
+                outcomes += planner.answer(stream[start:start + batch_size])
+            runs.append(outcomes)
+    for position, query in enumerate(stream):
+        routes = {outcomes[position].plan.route for outcomes in runs}
+        native = planner.instance(query.method).native_capabilities
+        expected = ROUTE_NATIVE if query.kind in native else ROUTE_DERIVED
+        assert routes == {expected}, (position, query)
+        if query.method in HISTORY_DEPENDENT:
+            continue
+        answers = {_answer_bytes(outcomes[position].result)
+                   for outcomes in runs}
+        assert len(answers) == 1, (position, query)
 
 
 # --------------------------------------------------------------------------- #
@@ -405,7 +469,7 @@ class TestPlannerPlumbing:
         assert rows["sling"]["single_pair"] == "native"
         assert rows["sling"]["top_k"] == "native"
         assert rows["parsim"]["single_pair"] == "derived"
-        assert rows["exactsim"]["single_pair"] == "native"
+        assert rows["exactsim"]["single_pair"] == "derived"
         assert rows["linearization"]["top_k"] == "derived"
         assert rows["prsim"]["top_k"] == "derived"
 
@@ -432,14 +496,6 @@ class TestPlannerPlumbing:
         second = make_planner(service_graph, index_dir=tmp_path)
         assert second.instance("mc").prepared
         assert second.stats()["index_loads"] == 1.0
-
-    def test_cost_observations_refine_hints(self, service_graph):
-        planner = make_planner(service_graph, cache_entries=0)
-        seeded = planner.plan(TopKQuery(5, K, method="sling")).cost_hint
-        planner.execute(TopKQuery(5, K, method="sling"))
-        observed = planner.plan(TopKQuery(23, K, method="sling")).cost_hint
-        assert observed != seeded          # hint now reflects a measurement
-        assert observed > 0.0
 
 
 class TestOverrideInstances:
